@@ -13,7 +13,7 @@ import numpy as np
 
 from .engine import _BoundFitness, evaluate_population
 from .errors import ConfigError, PopulationTooSmallError
-from .genome import GeneSpec, Individual, validate_spec
+from .genome import GeneSpec, validate_spec
 
 
 @dataclass
@@ -94,9 +94,9 @@ def run_de(spec: GeneSpec, fitness, config: DEConfig, *,
         fitness = _BoundFitness(fitness, fitness_args)
 
     def evaluate(rows: np.ndarray) -> np.ndarray:
-        batch = [Individual(genes=row) for row in rows]
-        evaluate_population(batch, fitness, config.parallel_workers)
-        return np.array([ind.fitness for ind in batch])
+        values = np.empty(len(rows))
+        evaluate_population(rows, fitness, values, config.parallel_workers)
+        return values
 
     values = evaluate(genes)
     result = DEResult(genes=genes, fitness=values)

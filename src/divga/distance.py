@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LengthMismatchError, PopulationTooSmallError, ZeroGenesError
-from .genome import CATEGORICAL, GeneSpec, Population
+from .genome import CATEGORICAL, GeneSpec
 
 DEFAULT_EPSILON = 1e-15
 
@@ -93,6 +93,8 @@ class DynamicSq(DistanceMeasure):
 
 
 class HammingSq(DistanceMeasure):
+    """Hamming fraction; to_point compares labels or category codes alike."""
+
     name = "hamming"
 
     def __call__(self, a, b) -> float:
@@ -145,20 +147,17 @@ def get_measure(measure, spec: GeneSpec | None = None,
     return _NAMED[name]()
 
 
-def default_r0(population: Population | list,
-               measure: DistanceMeasure) -> float:
+def default_r0(genes: np.ndarray, measure: DistanceMeasure) -> float:
     """One tenth of the root mean squared inter-individual distance.
 
-    The mean runs over all unordered pairs of distinct individuals in
-    the population. Returns 0.0 when every pair coincides; callers must
-    substitute a usable radius in that case.
+    genes is a gene matrix, one row per individual. The mean runs over
+    all unordered pairs of distinct rows. Returns 0.0 when every pair
+    coincides; callers must substitute a usable radius in that case.
     """
-    individuals = list(population)
-    n = len(individuals)
+    n = len(genes)
     if n < 2:
         raise PopulationTooSmallError(
             "need at least two individuals to set a diversity radius")
-    genes = np.stack([ind.genes for ind in individuals])
     total = 0.0
     for i in range(n - 1):
         total += float(np.sum(measure.to_point(genes[i + 1:], genes[i])))

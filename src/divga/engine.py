@@ -1,10 +1,15 @@
 """Generational engine: evaluate, vary, select, repeat.
 
-One seeded generator drives every stochastic decision in a fixed order
-(seeding, then per generation: pairing, per-child crossover draws,
-per-child mutation draws). Fitness evaluation consumes no randomness,
-so results are identical whether fitness is computed sequentially or
-on worker processes.
+Inside run the population is a gene matrix plus a fitness vector; see
+divga.genome for where category codes become labels.
+
+One seeded generator drives every stochastic decision in a fixed
+order: the random rows of generation zero in one (n, g) batch, then per
+generation the draws of produce_offspring, whose order is documented in
+divga.variation (pairing, then crossover, then mutation, each one batch
+for the whole generation). Fitness evaluation and selection consume no
+randomness, so results are identical whether fitness is computed
+sequentially or on worker processes.
 
 A run writes three files into its output directory when one is given:
 
@@ -19,32 +24,26 @@ so a crashed run leaves generations finished so far on disk.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .distance import DistanceMeasure, default_r0, get_measure
-from .errors import (
-    ConfigError,
-    FitnessEvaluationError,
-    IllegalMethodError,
-)
-from .genome import GeneSpec, Individual, Population, seed_population, validate_spec
-from .selection import DiversityConfig, select_diverse, select_top_n
+from .distance import CustomMeasure, HammingSq, default_r0, get_measure
+from .errors import ConfigError, FitnessEvaluationError
+from .genome import GeneSpec, Individual, seed_population, validate_spec
+from .selection import select_diverse, select_top_n
 from .variation import (
-    BETWEEN,
-    CROSSOVER_METHODS,
-    EITHER_OR,
-    MIDPOINT,
     PAIRING_STRATEGIES,
     RANDOM_PAIRS,
     MutationConfig,
     produce_offspring,
+    resolve_crossover,
     resolve_mutation,
 )
 
@@ -53,18 +52,57 @@ THRESHOLD_REACHED = "threshold_reached"
 ABORTED = "aborted"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiversityEnhanced:
-    """Diversity-enhanced survivor selection.
+    """Diversity-enhanced survivor selection (see divga.selection).
 
-    r0 None means: one tenth of the root mean squared distance between
-    the individuals of the initial population (1.0 for categorical
-    genomes). measure None picks the kind default, Euclidean or Hamming.
+    d0 >= 0 is the penalty for exactly overlapping candidates. r0 > 0 is
+    the decay radius of exp(-r^2 / r0^2), a distance (the square root of
+    the measure's units). r0 None means one tenth of the root mean
+    squared distance between the individuals of the initial population
+    (1.0 for categorical genomes). measure is a name, a DistanceMeasure,
+    a callable (a, b) -> squared distance on the genes the fitness sees,
+    or None for the kind default, Euclidean or Hamming.
     """
 
     d0: float = 1.0
     r0: float | None = None
     measure: object = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.d0 < math.inf:
+            raise ConfigError("d0 must be finite and non-negative")
+        if self.r0 is not None and not self.r0 > 0:
+            raise ConfigError("r0 must be positive")
+
+    def resolve(self, spec: GeneSpec, genes: np.ndarray) -> "DiversityEnhanced":
+        """Copy with measure and r0 filled in from the initial gene matrix.
+
+        Warns when a callable measure is asymmetric on a sampled pair,
+        and when r0 must come from an initial population with no spread
+        (r0 falls back to 1).
+        """
+        measure = get_measure(self.measure, spec)
+        if isinstance(measure, CustomMeasure):
+            _warn_if_asymmetric(measure, spec.decode(genes[:3]))
+        r0 = self.r0
+        if r0 is None and spec.is_numeric:
+            r0 = default_r0(genes, measure)
+            if r0 <= 0.0:
+                warnings.warn(
+                    "initial population has no spread; falling back to r0=1")
+                r0 = 1.0
+        return replace(self, r0=1.0 if r0 is None else r0, measure=measure)
+
+
+def _warn_if_asymmetric(measure, rows):
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        forward, backward = measure(rows[i], rows[j]), measure(rows[j], rows[i])
+        if not math.isclose(forward, backward, rel_tol=1e-9, abs_tol=1e-12):
+            warnings.warn(
+                f"distance measure is asymmetric on a sampled pair: "
+                f"{forward} vs {backward}")
+            return
 
 
 @dataclass
@@ -114,10 +152,11 @@ class EngineConfig:
 class RunRecord:
     """Full history of one run.
 
-    populations[g] holds copies of the survivors of generation g, in
-    selection order; index 0 is the evaluated initial population. The
-    evaluations list is cumulative. A finished run with no early stop
-    has n_generations + 1 snapshots.
+    populations[g] holds the survivors of generation g as Individual
+    snapshots (genes as the fitness sees them), in selection order;
+    index 0 is the evaluated initial population. The evaluations list
+    is cumulative. A finished run with no early stop has
+    n_generations + 1 snapshots.
     """
 
     spec: GeneSpec
@@ -160,46 +199,62 @@ def _checked(value, index):
     return result
 
 
-def evaluate_population(individuals, fitness, parallel_workers: int = 0) -> int:
-    """Fill in missing fitness values, in index order.
+def _evaluate_rows(fitness, start: int, rows):
+    """Raw fitness of each row, stopping at the first row that raises.
 
-    Already evaluated individuals are left untouched. Returns the number
-    of new evaluations. With parallel_workers > 0 evaluation runs on a
-    process pool; results are committed in index order either way, so
-    the outcome does not depend on the worker count.
+    Returns (values, failure); failure is None, or the batch index
+    start + offset of the row that raised together with its exception.
+    Module level, so that worker processes can run it on a chunk.
     """
-    pending = [(i, ind) for i, ind in enumerate(individuals)
-               if ind.fitness is None]
-    if not pending:
-        return 0
-    genes = [ind.genes for _, ind in pending]
-    if parallel_workers and parallel_workers > 0 and len(pending) > 1:
-        results = []
+    values = []
+    for offset, row in enumerate(rows):
+        try:
+            values.append(fitness(row))
+        except Exception as exc:
+            return values, (start + offset, exc)
+    return values, None
+
+
+def evaluate_population(genes, fitness, values: np.ndarray,
+                        parallel_workers: int = 0) -> int:
+    """Evaluate fitness on every row of genes into values, in index order.
+
+    Returns the number of evaluations, len(genes). With parallel_workers
+    > 0 the rows go to a process pool in chunks; results are committed
+    in index order either way, so the outcome, and the index a
+    FitnessEvaluationError reports, do not depend on the worker count.
+    """
+    n = len(genes)
+    committed = 0
+
+    def commit(raw, failure):
+        nonlocal committed
+        for value in raw:
+            values[committed] = _checked(value, committed)
+            committed += 1
+        if failure is not None:
+            index, exc = failure
+            raise FitnessEvaluationError(
+                f"fitness raised {exc!r} for individual {index}",
+                index=index) from exc
+
+    if parallel_workers > 0 and n > 1:
+        size = max(1, n // (parallel_workers * 4))
         with ProcessPoolExecutor(max_workers=parallel_workers) as pool:
-            chunk = max(1, len(genes) // (parallel_workers * 4))
-            try:
-                for value in pool.map(fitness, genes, chunksize=chunk):
-                    results.append(value)
-            except FitnessEvaluationError:
-                raise
-            except Exception as exc:
-                failed_at = pending[min(len(results), len(pending) - 1)][0]
-                raise FitnessEvaluationError(
-                    f"fitness raised {exc!r}", index=failed_at) from exc
-        for (i, ind), value in zip(pending, results):
-            ind.fitness = _checked(value, i)
+            chunks = [pool.submit(_evaluate_rows, fitness, start,
+                                  genes[start:start + size])
+                      for start in range(0, n, size)]
+            for chunk in chunks:
+                try:
+                    raw, failure = chunk.result()
+                except Exception as exc:
+                    raise FitnessEvaluationError(
+                        f"fitness evaluation failed: {exc!r}",
+                        index=committed) from exc
+                commit(raw, failure)
     else:
-        for i, ind in pending:
-            try:
-                value = fitness(ind.genes)
-            except FitnessEvaluationError:
-                raise
-            except Exception as exc:
-                raise FitnessEvaluationError(
-                    f"fitness raised {exc!r} for individual {i}",
-                    index=i) from exc
-            ind.fitness = _checked(value, i)
-    return len(pending)
+        commit(*_evaluate_rows(fitness, 0, genes))
+    return n
 
 
 def _format_real(x) -> str:
@@ -288,19 +343,8 @@ def persist(record: RunRecord, directory: str | Path) -> dict:
             "log": log_path}
 
 
-def _resolve_crossover(method, spec: GeneSpec) -> str:
-    if method is None:
-        return BETWEEN if spec.is_numeric else EITHER_OR
-    if method not in CROSSOVER_METHODS:
-        raise ConfigError(f"unknown crossover method {method!r}")
-    if not spec.is_numeric and method in (MIDPOINT, BETWEEN):
-        raise IllegalMethodError(
-            f"{method} crossover is undefined for categorical genomes")
-    return method
-
-
-def _resolve_selection(selection, spec: GeneSpec, population: Population):
-    """Returns ("diverse", DiversityConfig) or ("topn", None)."""
+def _resolve_selection(selection, spec: GeneSpec, genes: np.ndarray):
+    """The run's resolved DiversityEnhanced, or None for TopN."""
     if isinstance(selection, str):
         name = selection.lower()
         if name in ("diverse", "diversity"):
@@ -310,39 +354,10 @@ def _resolve_selection(selection, spec: GeneSpec, population: Population):
         else:
             raise ConfigError(f"unknown selection method {selection!r}")
     if isinstance(selection, TopN):
-        return "topn", None
+        return None
     if not isinstance(selection, DiversityEnhanced):
         raise ConfigError(f"unknown selection method {selection!r}")
-    measure = get_measure(selection.measure, spec)
-    _spot_check_symmetry(measure, selection.measure, population)
-    r0 = selection.r0
-    if r0 is None:
-        if spec.is_numeric:
-            r0 = default_r0(population, measure)
-            if r0 <= 0.0:
-                warnings.warn(
-                    "initial population has no spread; falling back to r0=1")
-                r0 = 1.0
-        else:
-            r0 = 1.0
-    return "diverse", DiversityConfig(d0=selection.d0, r0=r0, measure=measure)
-
-
-def _spot_check_symmetry(measure: DistanceMeasure, raw, population):
-    """Custom measures only: warn when measure(a, b) != measure(b, a)."""
-    if raw is None or isinstance(raw, (str, DistanceMeasure)) or not callable(raw):
-        return
-    individuals = population.individuals
-    for i, j in [(0, 1), (0, 2), (1, 2)][:max(0, len(individuals) - 1)]:
-        if j >= len(individuals):
-            continue
-        a, b = individuals[i].genes, individuals[j].genes
-        forward, backward = measure(a, b), measure(b, a)
-        if not math.isclose(forward, backward, rel_tol=1e-9, abs_tol=1e-12):
-            warnings.warn(
-                f"distance measure is asymmetric on a sampled pair: "
-                f"{forward} vs {backward}")
-            return
+    return selection.resolve(spec, genes)
 
 
 def _validate_config(config: EngineConfig, spec: GeneSpec):
@@ -362,20 +377,27 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
         init_genes=None, fitness_args=()) -> RunRecord:
     """Run the genetic algorithm and return its full history.
 
-    fitness maps one gene vector to a real number; extra fixed arguments
-    can be bound through fitness_args. init_genes seeds part of the
-    initial population. A fitness failure aborts the run and raises
-    FitnessEvaluationError with the partial record attached; an
-    unwritable output directory raises OSError.
+    fitness maps one gene vector (a label array for categorical genomes)
+    to a real number; extra fixed arguments can be bound through
+    fitness_args. init_genes seeds part of the initial population. A
+    fitness of NaN, a non-number or a raised exception aborts the run
+    and raises FitnessEvaluationError with the partial record attached.
+    Infinite fitness is accepted: in selection -inf ranks last and +inf
+    ranks first. An unwritable output directory raises OSError, and a
+    generation whose best survivor is worse than the previous best (a
+    broken elitism guarantee) raises RuntimeError.
     """
     validate_spec(spec)
     _validate_config(config, spec)
-    crossover = _resolve_crossover(config.crossover, spec)
+    crossover = resolve_crossover(config.crossover, spec)
     mutation = resolve_mutation(config.mutation, spec)
     bound = _BoundFitness(fitness, fitness_args) if fitness_args else fitness
+    n = config.population_size
+    workers = config.parallel_workers
 
     rng = np.random.default_rng(config.seed)
-    population = seed_population(spec, config.population_size, rng, init_genes)
+    genes = seed_population(spec, n, rng, init_genes)
+    values = np.empty(n)
 
     out_dir = Path(config.output_directory) if config.output_directory else None
     if out_dir is not None:
@@ -388,82 +410,81 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
                                "fitness": writer.fitness_path,
                                "log": out_dir / "log.txt"}
 
-    def snapshot(generation, individuals, cumulative):
-        frozen = [Individual(genes=ind.genes.copy(), fitness=ind.fitness)
-                  for ind in individuals]
-        fitness_values = np.array([ind.fitness for ind in frozen])
-        mean = float(fitness_values.mean())
-        best = float(fitness_values.max())
-        record.populations.append(frozen)
+    def snapshot(generation, genes, values, cumulative):
+        survivors = [Individual(genes=row, fitness=float(value))
+                     for row, value in zip(spec.decode(genes), values)]
+        mean = float(values.mean())
+        best = float(values.max())
+        record.populations.append(survivors)
         record.mean_fitness.append(mean)
         record.best_fitness.append(best)
         record.evaluations.append(cumulative)
         if writer is not None:
-            writer.append(generation, frozen, cumulative, mean, best)
+            writer.append(generation, survivors, cumulative, mean, best)
         log.line(1, f"generation {generation}: best={best:.6g} "
                     f"mean={mean:.6g} evaluations={cumulative}")
         return best
 
-    def abort(exc):
-        record.termination = ABORTED
-        exc.partial_record = record
-        log.line(1, f"run aborted: {exc}")
-        if writer is not None:
-            writer.close()
-        log.close()
-
-    log.line(1, f"run started: population={config.population_size} "
+    log.line(1, f"run started: population={n} "
                 f"generations={config.n_generations} crossover={crossover} "
                 f"pairing={config.pairing} seed={config.seed}")
     try:
-        cumulative = evaluate_population(population.individuals, bound,
-                                         config.parallel_workers)
-    except FitnessEvaluationError as exc:
-        abort(exc)
-        raise
-    kind, diversity = _resolve_selection(config.selection, spec, population)
-    if diversity is not None:
-        log.line(1, f"selection: diversity-enhanced, d0={diversity.d0:g}, "
-                    f"r0={diversity.r0:g}, measure={diversity.measure.name}")
-    else:
-        log.line(1, "selection: top-n on raw fitness")
-
-    best = snapshot(0, population.individuals, cumulative)
-    previous_best = best
-    record.termination = GENERATIONS_EXHAUSTED
-    for generation in range(1, config.n_generations + 1):
-        offspring = produce_offspring(population, crossover, config.pairing,
-                                      mutation, rng)
-        try:
-            cumulative += evaluate_population(offspring, bound,
-                                              config.parallel_workers)
-        except FitnessEvaluationError as exc:
-            abort(exc)
-            raise
-        pool = population.individuals + offspring
-        if kind == "diverse":
-            survivors = select_diverse(pool, config.population_size, diversity)
+        cumulative = evaluate_population(spec.decode(genes), bound, values,
+                                         workers)
+        diversity = _resolve_selection(config.selection, spec, genes)
+        if diversity is not None:
+            log.line(1, f"selection: diversity-enhanced, d0={diversity.d0:g}, "
+                        f"r0={diversity.r0:g}, measure={diversity.measure.name}")
         else:
-            survivors = select_top_n(pool, config.population_size)
-        population = Population(survivors, generation_index=generation)
-        best = snapshot(generation, survivors, cumulative)
-        if config.verbosity >= 2:
-            for rank, ind in enumerate(survivors):
-                penalized = ind.penalized_fitness
-                note = "" if penalized is None else f" working={penalized:.6g}"
-                log.line(2, f"  survivor {rank}: fitness={ind.fitness:.6g}"
-                            f"{note} genes={list(ind.genes)}")
-        assert best >= previous_best, "elitist selection lost the best individual"
-        previous_best = best
-        if (config.fitness_threshold is not None
-                and best >= config.fitness_threshold):
-            record.termination = THRESHOLD_REACHED
-            break
+            log.line(1, "selection: top-n on raw fitness")
 
-    log.line(1, f"run finished: {record.termination} after "
-                f"{len(record.populations) - 1} generations, "
-                f"{cumulative} evaluations")
-    if writer is not None:
-        writer.close()
-    log.close()
+        best = snapshot(0, genes, values, cumulative)
+        working = np.empty(n)
+        record.termination = GENERATIONS_EXHAUSTED
+        for generation in range(1, config.n_generations + 1):
+            children = produce_offspring(genes, crossover, config.pairing,
+                                         mutation, rng)
+            pool_genes = np.concatenate([genes, children])
+            pool_values = np.concatenate([values, np.empty(len(children))])
+            cumulative += evaluate_population(spec.decode(children), bound,
+                                              pool_values[n:], workers)
+            if diversity is None:
+                picks = select_top_n(pool_values, n)
+            else:
+                # Hamming compares codes; any other measure sees the genes
+                # the fitness sees.
+                seen = (pool_genes if isinstance(diversity.measure, HammingSq)
+                        else spec.decode(pool_genes))
+                picks = select_diverse(seen, pool_values, n, diversity,
+                                       working)
+            genes, values = pool_genes[picks], pool_values[picks]
+            previous_best = best
+            best = snapshot(generation, genes, values, cumulative)
+            if config.verbosity >= 2:
+                for rank, ind in enumerate(record.populations[-1]):
+                    note = ("" if diversity is None
+                            else f" working={working[rank]:.6g}")
+                    log.line(2, f"  survivor {rank}: fitness={ind.fitness:.6g}"
+                                f"{note} genes={list(ind.genes)}")
+            if best < previous_best:
+                raise RuntimeError(
+                    f"elitist selection lost the best individual: best "
+                    f"fitness fell from {previous_best} to {best} in "
+                    f"generation {generation}")
+            if (config.fitness_threshold is not None
+                    and best >= config.fitness_threshold):
+                record.termination = THRESHOLD_REACHED
+                break
+        log.line(1, f"run finished: {record.termination} after "
+                    f"{len(record.populations) - 1} generations, "
+                    f"{cumulative} evaluations")
+    except FitnessEvaluationError as exc:
+        record.termination = ABORTED
+        exc.partial_record = record
+        log.line(1, f"run aborted: {exc}")
+        raise
+    finally:
+        if writer is not None:
+            writer.close()
+        log.close()
     return record

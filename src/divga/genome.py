@@ -1,8 +1,14 @@
-"""Genome specification, individuals and populations.
+"""Genome specification, the gene matrix and its snapshot rows.
 
 A genome is either numeric (every gene is a float drawn from a bounded
 range) or categorical (every gene is a label from one shared category
 set). Mixed genomes are rejected up front.
+
+A population is a gene matrix, one row per individual. Numeric genes
+are float64. Categorical genes are integer codes into spec.categories;
+GeneSpec.decode turns codes into the label arrays that fitness
+functions, custom distance measures, CSV rows and snapshots see, and
+GeneSpec.encode turns user-given label vectors into codes.
 """
 
 from __future__ import annotations
@@ -52,8 +58,13 @@ class GeneSpec:
 
     @classmethod
     def categorical(cls, categories, number_of_genes: int) -> "GeneSpec":
-        """Categorical genome of given length over one shared label set."""
-        return validate_spec(cls(CATEGORICAL, categories=tuple(categories),
+        """Categorical genome of given length over one shared label set.
+
+        Repeated labels are kept once, in order of first appearance, so
+        that each label has exactly one code.
+        """
+        return validate_spec(cls(CATEGORICAL,
+                                 categories=tuple(dict.fromkeys(categories)),
                                  number_of_genes=int(number_of_genes)))
 
     @property
@@ -63,6 +74,34 @@ class GeneSpec:
     def range_widths(self) -> np.ndarray:
         """Per-gene range widths (numeric genomes only)."""
         return np.array([hi - lo for lo, hi in self.numeric_ranges])
+
+    def encode(self, rows) -> np.ndarray:
+        """Gene matrix of the given gene vectors, one row each.
+
+        Numeric vectors become float rows; label vectors become rows of
+        codes into categories. Raises ShapeMismatchError when a vector
+        has the wrong length, or holds a non-number or an unknown label.
+        """
+        try:
+            if self.is_numeric:
+                genes = np.array(rows, dtype=float)
+            else:
+                code = {label: k for k, label in enumerate(self.categories)}
+                genes = np.array([[code[label] for label in row]
+                                  for row in rows], dtype=np.intp)
+            return genes.reshape(len(rows), self.number_of_genes)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ShapeMismatchError(
+                f"not a vector of {self.number_of_genes} genes of this "
+                f"genome: {exc!r}")
+
+    def decode(self, genes: np.ndarray) -> np.ndarray:
+        """Genes as users see them: unchanged if numeric, else labels."""
+        if self.is_numeric:
+            return genes
+        labels = np.fromiter(self.categories, dtype=object,
+                             count=len(self.categories))
+        return labels[genes]
 
 
 def validate_spec(spec: GeneSpec) -> GeneSpec:
@@ -103,102 +142,38 @@ def validate_spec(spec: GeneSpec) -> GeneSpec:
 
 @dataclass(eq=False)
 class Individual:
-    """One candidate solution. Compared by identity, not by value.
-
-    fitness is None until the individual has been evaluated.
-    penalized_fitness is the working fitness at the moment the individual
-    was picked by diversity-enhanced selection; it is only meaningful
-    within a single selection pass.
-    """
+    """One survivor in a run snapshot: its genes as users see them
+    (labels for categorical genomes) and its fitness."""
 
     genes: np.ndarray
-    fitness: float | None = None
-    penalized_fitness: float | None = None
-
-    def copy(self) -> "Individual":
-        """Copy genes; the copy starts unevaluated."""
-        return Individual(genes=self.genes.copy())
-
-
-@dataclass
-class Population:
-    individuals: list[Individual]
-    generation_index: int = 0
-
-    def __len__(self) -> int:
-        return len(self.individuals)
-
-    def __iter__(self):
-        return iter(self.individuals)
-
-    def gene_matrix(self) -> np.ndarray:
-        """Genes stacked row-wise, one row per individual."""
-        return np.stack([ind.genes for ind in self.individuals])
-
-
-def _as_genes(spec: GeneSpec, values) -> np.ndarray:
-    """Coerce one gene vector to the array form used internally."""
-    if spec.is_numeric:
-        try:
-            genes = np.asarray(values, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ShapeMismatchError(f"not a numeric gene vector: {exc}")
-        if genes.shape != (spec.number_of_genes,):
-            raise ShapeMismatchError(
-                f"expected {spec.number_of_genes} genes, got shape {genes.shape}")
-        return genes
-    genes = np.empty(spec.number_of_genes, dtype=object)
-    values = list(values)
-    if len(values) != spec.number_of_genes:
-        raise ShapeMismatchError(
-            f"expected {spec.number_of_genes} genes, got {len(values)}")
-    allowed = set(spec.categories)
-    for k, label in enumerate(values):
-        if label not in allowed:
-            raise ShapeMismatchError(f"label {label!r} is not a known category")
-        genes[k] = label
-    return genes
-
-
-def random_individual(spec: GeneSpec, rng: np.random.Generator) -> Individual:
-    """Draw one individual uniformly from the space the spec describes.
-
-    Numeric genes are uniform over their ranges, categorical genes uniform
-    over the category set. The result is unevaluated.
-    """
-    if spec.is_numeric:
-        lows = np.array([lo for lo, _ in spec.numeric_ranges])
-        highs = np.array([hi for _, hi in spec.numeric_ranges])
-        return Individual(genes=rng.uniform(lows, highs))
-    picks = rng.integers(0, len(spec.categories), size=spec.number_of_genes)
-    genes = np.empty(spec.number_of_genes, dtype=object)
-    for k, p in enumerate(picks):
-        genes[k] = spec.categories[p]
-    return Individual(genes=genes)
+    fitness: float
 
 
 def seed_population(spec: GeneSpec, size: int,
                     rng: np.random.Generator,
-                    init_genes=None) -> Population:
-    """Build generation zero.
+                    init_genes=None) -> np.ndarray:
+    """Gene matrix of generation zero, (size, number_of_genes).
 
     Provided init_genes vectors are used first (validated against the
-    spec), then the remainder is drawn at random. Extra vectors beyond
-    size are dropped with a warning.
+    spec), then the remaining rows are drawn in one batch: numeric genes
+    uniform over their ranges, categorical genes uniform over the
+    category codes. Extra vectors beyond size are dropped with a warning.
     """
     validate_spec(spec)
     if size < 1:
         raise ValueError("population size must be positive")
-    individuals: list[Individual] = []
-    if init_genes is not None:
-        init_genes = list(init_genes)
-        if len(init_genes) > size:
-            warnings.warn(
-                f"{len(init_genes)} initial gene vectors for a population "
-                f"of {size}; extra vectors are ignored")
-            init_genes = init_genes[:size]
-        for vec in init_genes:
-            individuals.append(Individual(genes=_as_genes(spec, vec)))
-    while len(individuals) < size:
-        individuals.append(random_individual(spec, rng))
-    return Population(individuals=individuals, generation_index=0)
+    given = list(init_genes) if init_genes is not None else []
+    if len(given) > size:
+        warnings.warn(
+            f"{len(given)} initial gene vectors for a population "
+            f"of {size}; extra vectors are ignored")
+        given = given[:size]
+    fixed = spec.encode(given)
+    shape = (size - len(given), spec.number_of_genes)
+    if spec.is_numeric:
+        lows, highs = np.array(spec.numeric_ranges).T
+        drawn = rng.uniform(lows, highs, size=shape)
+    else:
+        drawn = rng.integers(0, len(spec.categories), size=shape,
+                             dtype=np.intp)
+    return np.concatenate([fixed, drawn])

@@ -11,91 +11,87 @@ Candidates sitting on top of an already chosen survivor lose the full
 d0, candidates far away lose nothing. Penalties accumulate over the
 picks of one selection pass and are discarded afterwards. With d0 = 0
 the procedure degenerates to plain truncation selection.
+
+Both selectors take the whole candidate pool as arrays (a gene matrix
+and a fitness vector, one row per candidate) and return the indices of
+the survivors in selection order. A fitness of +inf ranks first and
+-inf ranks last; NaN marks an unevaluated candidate and is rejected.
+The d0, r0 and measure of diversity-enhanced selection come from a
+DiversityEnhanced (see divga.engine).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .distance import DistanceMeasure, EuclideanSq
-from .errors import ConfigError, CountExceedsPoolError, UnevaluatedCandidateError
-from .genome import Individual
+from .distance import get_measure
+from .errors import (
+    ConfigError,
+    CountExceedsPoolError,
+    ShapeMismatchError,
+    UnevaluatedCandidateError,
+)
 
 
-@dataclass
-class DiversityConfig:
-    """Resolved parameters of the diversity penalty.
-
-    d0 is the penalty for exactly overlapping candidates, r0 the decay
-    radius in the same squared-distance units as the measure.
-    """
-
-    d0: float = 1.0
-    r0: float = 1.0
-    measure: DistanceMeasure = field(default_factory=EuclideanSq)
-
-    def __post_init__(self):
-        if self.d0 < 0:
-            raise ConfigError("d0 must be non-negative")
-        if not self.r0 > 0:
-            raise ConfigError("r0 must be positive")
-
-
-def diversity_penalty(a: Individual, b: Individual,
-                      config: DiversityConfig) -> float:
-    """Penalty an individual at a receives from a survivor at b."""
-    r_sq = config.measure(a.genes, b.genes)
-    return config.d0 * float(np.exp(-r_sq / config.r0 ** 2))
-
-
-def _working_fitness(candidates) -> np.ndarray:
-    fitness = np.empty(len(candidates))
-    for i, cand in enumerate(candidates):
-        if cand.fitness is None:
-            raise UnevaluatedCandidateError(
-                f"candidate {i} has no fitness value")
-        fitness[i] = cand.fitness
+def _checked_fitness(fitness, count: int) -> np.ndarray:
+    fitness = np.asarray(fitness, dtype=float)
+    if count > len(fitness):
+        raise CountExceedsPoolError(
+            f"asked for {count} survivors from {len(fitness)} candidates")
+    if np.isnan(fitness).any():
+        raise UnevaluatedCandidateError("a candidate has no fitness value")
     return fitness
 
 
-def select_diverse(candidates: list[Individual], count: int,
-                   config: DiversityConfig) -> list[Individual]:
-    """Pick count survivors by iterated penalized-argmax.
+def _measure_and_r0(diversity):
+    if diversity.r0 is None:
+        raise ConfigError("r0 is not set; give it or resolve the selection "
+                          "against a population first")
+    return get_measure(diversity.measure), diversity.r0
 
-    Each pick takes the highest working fitness (ties broken toward the
-    lowest index), then subtracts the diversity penalty around the pick
-    from every remaining candidate. The working fitness at pick time is
-    stored on the survivor as penalized_fitness. The input list is not
-    reordered; calling twice on the same pool gives the same result.
+
+def diversity_penalty(a, b, diversity) -> float:
+    """Penalty a candidate with genes a receives from a survivor at b."""
+    measure, r0 = _measure_and_r0(diversity)
+    return diversity.d0 * float(np.exp(-measure(a, b) / r0 ** 2))
+
+
+def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
+                   working: np.ndarray | None = None) -> np.ndarray:
+    """Indices of count survivors, picked by iterated penalized argmax.
+
+    Each pick takes the live candidate with the highest working fitness
+    (ties broken toward the lowest index), then subtracts the diversity
+    penalty around the pick from every candidate; picked rows are
+    masked out. When working is given, working[k] receives the working
+    fitness of pick k at the moment it was picked. The inputs are not
+    modified; calling twice on the same pool gives the same result.
     """
-    if count > len(candidates):
-        raise CountExceedsPoolError(
-            f"asked for {count} survivors from {len(candidates)} candidates")
-    work = _working_fitness(candidates)
-    genes = np.stack([cand.genes for cand in candidates])
-    alive = np.ones(len(candidates), dtype=bool)
-    inv_r0_sq = 1.0 / config.r0 ** 2
-    survivors: list[Individual] = []
-    for _ in range(count):
-        masked = np.where(alive, work, -np.inf)
-        pick = int(np.argmax(masked))
-        chosen = candidates[pick]
-        chosen.penalized_fitness = float(work[pick])
-        survivors.append(chosen)
+    work = _checked_fitness(fitness, count).copy()
+    if len(genes) != len(work):
+        raise ShapeMismatchError(
+            f"{len(genes)} gene rows for {len(work)} fitness values")
+    measure, r0 = _measure_and_r0(diversity)
+    inv_r0_sq = 1.0 / r0 ** 2
+    alive = np.ones(len(work), dtype=bool)
+    picks = np.empty(count, dtype=np.intp)
+    for k in range(count):
+        pick = int(np.argmax(work))
+        if not alive[pick]:
+            # Only picked rows and -inf candidates are left at -inf.
+            pick = int(np.argmax(alive))
+        picks[k] = pick
+        if working is not None:
+            working[k] = work[pick]
         alive[pick] = False
-        if config.d0 != 0.0 and alive.any():
-            r_sq = config.measure.to_point(genes[alive], genes[pick])
-            work[alive] -= config.d0 * np.exp(-np.asarray(r_sq) * inv_r0_sq)
-    return survivors
+        work[pick] = -np.inf
+        if diversity.d0 != 0.0 and k + 1 < count:
+            r_sq = measure.to_point(genes, genes[pick])
+            work -= diversity.d0 * np.exp(-np.asarray(r_sq) * inv_r0_sq)
+    return picks
 
 
-def select_top_n(candidates: list[Individual], count: int) -> list[Individual]:
-    """Pick the count best by raw fitness, ties toward the lowest index."""
-    if count > len(candidates):
-        raise CountExceedsPoolError(
-            f"asked for {count} survivors from {len(candidates)} candidates")
-    fitness = _working_fitness(candidates)
-    order = sorted(range(len(candidates)), key=lambda i: (-fitness[i], i))
-    return [candidates[i] for i in order[:count]]
+def select_top_n(fitness, count: int) -> np.ndarray:
+    """Indices of the count best by raw fitness, ties toward the lowest index."""
+    fitness = _checked_fitness(fitness, count)
+    return np.argsort(-fitness, kind="stable")[:count]

@@ -1,14 +1,26 @@
 """Offspring creation: pairing, crossover and mutation.
 
-Everything here is pure given an explicit random generator, so callers
-control determinism by controlling the generator. Within one call to
-produce_offspring the draw order is fixed: pairing draws first, then for
-each child its crossover draws followed by its mutation draws.
+Every operator works on a whole generation at once: parents and
+children are gene matrices, one row per individual (float genes, or
+category codes for categorical genomes). Everything here is pure given
+an explicit random generator, so callers control determinism by
+controlling the generator. Within one call to produce_offspring with k
+children of g genes the draw order is fixed:
+
+1. pairing: for "random" pairs, k first-parent indices, then k
+   second-parent offsets; "all" pairs and crossover "none" draw nothing;
+2. crossover: "eitheror" draws a (k, g) matrix of coin flips, "between"
+   a (k, g) matrix of uniforms, the others draw nothing;
+3. mutation: a (k, g) matrix deciding which genes fire; then, for
+   "categorical" mode, one code per fired gene; for "random" mode a
+   (k, g) matrix choosing additive or multiplicative per gene, then one
+   normal per fired additive gene and one per fired multiplicative gene;
+   for "additive" and "multiplicative" modes one normal per fired gene.
+   Fired genes are visited in row-major order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +30,7 @@ from .errors import (
     IllegalMethodError,
     PopulationTooSmallError,
 )
-from .genome import GeneSpec, Individual, Population
+from .genome import GeneSpec
 
 MIDPOINT = "midpoint"
 EITHER_OR = "eitheror"
@@ -76,13 +88,23 @@ def resolve_mutation(config: MutationConfig | None,
     return replace(config, rate=rate, mode=mode, spec=spec)
 
 
-def _genome_is_numeric(individual: Individual) -> bool:
-    return np.issubdtype(individual.genes.dtype, np.number)
+def resolve_crossover(method: str | None, spec: GeneSpec) -> str:
+    """method, or for None the kind default: "between" for numeric
+    genomes, "eitheror" for categorical ones, which reject midpoint and
+    between."""
+    if method is None:
+        return BETWEEN if spec.is_numeric else EITHER_OR
+    if method not in CROSSOVER_METHODS:
+        raise IllegalMethodError(f"unknown crossover method {method!r}")
+    if not spec.is_numeric and method in (MIDPOINT, BETWEEN):
+        raise IllegalMethodError(
+            f"{method} crossover is undefined for categorical genomes")
+    return method
 
 
-def crossover(parent_a: Individual, parent_b: Individual, method: str,
-              rng: np.random.Generator) -> Individual:
-    """Combine two parents into one unevaluated child.
+def crossover(parents_a: np.ndarray, parents_b: np.ndarray, method: str,
+              rng: np.random.Generator) -> np.ndarray:
+    """Cross row i of parents_a with row i of parents_b, one child each.
 
     midpoint: per-gene average of the parents.
     eitheror: per gene take parent_b's value with probability 1/2,
@@ -91,110 +113,93 @@ def crossover(parent_a: Individual, parent_b: Individual, method: str,
         two parent values.
     none: copy of parent_a, parent_b ignored.
 
-    midpoint and between are only legal on numeric genomes.
+    midpoint and between only make sense on numeric genes.
     """
     if method not in CROSSOVER_METHODS:
         raise IllegalMethodError(f"unknown crossover method {method!r}")
-    a, b = parent_a.genes, parent_b.genes
+    a, b = parents_a, parents_b
     if method == NONE:
-        return Individual(genes=a.copy())
-    numeric = _genome_is_numeric(parent_a)
-    if not numeric and method in (MIDPOINT, BETWEEN):
-        raise IllegalMethodError(
-            f"{method} crossover is undefined for categorical genomes")
+        return a.copy()
     if method == MIDPOINT:
-        return Individual(genes=(a + b) / 2.0)
+        return (a + b) / 2.0
     if method == EITHER_OR:
-        take_b = rng.random(len(a)) < 0.5
-        return Individual(genes=np.where(take_b, b, a))
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    return Individual(genes=rng.uniform(lo, hi))
+        return np.where(rng.random(a.shape) < 0.5, b, a)
+    return rng.uniform(np.minimum(a, b), np.maximum(a, b))
 
 
-def mutate(child: Individual, config: MutationConfig,
-           rng: np.random.Generator) -> Individual:
-    """Return a mutated copy of child.
+def mutate(genes: np.ndarray, config: MutationConfig,
+           rng: np.random.Generator) -> np.ndarray:
+    """Return a mutated copy of a gene matrix.
 
     Each gene independently mutates with probability config.rate.
     Additive mutation adds Gaussian noise with sigma one tenth of the
     gene's range width, multiplicative scales by N(1, 0.5), random picks
     one of the two per mutated gene with equal probability, categorical
-    redraws the label uniformly from the full category set (so it can
+    redraws the code uniformly from the full category set (so it can
     redraw the current label).
     """
     spec = config.spec
     if spec is None:
         raise ConfigError("mutation config is not bound to a genome spec")
-    genes = child.genes.copy()
-    n = len(genes)
-    fires = rng.random(n) < config.rate
-    if not fires.any():
-        return Individual(genes=genes)
+    genes = genes.copy()
+    fires = rng.random(genes.shape) < config.rate
     if config.mode == CATEGORICAL_MODE:
-        picks = rng.integers(0, len(spec.categories), size=n)
-        for k in np.flatnonzero(fires):
-            genes[k] = spec.categories[picks[k]]
-        return Individual(genes=genes)
-    sigma = spec.range_widths() / 10.0
+        genes[fires] = rng.integers(0, len(spec.categories),
+                                    size=int(fires.sum()))
+        return genes
     if config.mode == ADDITIVE:
-        additive = fires
-        multiplicative = np.zeros(n, dtype=bool)
+        additive, multiplicative = fires, None
     elif config.mode == MULTIPLICATIVE:
-        additive = np.zeros(n, dtype=bool)
-        multiplicative = fires
+        additive, multiplicative = None, fires
     else:
-        go_additive = rng.random(n) < 0.5
+        go_additive = rng.random(genes.shape) < 0.5
         additive = fires & go_additive
         multiplicative = fires & ~go_additive
-    if additive.any():
+    if additive is not None:
+        sigma = np.broadcast_to(spec.range_widths() / 10.0, genes.shape)
         genes[additive] += rng.normal(0.0, sigma[additive])
-    if multiplicative.any():
-        genes[multiplicative] *= rng.normal(1.0, 0.5, size=int(multiplicative.sum()))
+    if multiplicative is not None:
+        genes[multiplicative] *= rng.normal(
+            1.0, 0.5, size=int(multiplicative.sum()))
     if config.clip_to_ranges:
-        lows = np.array([lo for lo, _ in spec.numeric_ranges])
-        highs = np.array([hi for _, hi in spec.numeric_ranges])
+        lows, highs = np.array(spec.numeric_ranges).T
         np.clip(genes, lows, highs, out=genes)
-    return Individual(genes=genes)
+    return genes
 
 
-def make_pairs(population: Population | list, strategy: str,
-               rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Index pairs of parents to cross.
+def make_pairs(n: int, strategy: str, rng: np.random.Generator) -> np.ndarray:
+    """Parent index pairs for a population of n, as a (k, 2) array.
 
-    "all" enumerates every unordered pair, n(n-1)/2 of them. "random"
-    draws n pairs with distinct indices, independently and with
-    replacement across draws.
+    "all" enumerates every unordered pair (i < j, in row-major order),
+    n(n-1)/2 of them. "random" draws n pairs with distinct indices,
+    independently and with replacement across draws.
     """
-    n = len(population)
     if n < 2:
         raise PopulationTooSmallError("pairing needs at least two parents")
     if strategy == ALL_PAIRS:
-        return list(itertools.combinations(range(n), 2))
+        return np.column_stack(np.triu_indices(n, k=1))
     if strategy != RANDOM_PAIRS:
         raise ConfigError(f"unknown pairing strategy {strategy!r}")
     first = rng.integers(0, n, size=n)
     second = rng.integers(0, n - 1, size=n)
-    second = second + (second >= first)
-    return list(zip(first.tolist(), second.tolist()))
+    return np.column_stack([first, second + (second >= first)])
 
 
-def produce_offspring(population: Population, method: str, strategy: str,
+def produce_offspring(genes: np.ndarray, method: str, strategy: str,
                       mutation: MutationConfig,
-                      rng: np.random.Generator) -> list[Individual]:
-    """One generation's offspring, crossed and mutated, all unevaluated.
+                      rng: np.random.Generator) -> np.ndarray:
+    """One generation's children as a gene matrix, crossed and mutated.
 
     With crossover "none" the pairing strategy is ignored and every
-    parent contributes exactly one mutated copy, n offspring total.
+    parent contributes exactly one mutated copy, n children in total.
     Otherwise the pairing strategy decides the number of children:
     n(n-1)/2 for "all", n for "random".
     """
-    parents = population.individuals
+    if mutation.spec is None:
+        raise ConfigError("mutation config is not bound to a genome spec")
+    method = resolve_crossover(method, mutation.spec)
     if method == NONE:
-        return [mutate(parent.copy(), mutation, rng) for parent in parents]
-    pairs = make_pairs(population, strategy, rng)
-    offspring = []
-    for i, j in pairs:
-        child = crossover(parents[i], parents[j], method, rng)
-        offspring.append(mutate(child, mutation, rng))
-    return offspring
+        return mutate(genes, mutation, rng)
+    pairs = make_pairs(len(genes), strategy, rng)
+    children = crossover(genes[pairs[:, 0]], genes[pairs[:, 1]], method, rng)
+    return mutate(children, mutation, rng)

@@ -36,6 +36,13 @@ def non_numeric_fitness(genes):
     return "not a number"
 
 
+def fails_on_13(genes):
+    """Raises on the row whose first gene is 13, a row's own index below."""
+    if genes[0] == 13:
+        raise ValueError("individual 13")
+    return 0.0
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

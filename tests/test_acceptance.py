@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from divga import (
-    DiversityConfig,
+    DiversityEnhanced,
     EngineConfig,
     GeneSpec,
     calculate_scd,
@@ -26,11 +26,10 @@ from divga import (
 )
 from divga.bench import landscape_from_genes
 from divga.distance import EuclideanSq
-from divga.genome import Individual
 from divga.variation import produce_offspring, resolve_mutation
 
 from test_bench import brute_force_scd
-from test_selection import brute_force_diverse, make_pool
+from test_selection import brute_force_diverse
 
 
 def report(number, ok, detail):
@@ -100,9 +99,8 @@ class TestAcceptance:
             fitness = rng.uniform(-2, 2, size=n)
             d0 = float(rng.uniform(0, 3))
             r0 = float(rng.uniform(0.05, 2.5))
-            pool = make_pool(genes, fitness)
-            got = [pool.index(s) for s in
-                   select_diverse(pool, count, DiversityConfig(d0=d0, r0=r0))]
+            got = select_diverse(genes, fitness, count,
+                                 DiversityEnhanced(d0=d0, r0=r0)).tolist()
             expected = brute_force_diverse(genes, fitness, count, d0, r0)
             if got != expected:
                 mismatches += 1
@@ -122,13 +120,11 @@ class TestAcceptance:
             d0 = float(rng.uniform(0.1, 2))
             r0 = float(rng.uniform(0.1, 2))
             for xi in (0.1, 3.0, 10.0):
-                scaled = make_pool(genes, xi * fitness)
-                plain = make_pool(genes, fitness)
-                a = select_diverse(scaled, count,
-                                   DiversityConfig(d0=d0, r0=r0))
-                b = select_diverse(plain, count,
-                                   DiversityConfig(d0=d0 / xi, r0=r0))
-                if [scaled.index(s) for s in a] != [plain.index(s) for s in b]:
+                a = select_diverse(genes, xi * fitness, count,
+                                   DiversityEnhanced(d0=d0, r0=r0))
+                b = select_diverse(genes, fitness, count,
+                                   DiversityEnhanced(d0=d0 / xi, r0=r0))
+                if a.tolist() != b.tolist():
                     mismatches += 1
         report(6, mismatches == 0,
                f"survivor sequences identical under (xi*f, d0) and "
@@ -138,9 +134,8 @@ class TestAcceptance:
     def test_criterion_7_measure_units(self):
         """Penalty at zero distance, Hamming value, SCD and r0 oracles."""
         penalty_exact = all(
-            diversity_penalty(Individual(genes=np.array([0.3, -0.7])),
-                              Individual(genes=np.array([0.3, -0.7])),
-                              DiversityConfig(d0=d0, r0=r0)) == d0
+            diversity_penalty(np.array([0.3, -0.7]), np.array([0.3, -0.7]),
+                              DiversityEnhanced(d0=d0, r0=r0)) == d0
             for d0, r0 in ((1.0, 1.0), (2.5, 0.3), (0.17, 4.0)))
         hamming_exact = hamming_sq("EK", "KE") == 1.0
 
@@ -163,8 +158,7 @@ class TestAcceptance:
             total, pairs = 0.0, 0
             for i in range(n):
                 for j in range(i + 1, n):
-                    total += measure(pop.individuals[i].genes,
-                                     pop.individuals[j].genes)
+                    total += measure(pop[i], pop[j])
                     pairs += 1
             want = math.sqrt(total / pairs) / 10
             got = default_r0(pop, measure)

@@ -19,7 +19,6 @@ from divga import (
     hamming_sq,
     seed_population,
 )
-from divga.genome import Individual
 
 finite_vectors = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -126,31 +125,30 @@ class TestToPoint:
             np.testing.assert_allclose(batch, expected, rtol=1e-12)
 
     def test_hamming(self, rng):
-        matrix = rng.choice(["E", "K"], size=(10, 6)).astype(object)
-        point = rng.choice(["E", "K"], size=6).astype(object)
+        """Labels and their category codes give the same distances."""
+        codes = rng.integers(0, 2, size=(11, 6))
+        labels = np.array(["E", "K"], dtype=object)[codes]
         measure = HammingSq()
-        batch = measure.to_point(matrix, point)
-        expected = [measure(row, point) for row in matrix]
-        np.testing.assert_allclose(batch, expected)
+        expected = [measure(row, labels[0]) for row in labels[1:]]
+        np.testing.assert_allclose(measure.to_point(labels[1:], labels[0]),
+                                   expected)
+        np.testing.assert_array_equal(measure.to_point(codes[1:], codes[0]),
+                                      measure.to_point(labels[1:], labels[0]))
 
 
 class TestDefaultR0:
     def test_hand_example(self):
         """Three points with mutual squared distances 1, 4, 4."""
-        pts = [np.array([0.0, 0.0]),
-               np.array([1.0, 0.0]),
-               np.array([0.5, np.sqrt(3.75)])]
-        individuals = [Individual(genes=p) for p in pts]
-        r0 = default_r0(individuals, EuclideanSq())
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.75)]])
+        r0 = default_r0(pts, EuclideanSq())
         assert r0 == pytest.approx(np.sqrt(3) / 10, rel=1e-12)
 
     def test_degenerate_population(self):
-        individuals = [Individual(genes=np.zeros(2)) for _ in range(4)]
-        assert default_r0(individuals, EuclideanSq()) == 0.0
+        assert default_r0(np.zeros((4, 2)), EuclideanSq()) == 0.0
 
     def test_too_small(self):
         with pytest.raises(PopulationTooSmallError):
-            default_r0([Individual(genes=np.zeros(2))], EuclideanSq())
+            default_r0(np.zeros((1, 2)), EuclideanSq())
 
     def test_matches_double_loop(self, rng):
         """Agrees with the brute-force pairwise definition."""
@@ -162,8 +160,7 @@ class TestDefaultR0:
             total, pairs = 0.0, 0
             for i in range(n):
                 for j in range(i + 1, n):
-                    total += measure(pop.individuals[i].genes,
-                                     pop.individuals[j].genes)
+                    total += measure(pop[i], pop[j])
                     pairs += 1
             expected = np.sqrt(total / pairs) / 10
             assert default_r0(pop, measure) == pytest.approx(expected, rel=1e-12)

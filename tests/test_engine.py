@@ -16,10 +16,11 @@ from divga import (
     run,
     seed_population,
 )
-from divga.genome import Individual
+import divga.engine
 
 from conftest import (
     exploding_fitness,
+    fails_on_13,
     label_count_fitness,
     non_numeric_fitness,
     sphere_fitness,
@@ -43,42 +44,52 @@ class CountingFitness:
 
 class TestEvaluatePopulation:
     def test_sets_fitness_in_order(self, numeric_spec, rng):
-        pop = seed_population(numeric_spec, 5, rng)
-        count = evaluate_population(pop.individuals, sum_fitness)
-        assert count == 5
-        for ind in pop:
-            assert ind.fitness == pytest.approx(float(np.sum(ind.genes)))
+        genes = seed_population(numeric_spec, 5, rng)
+        values = np.empty(5)
+        assert evaluate_population(genes, sum_fitness, values) == 5
+        np.testing.assert_allclose(values, genes.sum(axis=1))
 
     def test_skips_already_evaluated(self, numeric_spec, rng):
-        pop = seed_population(numeric_spec, 4, rng)
-        pop.individuals[1].fitness = 123.0
-        count = evaluate_population(pop.individuals, sum_fitness)
-        assert count == 3
-        assert pop.individuals[1].fitness == 123.0
+        """Only the rows handed over are evaluated, into their own slots."""
+        genes = seed_population(numeric_spec, 4, rng)
+        values = np.array([123.0, np.nan, np.nan, np.nan])
+        fitness = CountingFitness()
+        assert evaluate_population(genes[1:], fitness, values[1:]) == 3
+        assert fitness.calls == 3
+        assert values[0] == 123.0
+        np.testing.assert_allclose(values[1:], genes[1:].sum(axis=1))
 
     def test_parallel_matches_sequential(self, numeric_spec, rng):
-        pop_a = seed_population(numeric_spec, 12, np.random.default_rng(3))
-        pop_b = seed_population(numeric_spec, 12, np.random.default_rng(3))
-        evaluate_population(pop_a.individuals, sphere_fitness, 0)
-        evaluate_population(pop_b.individuals, sphere_fitness, 3)
-        assert [i.fitness for i in pop_a] == [i.fitness for i in pop_b]
+        genes = seed_population(numeric_spec, 12, np.random.default_rng(3))
+        sequential, parallel = np.empty(12), np.empty(12)
+        evaluate_population(genes, sphere_fitness, sequential, 0)
+        evaluate_population(genes, sphere_fitness, parallel, 3)
+        assert sequential.tolist() == parallel.tolist()
 
     def test_raising_fitness_wrapped(self):
-        individuals = [Individual(genes=np.array([-1.0])),
-                       Individual(genes=np.array([2.0]))]
         with pytest.raises(FitnessEvaluationError) as excinfo:
-            evaluate_population(individuals, exploding_fitness)
+            evaluate_population(np.array([[-1.0], [2.0]]), exploding_fitness,
+                                np.empty(2))
         assert excinfo.value.index == 1
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_failure_reports_the_failing_individual(self, workers):
+        """Chunked parallel evaluation reports row 13, not its chunk start."""
+        genes = np.arange(40.0).reshape(40, 1)
+        with pytest.raises(FitnessEvaluationError) as excinfo:
+            evaluate_population(genes, fails_on_13, np.empty(40), workers)
+        assert excinfo.value.index == 13
+        assert "individual 13" in str(excinfo.value)
+
     def test_non_numeric_result_rejected(self):
-        individuals = [Individual(genes=np.array([0.0]))]
         with pytest.raises(FitnessEvaluationError, match="non-numeric"):
-            evaluate_population(individuals, non_numeric_fitness)
+            evaluate_population(np.zeros((1, 1)), non_numeric_fitness,
+                                np.empty(1))
 
     def test_nan_rejected(self):
-        individuals = [Individual(genes=np.array([0.0]))]
         with pytest.raises(FitnessEvaluationError, match="NaN"):
-            evaluate_population(individuals, lambda g: float("nan"))
+            evaluate_population(np.zeros((1, 1)), lambda g: float("nan"),
+                                np.empty(1))
 
 
 class TestRunBasics:
@@ -158,6 +169,60 @@ class TestRunBasics:
         config = quiet(population_size=10, n_generations=5, seed=4)
         record = run(cat_spec, label_count_fitness, config)
         assert record.best_fitness[-1] >= record.best_fitness[0]
+        assert record.best_fitness[-1] > 0  # the fitness counted "K" labels
+
+    def test_categorical_callables_see_labels(self, cat_spec):
+        """Fitness and a custom measure get label arrays, never codes."""
+        seen = []
+
+        def fitness(genes):
+            seen.append(genes)
+            return label_count_fitness(genes)
+
+        def mismatch(a, b):
+            seen.extend([a, b])
+            return float(np.mean(np.asarray(a) != np.asarray(b)))
+
+        config = quiet(population_size=6, n_generations=2, seed=4,
+                       selection=DiversityEnhanced(measure=mismatch))
+        run(cat_spec, fitness, config)
+        assert len(seen) > 6 * 3
+        assert all(set(genes.tolist()) <= {"E", "K"} for genes in seen)
+
+    @pytest.mark.parametrize("selection", ["diverse", "topn"])
+    @pytest.mark.parametrize("infinity", [float("-inf"), float("inf")])
+    def test_infinite_fitness_ranks_at_the_ends(self, numeric_spec,
+                                               selection, infinity):
+        """-inf survivors come last, +inf survivors first."""
+        def fitness(genes):
+            # Only a small corner of the box differs from the rest.
+            corner = genes[0] > 0.8
+            if infinity > 0:
+                return infinity if corner else float(genes[0])
+            return float(genes[0]) if corner else infinity
+
+        config = quiet(population_size=8, n_generations=4, seed=3,
+                       selection=selection)
+        record = run(numeric_spec, fitness, config)
+        mixed = 0
+        for survivors in record.populations[1:]:
+            infinite = [ind.fitness == infinity for ind in survivors]
+            ends = infinite[::-1] if infinity < 0 else infinite
+            assert ends == sorted(ends, reverse=True)
+            mixed += 0 < sum(infinite) < len(infinite)
+        assert mixed > 0
+
+    def test_elitism_check_survives_optimisation(self, numeric_spec,
+                                                monkeypatch):
+        """A selection that loses the best individual stops the run."""
+        select_top_n = divga.engine.select_top_n
+        monkeypatch.setattr(divga.engine, "select_top_n",
+                            lambda fitness, count:
+                            select_top_n(fitness, count + 1)[1:])
+        config = quiet(population_size=6, n_generations=3, seed=2,
+                       selection=TopN())
+        with pytest.raises(RuntimeError, match="elitist"):
+            run(numeric_spec, sphere_fitness, config)
 
     def test_topn_selection(self, numeric_spec):
         config = quiet(population_size=8, n_generations=5, seed=3,

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divga import (
     CountExceedsPoolError,
-    DiversityConfig,
-    EuclideanSq,
+    DiversityEnhanced,
     HammingSq,
     UnevaluatedCandidateError,
     diversity_penalty,
@@ -16,12 +17,6 @@ from divga import (
     select_top_n,
 )
 from divga.errors import ConfigError
-from divga.genome import Individual
-
-
-def make_pool(genes_rows, fitness_values):
-    return [Individual(genes=np.asarray(g, dtype=float), fitness=f)
-            for g, f in zip(genes_rows, fitness_values)]
 
 
 def brute_force_diverse(genes_rows, fitness_values, count, d0, r0):
@@ -40,17 +35,21 @@ def brute_force_diverse(genes_rows, fitness_values, count, d0, r0):
     return picks
 
 
+def picks(genes, fitness, count, d0=1.0, r0=1.0, measure=None):
+    selection = DiversityEnhanced(d0=d0, r0=r0, measure=measure)
+    return select_diverse(np.asarray(genes, dtype=float),
+                          np.asarray(fitness, dtype=float), count,
+                          selection).tolist()
+
+
 class TestDiversityPenalty:
     def test_full_penalty_at_zero_distance(self):
-        config = DiversityConfig(d0=2.5, r0=0.3)
-        a = Individual(genes=np.array([1.0, 2.0]))
-        assert diversity_penalty(a, a, config) == 2.5
+        a = np.array([1.0, 2.0])
+        assert diversity_penalty(a, a, DiversityEnhanced(d0=2.5, r0=0.3)) == 2.5
 
     def test_decays_with_distance(self):
-        config = DiversityConfig(d0=1.0, r0=1.0)
-        origin = Individual(genes=np.zeros(1))
-        near = Individual(genes=np.array([0.1]))
-        far = Individual(genes=np.array([3.0]))
+        config = DiversityEnhanced(d0=1.0, r0=1.0)
+        origin, near, far = np.zeros(1), np.array([0.1]), np.array([3.0])
         assert diversity_penalty(origin, near, config) > \
             diversity_penalty(origin, far, config)
         assert diversity_penalty(origin, far, config) == pytest.approx(
@@ -58,42 +57,44 @@ class TestDiversityPenalty:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            DiversityConfig(d0=-1.0)
+            DiversityEnhanced(d0=-1.0)
         with pytest.raises(ConfigError):
-            DiversityConfig(r0=0.0)
+            DiversityEnhanced(d0=math.inf)
+        with pytest.raises(ConfigError):
+            DiversityEnhanced(r0=0.0)
+        # r0 left unset must be resolved before the penalty can be taken
+        with pytest.raises(ConfigError):
+            diversity_penalty(np.zeros(1), np.zeros(1), DiversityEnhanced())
 
 
 class TestSelectDiverse:
     def test_hand_example(self):
         """Crowded runner-up loses to a distant lower-fitness candidate."""
-        pool = make_pool([[0.0], [0.01], [5.0]], [10.0, 9.9, 9.2])
-        config = DiversityConfig(d0=1.0, r0=1.0)
-        survivors = select_diverse(pool, 2, config)
-        assert survivors[0] is pool[0]
-        assert survivors[1] is pool[2]
-        assert survivors[0].penalized_fitness == 10.0
-        assert survivors[1].penalized_fitness == pytest.approx(
-            9.2 - math.exp(-25.0))
+        genes = np.array([[0.0], [0.01], [5.0]])
+        fitness = np.array([10.0, 9.9, 9.2])
+        working = np.empty(2)
+        survivors = select_diverse(genes, fitness, 2,
+                                   DiversityEnhanced(d0=1.0, r0=1.0), working)
+        assert survivors.tolist() == [0, 2]
+        assert working[0] == 10.0
+        assert working[1] == pytest.approx(9.2 - math.exp(-25.0))
         # the crowded candidate was pushed below the distant one
-        assert pool[1].fitness - 1.0 * math.exp(-0.01 ** 2) < 9.2
+        assert fitness[1] - 1.0 * math.exp(-0.01 ** 2) < 9.2
 
     def test_first_pick_is_global_best(self, rng):
         for _ in range(20):
-            genes = rng.uniform(-1, 1, size=(10, 2))
             fitness = rng.uniform(0, 1, size=10)
-            pool = make_pool(genes, fitness)
-            survivors = select_diverse(pool, 3, DiversityConfig(d0=1.0, r0=0.5))
-            assert survivors[0].fitness == fitness.max()
+            got = picks(rng.uniform(-1, 1, size=(10, 2)), fitness, 3, r0=0.5)
+            assert fitness[got[0]] == fitness.max()
 
     def test_zero_d0_equals_top_n(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 12))
             count = int(rng.integers(1, n + 1))
-            pool = make_pool(rng.uniform(-1, 1, size=(n, 3)),
-                             rng.uniform(0, 1, size=n))
-            diverse = select_diverse(pool, count, DiversityConfig(d0=0.0, r0=1.0))
-            plain = select_top_n(pool, count)
-            assert [id(s) for s in diverse] == [id(s) for s in plain]
+            fitness = rng.uniform(0, 1, size=n)
+            diverse = picks(rng.uniform(-1, 1, size=(n, 3)), fitness, count,
+                            d0=0.0)
+            assert diverse == select_top_n(fitness, count).tolist()
 
     def test_matches_brute_force(self, rng):
         """Vectorized selection equals the scalar reference, pick by pick."""
@@ -105,10 +106,30 @@ class TestSelectDiverse:
             fitness = rng.uniform(-1, 1, size=n)
             d0 = float(rng.uniform(0, 2))
             r0 = float(rng.uniform(0.1, 2))
-            pool = make_pool(genes, fitness)
-            got = select_diverse(pool, count, DiversityConfig(d0=d0, r0=r0))
-            expected = brute_force_diverse(genes, fitness, count, d0, r0)
-            assert [pool.index(s) for s in got] == expected
+            assert picks(genes, fitness, count, d0, r0) == \
+                brute_force_diverse(genes, fitness, count, d0, r0)
+
+    def test_matches_brute_force_with_infinite_fitness(self, rng):
+        """-inf ranks last and +inf first, exactly as in the reference."""
+        for _ in range(200):
+            n = int(rng.integers(2, 10))
+            count = int(rng.integers(1, n + 1))
+            genes = rng.uniform(-2, 2, size=(n, 2))
+            fitness = rng.uniform(-1, 1, size=n)
+            fitness[rng.random(n) < 0.4] = -np.inf
+            fitness[rng.random(n) < 0.1] = np.inf
+            d0 = float(rng.uniform(0, 2))
+            r0 = float(rng.uniform(0.1, 2))
+            assert picks(genes, fitness, count, d0, r0) == \
+                brute_force_diverse(genes, fitness, count, d0, r0)
+
+    def test_minus_inf_pool_gives_distinct_survivors(self):
+        genes = [[0.0], [1.0], [2.0]]
+        fitness = [1.0, -np.inf, -np.inf]
+        assert picks(genes, fitness, 3) == [0, 1, 2]
+        assert picks(genes, fitness, 3) == \
+            brute_force_diverse(genes, fitness, 3, 1.0, 1.0)
+        assert select_top_n(np.array(fitness), 3).tolist() == [0, 1, 2]
 
     def test_scaling_equivalence(self, rng):
         """Scaling fitness by xi equals dividing d0 by xi."""
@@ -117,75 +138,123 @@ class TestSelectDiverse:
             genes = rng.uniform(-2, 2, size=(n, 2))
             fitness = rng.uniform(0, 1, size=n)
             for xi in (0.1, 3.0, 10.0):
-                scaled = make_pool(genes, xi * fitness)
-                plain = make_pool(genes, fitness)
-                a = select_diverse(scaled, 3, DiversityConfig(d0=1.0, r0=0.7))
-                b = select_diverse(plain, 3, DiversityConfig(d0=1.0 / xi, r0=0.7))
-                assert [scaled.index(s) for s in a] == [plain.index(s) for s in b]
+                assert picks(genes, xi * fitness, 3, 1.0, 0.7) == \
+                    picks(genes, fitness, 3, 1.0 / xi, 0.7)
 
     def test_tie_break_lowest_index(self):
-        pool = make_pool([[0.0], [100.0], [200.0]], [5.0, 5.0, 5.0])
-        survivors = select_diverse(pool, 3, DiversityConfig(d0=1.0, r0=1.0))
-        assert [pool.index(s) for s in survivors] == [0, 1, 2]
+        assert picks([[0.0], [100.0], [200.0]], [5.0, 5.0, 5.0], 3) == [0, 1, 2]
 
     def test_no_state_leaks_between_calls(self, rng):
-        pool = make_pool(rng.uniform(-1, 1, size=(8, 2)),
-                         rng.uniform(0, 1, size=8))
-        config = DiversityConfig(d0=1.0, r0=0.5)
-        first = [id(s) for s in select_diverse(pool, 4, config)]
-        second = [id(s) for s in select_diverse(pool, 4, config)]
-        assert first == second
+        genes = rng.uniform(-1, 1, size=(8, 2))
+        fitness = rng.uniform(0, 1, size=8)
+        assert picks(genes, fitness, 4, r0=0.5) == \
+            picks(genes, fitness, 4, r0=0.5)
 
     def test_input_order_unchanged(self, rng):
-        pool = make_pool(rng.uniform(-1, 1, size=(6, 2)),
-                         rng.uniform(0, 1, size=6))
-        before = list(pool)
-        select_diverse(pool, 3, DiversityConfig())
-        assert pool == before
+        genes = rng.uniform(-1, 1, size=(6, 2))
+        fitness = rng.uniform(0, 1, size=6)
+        genes_before, fitness_before = genes.copy(), fitness.copy()
+        select_diverse(genes, fitness, 3, DiversityEnhanced(r0=1.0))
+        np.testing.assert_array_equal(genes, genes_before)
+        np.testing.assert_array_equal(fitness, fitness_before)
 
     def test_count_exceeds_pool(self):
-        pool = make_pool([[0.0]], [1.0])
         with pytest.raises(CountExceedsPoolError):
-            select_diverse(pool, 2, DiversityConfig())
+            picks([[0.0]], [1.0], 2)
 
     def test_unevaluated_candidate(self):
-        pool = [Individual(genes=np.zeros(1), fitness=1.0),
-                Individual(genes=np.ones(1))]
         with pytest.raises(UnevaluatedCandidateError):
-            select_diverse(pool, 1, DiversityConfig())
+            picks([[0.0], [1.0]], [1.0, np.nan], 1)
 
     def test_survivors_distinct(self, rng):
-        pool = make_pool(rng.uniform(-1, 1, size=(10, 2)),
-                         rng.uniform(0, 1, size=10))
-        survivors = select_diverse(pool, 10, DiversityConfig(d0=5.0, r0=2.0))
-        assert len({id(s) for s in survivors}) == 10
+        got = picks(rng.uniform(-1, 1, size=(10, 2)),
+                    rng.uniform(0, 1, size=10), 10, d0=5.0, r0=2.0)
+        assert sorted(got) == list(range(10))
 
     def test_hamming_measure_pool(self, rng):
-        rows = rng.choice(["E", "K"], size=(6, 5))
-        pool = [Individual(genes=np.asarray(list(r), dtype=object), fitness=f)
-                for r, f in zip(rows, rng.uniform(0, 1, size=6))]
-        config = DiversityConfig(d0=1.0, r0=1.0, measure=HammingSq())
-        survivors = select_diverse(pool, 3, config)
-        assert len(survivors) == 3
+        """Codes and labels of the same pool give the same survivors."""
+        codes = rng.integers(0, 2, size=(6, 5))
+        labels = np.array(["E", "K"], dtype=object)[codes]
+        fitness = rng.uniform(0, 1, size=6)
+        selection = DiversityEnhanced(d0=1.0, r0=1.0, measure=HammingSq())
+        from_codes = select_diverse(codes, fitness, 3, selection)
+        from_labels = select_diverse(labels, fitness, 3, selection)
+        assert len(from_codes) == 3
+        assert from_codes.tolist() == from_labels.tolist()
 
 
 class TestSelectTopN:
     def test_sorted_by_fitness(self):
-        pool = make_pool([[0.0]] * 4, [1.0, 4.0, 2.0, 3.0])
-        top = select_top_n(pool, 2)
-        assert [s.fitness for s in top] == [4.0, 3.0]
+        fitness = np.array([1.0, 4.0, 2.0, 3.0])
+        assert fitness[select_top_n(fitness, 2)].tolist() == [4.0, 3.0]
 
     def test_ties_by_index(self):
-        pool = make_pool([[0.0]] * 3, [2.0, 2.0, 2.0])
-        top = select_top_n(pool, 2)
-        assert [pool.index(s) for s in top] == [0, 1]
+        assert select_top_n(np.array([2.0, 2.0, 2.0]), 2).tolist() == [0, 1]
 
     def test_count_exceeds_pool(self):
-        pool = make_pool([[0.0]], [1.0])
         with pytest.raises(CountExceedsPoolError):
-            select_top_n(pool, 5)
+            select_top_n(np.array([1.0]), 5)
 
     def test_unevaluated(self):
-        pool = [Individual(genes=np.zeros(1))]
         with pytest.raises(UnevaluatedCandidateError):
-            select_top_n(pool, 1)
+            select_top_n(np.array([np.nan]), 1)
+
+
+def pools(min_size=1, max_size=9, infinite=False):
+    """(genes, fitness, count) for a pool of 1-3 dimensional candidates."""
+    values = st.floats(-5, 5, allow_nan=False)
+    if infinite:
+        values = values | st.sampled_from([-np.inf, np.inf])
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(min_size, max_size))
+        dim = draw(st.integers(1, 3))
+        genes = np.array(draw(st.lists(
+            st.lists(st.floats(-3, 3), min_size=dim, max_size=dim),
+            min_size=n, max_size=n)))
+        fitness = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+        count = draw(st.integers(1, n))
+        return genes, fitness, count
+
+    return build()
+
+
+radii = st.floats(0.05, 3.0)
+
+
+class TestSelectionProperties:
+    @given(pools(infinite=True), radii)
+    @settings(max_examples=100, deadline=None)
+    def test_zero_d0_matches_top_n(self, pool, r0):
+        genes, fitness, count = pool
+        got = select_diverse(genes, fitness, count,
+                             DiversityEnhanced(d0=0.0, r0=r0))
+        assert got.tolist() == select_top_n(fitness, count).tolist()
+
+    @given(pools(min_size=2), st.floats(0.0, 3.0), radii,
+           st.permutations(range(9)), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_permuting_the_pool_permutes_the_picks(self, pool, d0, r0, ranks,
+                                                    random):
+        genes, _, count = pool
+        n = len(genes)
+        # Distinct fitness values in steps of pi / 10, so that no simple
+        # penalty can bring two working fitness values level.
+        fitness = np.array(ranks[:n]) * math.pi / 10
+        order = np.array(random.sample(range(n), n))
+        selection = DiversityEnhanced(d0=d0, r0=r0)
+        plain = select_diverse(genes, fitness, count, selection)
+        shuffled = select_diverse(genes[order], fitness[order], count,
+                                  selection)
+        assert order[shuffled].tolist() == plain.tolist()
+
+    @given(pools(infinite=True), st.floats(0.0, 3.0), radii)
+    @settings(max_examples=100, deadline=None)
+    def test_survivors_are_distinct(self, pool, d0, r0):
+        genes, fitness, count = pool
+        for got in (select_diverse(genes, fitness, count,
+                                   DiversityEnhanced(d0=d0, r0=r0)),
+                    select_top_n(fitness, count)):
+            assert len(got) == count
+            assert len(set(got.tolist())) == count

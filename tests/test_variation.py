@@ -15,104 +15,90 @@ from divga import (
     produce_offspring,
     seed_population,
 )
-from divga.genome import Individual
 from divga.variation import resolve_mutation
 
 
-def numeric_parents():
-    a = Individual(genes=np.array([0.0, 0.0, 0.0, 0.0]))
-    b = Individual(genes=np.array([1.0, 1.0, 1.0, 1.0]))
-    return a, b
+def numeric_parents(k=1):
+    return np.zeros((k, 4)), np.ones((k, 4))
 
 
-def categorical_parents():
-    a = Individual(genes=np.array(["E", "E"], dtype=object))
-    b = Individual(genes=np.array(["K", "K"], dtype=object))
-    return a, b
+def categorical_mutation(rate=None):
+    spec = GeneSpec.categorical(("E", "K"), 2)
+    return spec, resolve_mutation(MutationConfig(rate=rate), spec)
 
 
 class TestMakePairs:
     def test_all_pairs_enumerates_everything(self, rng):
-        pop = [Individual(genes=np.zeros(1)) for _ in range(10)]
-        pairs = make_pairs(pop, "all", rng)
-        assert len(pairs) == 45
-        assert len(set(pairs)) == 45
-        assert all(i < j for i, j in pairs)
+        pairs = make_pairs(10, "all", rng)
+        assert pairs.shape == (45, 2)
+        assert len(set(map(tuple, pairs.tolist()))) == 45
+        assert (pairs[:, 0] < pairs[:, 1]).all()
 
     def test_random_pairs_distinct_indices(self, rng):
-        pop = [Individual(genes=np.zeros(1)) for _ in range(7)]
         for _ in range(50):
-            pairs = make_pairs(pop, "random", rng)
-            assert len(pairs) == 7
-            assert all(i != j for i, j in pairs)
-            assert all(0 <= i < 7 and 0 <= j < 7 for i, j in pairs)
+            pairs = make_pairs(7, "random", rng)
+            assert pairs.shape == (7, 2)
+            assert (pairs[:, 0] != pairs[:, 1]).all()
+            assert ((0 <= pairs) & (pairs < 7)).all()
 
     def test_too_small(self, rng):
-        pop = [Individual(genes=np.zeros(1))]
         with pytest.raises(PopulationTooSmallError):
-            make_pairs(pop, "all", rng)
+            make_pairs(1, "all", rng)
 
     def test_unknown_strategy(self, rng):
-        pop = [Individual(genes=np.zeros(1)) for _ in range(3)]
         with pytest.raises(ConfigError):
-            make_pairs(pop, "ring", rng)
+            make_pairs(3, "ring", rng)
 
 
 class TestCrossover:
     def test_midpoint(self, rng):
-        a = Individual(genes=np.array([0.0, 2.0]))
-        b = Individual(genes=np.array([1.0, 4.0]))
-        child = crossover(a, b, "midpoint", rng)
-        np.testing.assert_allclose(child.genes, [0.5, 3.0])
-        assert child.fitness is None
+        a = np.array([[0.0, 2.0], [4.0, -2.0]])
+        b = np.array([[1.0, 4.0], [0.0, -2.0]])
+        children = crossover(a, b, "midpoint", rng)
+        np.testing.assert_allclose(children, [[0.5, 3.0], [2.0, -2.0]])
 
     def test_between_stays_in_span(self, rng):
-        a = Individual(genes=np.array([0.0, -3.0]))
-        b = Individual(genes=np.array([1.0, 5.0]))
-        for _ in range(500):
-            child = crossover(a, b, "between", rng)
-            assert 0.0 <= child.genes[0] <= 1.0
-            assert -3.0 <= child.genes[1] <= 5.0
+        a = np.tile([0.0, -3.0], (500, 1))
+        b = np.tile([1.0, 5.0], (500, 1))
+        children = crossover(a, b, "between", rng)
+        assert ((0.0 <= children[:, 0]) & (children[:, 0] <= 1.0)).all()
+        assert ((-3.0 <= children[:, 1]) & (children[:, 1] <= 5.0)).all()
 
     def test_between_mean_is_center(self, rng):
         """10^4 children of 0 and 1: mean within 5 sigma of 0.5."""
-        a, b = numeric_parents()
-        draws = np.array([crossover(a, b, "between", rng).genes[0]
-                          for _ in range(10_000)])
+        a, b = numeric_parents(10_000)
+        draws = crossover(a, b, "between", rng)[:, 0]
         sigma_of_mean = (1 / np.sqrt(12)) / 100
         assert abs(draws.mean() - 0.5) < 5 * sigma_of_mean
 
     def test_eitheror_uses_parent_values(self, rng):
-        a, b = numeric_parents()
-        for _ in range(200):
-            child = crossover(a, b, "eitheror", rng)
-            assert all(g in (0.0, 1.0) for g in child.genes)
+        a, b = numeric_parents(200)
+        children = crossover(a, b, "eitheror", rng)
+        assert np.isin(children, (0.0, 1.0)).all()
 
     def test_eitheror_per_gene_frequencies(self, rng):
-        """Two genes from EE x KK parents: each combo near 1/4."""
-        a, b = categorical_parents()
-        counts = {}
+        """Two genes from EE x KK parents (codes 0 and 1): each combo near 1/4."""
         trials = 10_000
-        for _ in range(trials):
-            child = crossover(a, b, "eitheror", rng)
-            key = "".join(child.genes)
-            counts[key] = counts.get(key, 0) + 1
+        a = np.zeros((trials, 2), dtype=np.intp)
+        b = np.ones((trials, 2), dtype=np.intp)
+        children = crossover(a, b, "eitheror", rng)
+        counts = np.bincount(2 * children[:, 0] + children[:, 1], minlength=4)
         bound = 5 * np.sqrt(0.25 * 0.75 / trials)
-        for combo in ("EE", "EK", "KE", "KK"):
-            assert abs(counts.get(combo, 0) / trials - 0.25) < bound
+        assert (np.abs(counts / trials - 0.25) < bound).all()
 
     def test_none_copies_first_parent(self, rng):
-        a, b = numeric_parents()
-        child = crossover(a, b, "none", rng)
-        np.testing.assert_array_equal(child.genes, a.genes)
-        child.genes[0] = 99.0
-        assert a.genes[0] == 0.0
+        a, b = numeric_parents(3)
+        children = crossover(a, b, "none", rng)
+        np.testing.assert_array_equal(children, a)
+        children[0, 0] = 99.0
+        assert a[0, 0] == 0.0
 
     def test_numeric_only_methods_rejected_for_categorical(self, rng):
-        a, b = categorical_parents()
+        spec, mutation = categorical_mutation()
+        genes = spec.encode([["E", "E"], ["K", "K"]])
         for method in ("midpoint", "between"):
             with pytest.raises(IllegalMethodError):
-                crossover(a, b, method, rng)
+                produce_offspring(genes, method, "random", mutation, rng)
 
     def test_unknown_method(self, rng):
         a, b = numeric_parents()
@@ -152,17 +138,14 @@ class TestMutate:
     def test_rate_zero_is_identity(self, rng):
         spec = GeneSpec.numeric([(0, 10)] * 3)
         cfg = resolve_mutation(MutationConfig(rate=0.0), spec)
-        child = Individual(genes=np.array([1.0, 2.0, 3.0]))
-        out = mutate(child, cfg, rng)
-        np.testing.assert_array_equal(out.genes, child.genes)
+        genes = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        np.testing.assert_array_equal(mutate(genes, cfg, rng), genes)
 
     def test_additive_noise_scale(self, rng):
         """Range width 10 gives sigma 1; check sample mean and std."""
         spec = GeneSpec.numeric([(0.0, 10.0)])
         cfg = resolve_mutation(MutationConfig(rate=1.0, mode="additive"), spec)
-        start = Individual(genes=np.array([5.0]))
-        draws = np.array([mutate(start, cfg, rng).genes[0]
-                          for _ in range(10_000)])
+        draws = mutate(np.full((10_000, 1), 5.0), cfg, rng)[:, 0]
         assert abs(draws.mean() - 5.0) < 0.05
         assert 0.9 < draws.std() < 1.1
 
@@ -170,9 +153,7 @@ class TestMutate:
         spec = GeneSpec.numeric([(0.0, 10.0)])
         cfg = resolve_mutation(
             MutationConfig(rate=1.0, mode="multiplicative"), spec)
-        start = Individual(genes=np.array([4.0]))
-        draws = np.array([mutate(start, cfg, rng).genes[0]
-                          for _ in range(10_000)])
+        draws = mutate(np.full((10_000, 1), 4.0), cfg, rng)[:, 0]
         # 4 * N(1, 0.5) has mean 4 and standard deviation 2
         assert abs(draws.mean() - 4.0) < 0.1
         assert 1.9 < draws.std() < 2.1
@@ -180,9 +161,7 @@ class TestMutate:
     def test_random_mode_mixes_both(self, rng):
         spec = GeneSpec.numeric([(0.0, 10.0)])
         cfg = resolve_mutation(MutationConfig(rate=1.0, mode="random"), spec)
-        start = Individual(genes=np.array([4.0]))
-        draws = np.array([mutate(start, cfg, rng).genes[0]
-                          for _ in range(10_000)])
+        draws = mutate(np.full((10_000, 1), 4.0), cfg, rng)[:, 0]
         assert abs(draws.mean() - 4.0) < 0.1
         # variance is the average of the additive and multiplicative cases
         expected_std = np.sqrt((1.0 + 4.0) / 2)
@@ -192,34 +171,27 @@ class TestMutate:
         """A mutated gene can land on its current label."""
         spec = GeneSpec.categorical(("E", "K"), 1)
         cfg = resolve_mutation(MutationConfig(rate=1.0), spec)
-        start = Individual(genes=np.array(["E"], dtype=object))
-        labels = [mutate(start, cfg, rng).genes[0] for _ in range(10_000)]
+        start = spec.encode([["E"]] * 10_000)
+        labels = spec.decode(mutate(start, cfg, rng))[:, 0].tolist()
         fraction_k = labels.count("K") / len(labels)
         assert 0.47 < fraction_k < 0.53
 
     def test_not_clipped_by_default(self, rng):
         spec = GeneSpec.numeric([(0.0, 1.0)])
         cfg = resolve_mutation(MutationConfig(rate=1.0, mode="additive"), spec)
-        start = Individual(genes=np.array([0.99]))
-        outside = any(mutate(start, cfg, rng).genes[0] > 1.0
-                      for _ in range(200))
-        assert outside
+        assert (mutate(np.full((200, 1), 0.99), cfg, rng) > 1.0).any()
 
     def test_clip_to_ranges(self, rng):
         spec = GeneSpec.numeric([(0.0, 1.0)])
         cfg = resolve_mutation(
             MutationConfig(rate=1.0, mode="additive", clip_to_ranges=True), spec)
-        start = Individual(genes=np.array([0.99]))
-        for _ in range(200):
-            out = mutate(start, cfg, rng).genes[0]
-            assert 0.0 <= out <= 1.0
+        out = mutate(np.full((200, 1), 0.99), cfg, rng)
+        assert ((0.0 <= out) & (out <= 1.0)).all()
 
     def test_partial_rate_leaves_some_genes(self, rng):
         spec = GeneSpec.numeric([(0.0, 10.0)] * 50)
         cfg = resolve_mutation(MutationConfig(rate=0.1, mode="additive"), spec)
-        start = Individual(genes=np.full(50, 5.0))
-        changed = np.array([(mutate(start, cfg, rng).genes != 5.0).sum()
-                            for _ in range(500)])
+        changed = (mutate(np.full((500, 50), 5.0), cfg, rng) != 5.0).sum(axis=1)
         # mean changed genes near 50 * 0.1 = 5
         assert 4.0 < changed.mean() < 6.0
 
@@ -231,23 +203,26 @@ class TestProduceOffspring:
         none = produce_offspring(pop, "none", "random", mutation, rng)
         random_pairs = produce_offspring(pop, "between", "random", mutation, rng)
         all_pairs = produce_offspring(pop, "between", "all", mutation, rng)
-        assert len(none) == 10
-        assert len(random_pairs) == 10
-        assert len(all_pairs) == 45
+        assert none.shape == (10, 3)
+        assert random_pairs.shape == (10, 3)
+        assert all_pairs.shape == (45, 3)
 
-    def test_offspring_unevaluated(self, rng, numeric_spec):
-        pop = seed_population(numeric_spec, 6, rng)
-        mutation = resolve_mutation(None, numeric_spec)
-        children = produce_offspring(pop, "midpoint", "random", mutation, rng)
-        assert all(c.fitness is None for c in children)
+    def test_offspring_unevaluated(self, rng, numeric_spec, cat_spec):
+        """Children are bare gene rows of the parents' kind."""
+        for spec, method in ((numeric_spec, "midpoint"), (cat_spec, "eitheror")):
+            pop = seed_population(spec, 6, rng)
+            mutation = resolve_mutation(None, spec)
+            children = produce_offspring(pop, method, "random", mutation, rng)
+            assert children.dtype == pop.dtype
+            assert children.shape == pop.shape
 
     def test_parents_untouched(self, rng, numeric_spec):
         pop = seed_population(numeric_spec, 6, rng)
-        before = pop.gene_matrix().copy()
+        before = pop.copy()
         mutation = resolve_mutation(MutationConfig(rate=1.0), numeric_spec)
         produce_offspring(pop, "between", "random", mutation, rng)
         produce_offspring(pop, "none", "random", mutation, rng)
-        np.testing.assert_array_equal(pop.gene_matrix(), before)
+        np.testing.assert_array_equal(pop, before)
 
     def test_unknown_method(self, rng, numeric_spec):
         pop = seed_population(numeric_spec, 4, rng)
