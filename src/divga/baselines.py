@@ -1,8 +1,5 @@
-"""Reference optimizers to compare the genetic algorithm against.
-
-Both baselines share the engine's evaluation-count bookkeeping so that
-comparisons can be made at equal fitness-call budgets.
-"""
+"""Reference optimizers for the genetic algorithm, run at equal budgets
+on its own layers: seed_population draws, evaluate_population calls."""
 
 from __future__ import annotations
 
@@ -11,9 +8,9 @@ from heapq import heappush, heappushpop
 
 import numpy as np
 
-from .engine import _BoundFitness, evaluate_population
-from .errors import ConfigError, PopulationTooSmallError
-from .genome import GeneSpec, validate_spec
+from .engine import _BoundFitness, _mean_fitness, evaluate_population
+from .errors import ConfigError, FitnessEvaluationError, PopulationTooSmallError
+from .genome import GeneSpec, seed_population
 
 
 @dataclass
@@ -49,27 +46,39 @@ class DEResult:
 
 
 def _reflect_into(ranges, genes: np.ndarray) -> np.ndarray:
-    """Fold out-of-range values back into the box by mirror reflection."""
-    lows = np.array([lo for lo, _ in ranges])
-    highs = np.array([hi for _, hi in ranges])
+    """Mirror out-of-range values back into the box; keep the others."""
+    lows, highs = np.array(ranges).T
     period = 2.0 * (highs - lows)
     folded = np.mod(genes - lows, period)
-    folded = np.minimum(folded, period - folded)
-    return lows + folded
+    inside = (lows <= genes) & (genes <= highs)
+    return np.where(inside, genes, lows + np.minimum(folded, period - folded))
+
+
+def _pick_donors(n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, 3) donors, row i three distinct random indices other than i:
+    argsort of an (n, n - 1) uniform matrix, shifted up by one from i."""
+    donors = np.argsort(rng.random((n, n - 1)), axis=1)[:, :3]
+    return donors + (donors >= np.arange(n)[:, None])
 
 
 def run_de(spec: GeneSpec, fitness, config: DEConfig, *,
            fitness_args=()) -> DEResult:
     """Classic rand/1/bin differential evolution over a boxed space.
 
-    Per target: mutant = a + F * (b - c) with a, b, c distinct random
-    population members other than the target; binomial crossover takes
-    the mutant gene with probability CR, with one uniformly chosen gene
-    forced from the mutant; out-of-range trial genes are reflected back
-    into the initial ranges; the trial replaces the target when its
-    fitness is greater than or equal to the target's.
+    Per target: mutant = a + F * (b - c) from three distinct random
+    others; binomial crossover takes each mutant gene with probability
+    CR, and one random gene always; the trial, reflected into the
+    ranges, replaces the target when its fitness is >= the target's.
+    Fitness is checked as in run, a failure attaching the DEResult so
+    far as partial_record; a population with +inf and -inf has mean NaN.
+
+    One seeded generator draws generation zero with seed_population,
+    then per generation, for all n targets at once and in this order:
+
+    1. the donors a, b, c: an (n, n - 1) uniform matrix (_pick_donors);
+    2. the crossover mask: an (n, g) uniform matrix compared with CR;
+    3. the forced gene of each target: n integers in [0, g).
     """
-    validate_spec(spec)
     if not spec.is_numeric:
         raise ConfigError("differential evolution needs a numeric genome")
     if config.population_size < 4:
@@ -79,53 +88,39 @@ def run_de(spec: GeneSpec, fitness, config: DEConfig, *,
         raise ConfigError("differential_weight must lie in [0, 2)")
     if not 0.0 <= config.crossover_probability <= 1.0:
         raise ConfigError("crossover_probability must lie in [0, 1]")
+    fitness = _BoundFitness(fitness, fitness_args) if fitness_args else fitness
 
     n = config.population_size
-    dim = spec.number_of_genes
-    f_weight = config.differential_weight
-    cr = config.crossover_probability
     rng = np.random.default_rng(config.seed)
-
-    lows = np.array([lo for lo, _ in spec.numeric_ranges])
-    highs = np.array([hi for _, hi in spec.numeric_ranges])
-    genes = rng.uniform(lows, highs, size=(n, dim))
-
-    if fitness_args:
-        fitness = _BoundFitness(fitness, fitness_args)
-
-    def evaluate(rows: np.ndarray) -> np.ndarray:
-        values = np.empty(len(rows))
-        evaluate_population(rows, fitness, values, config.parallel_workers)
-        return values
-
-    values = evaluate(genes)
+    genes = seed_population(spec, n, rng)
+    values = np.empty(n)
     result = DEResult(genes=genes, fitness=values)
-    evaluations = n
-    result.mean_fitness.append(float(values.mean()))
-    result.best_fitness.append(float(values.max()))
-    result.evaluations.append(evaluations)
 
-    for _ in range(config.n_generations):
-        trials = np.empty_like(genes)
-        for target in range(n):
-            others = [idx for idx in range(n) if idx != target]
-            a, b, c = rng.choice(others, size=3, replace=False)
-            mutant = genes[a] + f_weight * (genes[b] - genes[c])
-            take = rng.random(dim) < cr
-            take[rng.integers(0, dim)] = True
-            trial = np.where(take, mutant, genes[target])
-            trials[target] = _reflect_into(spec.numeric_ranges, trial)
-        trial_values = evaluate(trials)
-        evaluations += n
-        improved = trial_values >= values
-        genes[improved] = trials[improved]
-        values[improved] = trial_values[improved]
-        result.mean_fitness.append(float(values.mean()))
+    def record():
+        result.mean_fitness.append(_mean_fitness(values))
         result.best_fitness.append(float(values.max()))
-        result.evaluations.append(evaluations)
+        result.evaluations.append(result.total_evaluations + n)
 
-    result.genes = genes
-    result.fitness = values
+    try:
+        evaluate_population(genes, fitness, values, config.parallel_workers)
+        record()
+        for _ in range(config.n_generations):
+            a, b, c = _pick_donors(n, rng).T
+            take = rng.random(genes.shape) < config.crossover_probability
+            take[np.arange(n), rng.integers(0, genes.shape[1], size=n)] = True
+            step = config.differential_weight * (genes[b] - genes[c])
+            trials = _reflect_into(spec.numeric_ranges,
+                                   np.where(take, genes[a] + step, genes))
+            trial_values = np.empty(n)
+            evaluate_population(trials, fitness, trial_values,
+                                config.parallel_workers)
+            improved = trial_values >= values
+            genes[improved] = trials[improved]
+            values[improved] = trial_values[improved]
+            record()
+    except FitnessEvaluationError as exc:
+        exc.partial_record = result
+        raise
     return result
 
 
@@ -152,38 +147,29 @@ def random_scan(spec: GeneSpec, fitness, total_evaluations: int,
                 fitness_args=()) -> RandomScanTrace:
     """Sample uniformly, keep the best points seen so far.
 
-    Draws total_evaluations points one at a time, maintains the running
-    set of the keep_best highest-fitness points, and records the kept
-    set's mean fitness after every draw.
+    Draws total_evaluations points in one seed_population batch (the
+    same numbers as one at a time), evaluates them in order, checked as
+    in run, and records after every draw the mean fitness of the running
+    set of the keep_best highest-fitness points.
     """
-    validate_spec(spec)
     if not spec.is_numeric:
         raise ConfigError("random scan needs a numeric genome")
     if not 1 <= keep_best <= total_evaluations:
         raise ConfigError("need 1 <= keep_best <= total_evaluations")
-    if fitness_args:
-        fitness = _BoundFitness(fitness, fitness_args)
+    fitness = _BoundFitness(fitness, fitness_args) if fitness_args else fitness
 
-    lows = np.array([lo for lo, _ in spec.numeric_ranges])
-    highs = np.array([hi for _, hi in spec.numeric_ranges])
-    heap: list = []
-    running_sum = 0.0
+    points = seed_population(spec, total_evaluations, rng)
+    values = np.empty(total_evaluations)
+    evaluate_population(points, fitness, values)
+    heap, running_sum = [], 0.0
     trace = np.empty(total_evaluations)
-    for e in range(total_evaluations):
-        point = rng.uniform(lows, highs)
-        value = float(fitness(point))
-        entry = (value, e, point)
+    for e, value in enumerate(values.tolist()):
         if len(heap) < keep_best:
-            heappush(heap, entry)
+            heappush(heap, (value, e))
             running_sum += value
         else:
-            dropped = heappushpop(heap, entry)
-            running_sum += value - dropped[0]
+            running_sum += value - heappushpop(heap, (value, e))[0]
         trace[e] = running_sum / len(heap)
-    ordered = sorted(heap, key=lambda item: -item[0])
-    return RandomScanTrace(
-        evaluations=np.arange(1, total_evaluations + 1),
-        kept_mean=trace,
-        kept_genes=[item[2] for item in ordered],
-        kept_fitness=np.array([item[0] for item in ordered]),
-    )
+    kept = [e for _, e in sorted(heap, key=lambda item: -item[0])]
+    return RandomScanTrace(np.arange(1, total_evaluations + 1), trace,
+                           list(points[kept]), values[kept])

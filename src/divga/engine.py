@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import pickle
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -199,6 +200,12 @@ def _checked(value, index):
     return result
 
 
+def _mean_fitness(values: np.ndarray) -> float:
+    """Mean fitness; NaN, without a warning, when both infinities occur."""
+    with np.errstate(invalid="ignore"):
+        return float(values.mean())
+
+
 def _evaluate_rows(fitness, start: int, rows):
     """Raw fitness of each row, stopping at the first row that raises.
 
@@ -220,9 +227,10 @@ def evaluate_population(genes, fitness, values: np.ndarray,
     """Evaluate fitness on every row of genes into values, in index order.
 
     Returns the number of evaluations, len(genes). With parallel_workers
-    > 0 the rows go to a process pool in chunks; results are committed
-    in index order either way, so the outcome, and the index a
-    FitnessEvaluationError reports, do not depend on the worker count.
+    > 0 the rows go to a process pool in chunks (an unpicklable fitness
+    raises ConfigError first); results are committed in index order
+    either way, so the outcome, and the index a FitnessEvaluationError
+    reports, do not depend on the worker count.
     """
     n = len(genes)
     committed = 0
@@ -239,6 +247,10 @@ def evaluate_population(genes, fitness, values: np.ndarray,
                 index=index) from exc
 
     if parallel_workers > 0 and n > 1:
+        try:
+            pickle.dumps(fitness)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ConfigError(f"fitness is not picklable: {exc!r}") from exc
         size = max(1, n // (parallel_workers * 4))
         with ProcessPoolExecutor(max_workers=parallel_workers) as pool:
             chunks = [pool.submit(_evaluate_rows, fitness, start,
@@ -383,9 +395,11 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
     fitness of NaN, a non-number or a raised exception aborts the run
     and raises FitnessEvaluationError with the partial record attached.
     Infinite fitness is accepted: in selection -inf ranks last and +inf
-    ranks first. An unwritable output directory raises OSError, and a
-    generation whose best survivor is worse than the previous best (a
-    broken elitism guarantee) raises RuntimeError.
+    ranks first; survivors holding both record a NaN mean fitness. An
+    unpicklable fitness with parallel_workers > 0 raises ConfigError, an
+    unwritable output directory OSError, and a generation whose best
+    survivor is worse than the previous best (a broken elitism
+    guarantee) RuntimeError.
     """
     validate_spec(spec)
     _validate_config(config, spec)
@@ -413,7 +427,7 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
     def snapshot(generation, genes, values, cumulative):
         survivors = [Individual(genes=row, fitness=float(value))
                      for row, value in zip(spec.decode(genes), values)]
-        mean = float(values.mean())
+        mean = _mean_fitness(values)
         best = float(values.max())
         record.populations.append(survivors)
         record.mean_fitness.append(mean)

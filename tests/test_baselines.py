@@ -1,17 +1,22 @@
 """Differential evolution and random scan baselines."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from divga import (
     ConfigError,
     DEConfig,
+    DEResult,
+    FitnessEvaluationError,
     GeneSpec,
     PopulationTooSmallError,
     random_scan,
     run_de,
+    seed_population,
 )
-from divga.baselines import _reflect_into
+from divga.baselines import _pick_donors, _reflect_into
 
 from conftest import sphere_fitness, sum_fitness
 
@@ -30,6 +35,41 @@ class TestReflection:
     def test_inside_untouched(self):
         out = _reflect_into(((-2.0, 3.0),), np.array([1.25]))
         assert out[0] == pytest.approx(1.25)
+
+    def test_inside_bit_exact(self):
+        """In-range genes come back as they are, not as lo + (x - lo)."""
+        rng = np.random.default_rng(0)
+        genes = rng.uniform(-4.0, 4.0, size=(200, 2)) * np.pi / 4
+        np.testing.assert_array_equal(
+            _reflect_into(((-5.0, 5.0), (-3.5, 3.5)), genes), genes)
+
+
+class TestDonors:
+    @pytest.mark.parametrize("n", [4, 5, 50])
+    def test_distinct_and_uniform(self, n):
+        """Row i draws three distinct donors other than i; every other
+        index is donor a with frequency near 1/(n-1)."""
+        seeds = 2000
+        rows = np.arange(n)[:, None]
+        counts = np.zeros((n, n))
+        offsets = np.zeros(n)
+        for seed in range(seeds):
+            donors = _pick_donors(n, np.random.default_rng(seed))
+            assert donors.shape == (n, 3)
+            assert donors.min() >= 0 and donors.max() < n
+            assert np.all(donors != rows)
+            assert np.all(np.diff(np.sort(donors, axis=1), axis=1) > 0)
+            counts[rows[:, 0], donors[:, 0]] += 1
+            offsets += np.bincount((donors[:, 0] - rows[:, 0]) % n,
+                                   minlength=n)
+        p = 1.0 / (n - 1)
+        others = counts[~np.eye(n, dtype=bool)] / seeds
+        assert np.all(others > 0)
+        assert np.all(np.abs(others - p) < 5 * np.sqrt(p * (1 - p) / seeds))
+        pooled = offsets[1:] / (n * seeds)
+        assert offsets[0] == 0
+        assert np.all(np.abs(pooled - p)
+                      < 5 * np.sqrt(p * (1 - p) / (n * seeds)))
 
 
 class TestRunDE:
@@ -111,6 +151,75 @@ class TestRunDE:
         b = run_de(self.spec(), sphere_fitness, parallel)
         np.testing.assert_array_equal(a.genes, b.genes)
 
+    def test_generation_zero_is_seed_population(self):
+        spec = GeneSpec.numeric([(-5.0, 5.0), (0.0, 2.0), (-1.0, 1.0)])
+        seen = []
+
+        def recording(genes):
+            seen.append(np.array(genes))
+            return 0.0
+
+        run_de(spec, recording, DEConfig(population_size=9, n_generations=1,
+                                         seed=4))
+        np.testing.assert_array_equal(
+            np.array(seen[:9]),
+            seed_population(spec, 9, np.random.default_rng(4)))
+
+    def test_zero_crossover_changes_at_most_one_gene(self):
+        """With CR = 0 only the forced gene comes from the mutant. A
+        constant fitness accepts every trial, so the genes after one
+        generation are the trials."""
+        spec = GeneSpec.numeric([(-5.0, 5.0)] * 6)
+        config = DEConfig(population_size=12, n_generations=1,
+                          crossover_probability=0.0, seed=8)
+        start = seed_population(spec, 12, np.random.default_rng(8))
+        result = run_de(spec, lambda genes: 0.0, config)
+        changed = (result.genes != start).sum(axis=1)
+        assert np.all(changed <= 1)
+        assert changed.sum() > 0
+
+    def test_partial_history_on_failure(self):
+        calls = []
+
+        def fails_on_call_21(genes):
+            calls.append(1)
+            if len(calls) == 21:
+                raise ValueError("call 21")
+            return sphere_fitness(genes)
+
+        config = DEConfig(population_size=10, n_generations=5, seed=1)
+        with pytest.raises(FitnessEvaluationError) as excinfo:
+            run_de(self.spec(), fails_on_call_21, config)
+        assert excinfo.value.index == 0
+        partial = excinfo.value.partial_record
+        assert isinstance(partial, DEResult)
+        assert partial.evaluations == [10, 20]
+        assert len(partial.mean_fitness) == len(partial.best_fitness) == 2
+        assert partial.genes.shape == (10, 2)
+        assert partial.best_fitness[-1] == partial.fitness.max()
+
+    def test_unpicklable_fitness_with_workers(self):
+        config = DEConfig(population_size=6, n_generations=1,
+                          parallel_workers=2)
+        with pytest.raises(ConfigError, match="picklable"):
+            run_de(self.spec(), lambda genes: 0.0, config)
+
+    def test_lambda_fitness_without_workers(self):
+        config = DEConfig(population_size=6, n_generations=1)
+        result = run_de(self.spec(), lambda genes: 1.0, config)
+        assert result.mean_fitness == [1.0, 1.0]
+
+    def test_mixed_infinities_give_nan_mean(self):
+        def fitness(genes):
+            return float("inf") if genes[0] > 0 else float("-inf")
+
+        config = DEConfig(population_size=6, n_generations=3, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_de(self.spec(), fitness, config)
+        assert np.isnan(result.mean_fitness[0])
+        assert result.mean_fitness[-1] == float("inf")
+
 
 class TestRandomScan:
     def spec(self):
@@ -161,6 +270,26 @@ class TestRandomScan:
                             np.random.default_rng(1))
         assert trace.final_mean == pytest.approx(trace.kept_fitness.mean())
         assert len(trace.kept_fitness) == 50
+
+    @pytest.mark.parametrize("bad", [float("nan"), "not a number", None])
+    def test_bad_fitness_reports_first_bad_draw(self, bad):
+        """NaN, a non-number or a raise (None here) fails as in run, at
+        the index of the first draw with x > 1."""
+        def fitness(genes):
+            if genes[0] <= 1.0:
+                return 0.0
+            if bad is None:
+                return 1 / 0
+            return bad
+
+        points = np.random.default_rng(7).uniform([-2.0, -2.0], [2.0, 2.0],
+                                                  size=(50, 2))
+        first = int(np.argmax(points[:, 0] > 1.0))
+        assert first > 0
+        with pytest.raises(FitnessEvaluationError) as excinfo:
+            random_scan(self.spec(), fitness, 50, 5,
+                        np.random.default_rng(7))
+        assert excinfo.value.index == first
 
     def test_bad_keep_count(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,7 @@
 """Engine runs: reproducibility, bookkeeping, persistence."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,15 @@ class TestEvaluatePopulation:
         with pytest.raises(FitnessEvaluationError, match="NaN"):
             evaluate_population(np.zeros((1, 1)), lambda g: float("nan"),
                                 np.empty(1))
+
+    def test_unpicklable_fitness_rejected_before_any_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(divga.engine, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ConfigError, match="picklable"):
+            evaluate_population(np.zeros((4, 1)), lambda g: 0.0,
+                                np.empty(4), 2)
 
 
 class TestRunBasics:
@@ -342,6 +353,34 @@ class TestDiversityResolution:
 
 
 class TestFailureHandling:
+    def test_unpicklable_fitness_with_workers(self, numeric_spec):
+        """A lambda cannot go to worker processes: ConfigError, not a
+        fitness failure blamed on individual 0."""
+        config = quiet(population_size=4, n_generations=1, parallel_workers=2)
+        with pytest.raises(ConfigError, match="picklable"):
+            run(numeric_spec, lambda genes: 0.0, config)
+
+    def test_lambda_fitness_without_workers(self, numeric_spec):
+        config = quiet(population_size=4, n_generations=1)
+        record = run(numeric_spec, lambda genes: 1.0, config)
+        assert record.mean_fitness == [1.0, 1.0]
+
+    def test_mixed_infinities_give_nan_mean(self, numeric_spec, tmp_path):
+        """Survivors at both +inf and -inf have a NaN mean, documented,
+        written as nan, and computed without a numpy warning."""
+        def fitness(genes):
+            return float("inf") if genes[0] > 0 else float("-inf")
+
+        config = quiet(population_size=4, n_generations=2, seed=0,
+                       output_directory=tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = run(numeric_spec, fitness, config)
+        assert np.isnan(record.mean_fitness[0])
+        assert record.mean_fitness[1:] == [float("inf")] * 2
+        lines = record.output_files["fitness"].read_text().splitlines()
+        assert lines[1] == "0,4,nan,inf"
+
     def test_partial_record_attached(self, tmp_path):
         spec = GeneSpec.numeric([(0.5, 1.5)])
         config = quiet(population_size=4, n_generations=3, seed=1,
