@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import DEConfig, random_scan, run_de
+from .distance import HammingSq, mean_pairwise
 from .engine import (
     DiversityEnhanced,
     EngineConfig,
@@ -100,16 +101,9 @@ def spread(points) -> float:
 
 
 def hamming_spread(sequences) -> float:
-    """Mean pairwise fraction of differing positions."""
-    rows = list(sequences)
-    n = len(rows)
-    if n < 2:
-        raise PopulationTooSmallError("spread needs at least two sequences")
-    matrix = np.stack([np.asarray(row, dtype=object) for row in rows])
-    total = 0.0
-    for i in range(n - 1):
-        total += float(np.mean(matrix[i + 1:] != matrix[i], axis=1).sum())
-    return total / (n * (n - 1) / 2)
+    """Mean pairwise fraction of differing positions (labels or strings)."""
+    rows = np.array([list(row) for row in sequences], dtype=object)
+    return mean_pairwise(rows, HammingSq())
 
 
 def angular_bin_occupancy(points, n_bins: int = 12) -> np.ndarray:
@@ -209,8 +203,7 @@ def _ga_config(settings, seed: int) -> EngineConfig:
 def _ga_row(spec, fitness, settings, seed, repetition, *, fitness_args=()):
     record = run(spec, fitness, _ga_config(settings, seed),
                  fitness_args=fitness_args)
-    final = record.final_population
-    genes = [ind.genes for ind in final]
+    genes = record.final_population.genes
     pop_spread = spread(genes) if spec.is_numeric else hamming_spread(genes)
     row = {
         "algorithm": "ga",
@@ -276,7 +269,7 @@ def _circle(settings, seed):
     for rep in range(settings["repetitions"]):
         row, record = _ga_row(spec, circle_from_genes, settings,
                               seed + rep, rep, fitness_args=args)
-        genes = np.stack([ind.genes for ind in record.final_population])
+        genes = record.final_population.genes
         radii = np.hypot(genes[:, 0], genes[:, 1])
         occupancy = angular_bin_occupancy(genes)
         row["radial_error_mean"] = float(np.abs(radii - settings["radius"]).mean())
@@ -307,7 +300,7 @@ def _scd(settings, seed):
     for rep in range(settings["repetitions"]):
         row, record = _ga_row(spec, scd_from_genes, settings,
                               seed + rep, rep, fitness_args=(target,))
-        finals = [ind.genes for ind in record.final_population]
+        finals = record.final_population.genes
         scds = np.array([calculate_scd(g) for g in finals])
         charges = np.array([net_charge(g) for g in finals])
         row["mean_abs_scd_error"] = float(np.abs(scds - target).mean())

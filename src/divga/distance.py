@@ -22,55 +22,30 @@ def _check_lengths(a, b):
             f"gene vectors differ in length: {len(a)} vs {len(b)}")
 
 
-def euclidean_sq(a, b) -> float:
-    """Sum of squared per-gene differences."""
-    _check_lengths(a, b)
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return float(np.dot(d, d))
-
-
-def dynamic_sq(a, b, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Scale-normalized squared distance.
-
-    Each squared difference is divided by (|a_k| + |b_k| + epsilon)^2,
-    so genes living on very different scales contribute comparably.
-    The epsilon keeps the ratio finite when both entries are zero.
-    """
-    _check_lengths(a, b)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    scale = np.abs(a) + np.abs(b) + epsilon
-    d = (a - b) / scale
-    return float(np.dot(d, d))
-
-
-def hamming_sq(a, b) -> float:
-    """Fraction of positions at which the two label vectors disagree."""
-    _check_lengths(a, b)
-    if len(a) == 0:
-        raise ZeroGenesError("empty gene vectors")
-    differ = sum(1 for x, y in zip(a, b) if x != y)
-    return differ / len(a)
-
-
 class DistanceMeasure:
-    """Callable squared distance with a vectorized one-vs-many form."""
+    """Squared distance, written once in the one-vs-many form to_point.
+
+    Calling a measure on two gene vectors applies to_point to one row;
+    a string counts as the sequence of its characters.
+    """
 
     name = "custom"
+    dtype = float
 
     def __call__(self, a, b) -> float:
-        raise NotImplementedError
+        _check_lengths(a, b)
+        a, b = (np.array(list(v), dtype=self.dtype) for v in (a, b))
+        return float(self.to_point(a[None, :], b)[0])
 
     def to_point(self, matrix: np.ndarray, point: np.ndarray) -> np.ndarray:
         """Squared distances from every row of matrix to point."""
-        return np.array([self(row, point) for row in matrix])
+        raise NotImplementedError
 
 
 class EuclideanSq(DistanceMeasure):
-    name = "euclidean"
+    """Sum of squared per-gene differences."""
 
-    def __call__(self, a, b) -> float:
-        return euclidean_sq(a, b)
+    name = "euclidean"
 
     def to_point(self, matrix, point):
         d = matrix - point
@@ -78,13 +53,17 @@ class EuclideanSq(DistanceMeasure):
 
 
 class DynamicSq(DistanceMeasure):
+    """Scale-normalized squared distance.
+
+    Each squared difference is divided by (|a_k| + |b_k| + epsilon)^2,
+    so genes living on very different scales contribute comparably.
+    The epsilon keeps the ratio finite when both entries are zero.
+    """
+
     name = "dynamic"
 
     def __init__(self, epsilon: float = DEFAULT_EPSILON):
         self.epsilon = epsilon
-
-    def __call__(self, a, b) -> float:
-        return dynamic_sq(a, b, self.epsilon)
 
     def to_point(self, matrix, point):
         scale = np.abs(matrix) + np.abs(point) + self.epsilon
@@ -93,12 +72,16 @@ class DynamicSq(DistanceMeasure):
 
 
 class HammingSq(DistanceMeasure):
-    """Hamming fraction; to_point compares labels or category codes alike."""
+    """Fraction of positions at which two label vectors disagree;
+    to_point compares labels or category codes alike."""
 
     name = "hamming"
+    dtype = object
 
     def __call__(self, a, b) -> float:
-        return hamming_sq(a, b)
+        if len(a) == len(b) == 0:
+            raise ZeroGenesError("empty gene vectors")
+        return super().__call__(a, b)
 
     def to_point(self, matrix, point):
         return np.mean(matrix != point, axis=1).astype(float)
@@ -114,6 +97,24 @@ class CustomMeasure(DistanceMeasure):
     def __call__(self, a, b) -> float:
         return float(self.fn(a, b))
 
+    def to_point(self, matrix, point):
+        return np.array([self(row, point) for row in matrix])
+
+
+def euclidean_sq(a, b) -> float:
+    """Sum of squared per-gene differences."""
+    return EuclideanSq()(a, b)
+
+
+def dynamic_sq(a, b, epsilon: float = DEFAULT_EPSILON) -> float:
+    """Scale-normalized squared distance (see DynamicSq)."""
+    return DynamicSq(epsilon)(a, b)
+
+
+def hamming_sq(a, b) -> float:
+    """Fraction of positions at which the two label vectors disagree."""
+    return HammingSq()(a, b)
+
 
 _NAMED = {
     "euclidean": EuclideanSq,
@@ -122,8 +123,7 @@ _NAMED = {
 }
 
 
-def get_measure(measure, spec: GeneSpec | None = None,
-                epsilon: float = DEFAULT_EPSILON) -> DistanceMeasure:
+def get_measure(measure, spec: GeneSpec | None = None) -> DistanceMeasure:
     """Resolve a measure name, callable or instance to a DistanceMeasure.
 
     None picks the default for the genome kind: Euclidean for numeric,
@@ -142,8 +142,6 @@ def get_measure(measure, spec: GeneSpec | None = None,
         raise ValueError(
             f"unknown distance measure {measure!r}; "
             f"choose from {sorted(_NAMED)} or pass a callable")
-    if name == "dynamic":
-        return DynamicSq(epsilon)
     return _NAMED[name]()
 
 
@@ -154,12 +152,15 @@ def default_r0(genes: np.ndarray, measure: DistanceMeasure) -> float:
     all unordered pairs of distinct rows. Returns 0.0 when every pair
     coincides; callers must substitute a usable radius in that case.
     """
-    n = len(genes)
+    return float(np.sqrt(mean_pairwise(genes, measure))) / 10.0
+
+
+def mean_pairwise(rows: np.ndarray, measure: DistanceMeasure) -> float:
+    """Mean of measure over all unordered pairs of distinct rows."""
+    n = len(rows)
     if n < 2:
-        raise PopulationTooSmallError(
-            "need at least two individuals to set a diversity radius")
+        raise PopulationTooSmallError("need at least two rows to pair")
     total = 0.0
     for i in range(n - 1):
-        total += float(np.sum(measure.to_point(genes[i + 1:], genes[i])))
-    mean_sq = total / (n * (n - 1) / 2)
-    return float(np.sqrt(mean_sq)) / 10.0
+        total += float(np.sum(measure.to_point(rows[i + 1:], rows[i])))
+    return total / (n * (n - 1) / 2)

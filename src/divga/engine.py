@@ -1,7 +1,9 @@
 """Generational engine: evaluate, vary, select, repeat.
 
 Inside run the population is a gene matrix plus a fitness vector; see
-divga.genome for where category codes become labels.
+divga.genome for where category codes become labels. The run history
+keeps the same two columns: each generation's survivors are one record
+array with fields genes and fitness (see RunRecord).
 
 One seeded generator drives every stochastic decision in a fixed
 order: the random rows of generation zero in one (n, g) batch, then per
@@ -15,7 +17,7 @@ A run writes three files into its output directory when one is given:
 
     <YYYYMMDD-HHMMSS>_survivors.csv   generation,index,fitness,g1..gN
     <YYYYMMDD-HHMMSS>_fitness.csv     generation,evaluations,mean_fitness,best_fitness
-    log.txt                           mirror of the console log (appended)
+    log.txt                           the run log, whatever the verbosity (appended)
 
 Both CSVs are UTF-8 with LF line endings, reals carry 17 significant
 digits, and rows are appended and flushed as each generation completes,
@@ -37,7 +39,7 @@ import numpy as np
 
 from .distance import CustomMeasure, HammingSq, default_r0, get_measure
 from .errors import ConfigError, FitnessEvaluationError
-from .genome import GeneSpec, Individual, seed_population, validate_spec
+from .genome import GeneSpec, seed_population, validate_spec
 from .selection import select_diverse, select_top_n
 from .variation import (
     PAIRING_STRATEGIES,
@@ -132,8 +134,9 @@ class EngineConfig:
         parallel_workers: 0 evaluates fitness sequentially, otherwise
             the number of worker processes (fitness must be picklable).
         output_directory: where to write the run files, None disables.
-        verbosity: 0 silent, 1 per-generation line, 2 adds the
-            survivor listing in selection order.
+        verbosity: console output: 0 silent, 1 per-generation line,
+            2 adds the survivor listing in selection order. log.txt
+            gets every line at any verbosity (the listing only at 2).
     """
 
     population_size: int
@@ -153,27 +156,37 @@ class EngineConfig:
 class RunRecord:
     """Full history of one run.
 
-    populations[g] holds the survivors of generation g as Individual
-    snapshots (genes as the fitness sees them), in selection order;
-    index 0 is the evaluated initial population. The evaluations list
-    is cumulative. A finished run with no early stop has
-    n_generations + 1 snapshots.
+    populations[g] holds the survivors of generation g, in selection
+    order, as a numpy record array: pop.genes is the (n, g) gene matrix
+    as the fitness sees it (labels for categorical genomes), pop.fitness
+    the (n,) fitness vector, and each row pop[i] has .genes and .fitness.
+    Index 0 is the evaluated initial population. The evaluations list
+    is cumulative. mean_fitness and best_fitness are computed from
+    populations. A finished run with no early stop has n_generations + 1
+    snapshots.
     """
 
     spec: GeneSpec
     populations: list = field(default_factory=list)
-    mean_fitness: list = field(default_factory=list)
-    best_fitness: list = field(default_factory=list)
     evaluations: list = field(default_factory=list)
     termination: str = ABORTED
     output_files: dict = field(default_factory=dict)
+
+    @property
+    def mean_fitness(self) -> list:
+        """Per generation; NaN where both infinities occur."""
+        return [_mean_fitness(pop.fitness) for pop in self.populations]
+
+    @property
+    def best_fitness(self) -> list:
+        return [float(pop.fitness.max()) for pop in self.populations]
 
     @property
     def total_evaluations(self) -> int:
         return self.evaluations[-1] if self.evaluations else 0
 
     @property
-    def final_population(self) -> list:
+    def final_population(self) -> np.recarray:
         return self.populations[-1]
 
 
@@ -274,7 +287,7 @@ def _format_real(x) -> str:
 
 
 class _RunLog:
-    """Prints gated by verbosity and mirrors the output to log.txt."""
+    """Writes every line to log.txt and prints those within verbosity."""
 
     def __init__(self, directory: Path | None, verbosity: int):
         self.verbosity = verbosity
@@ -286,9 +299,9 @@ class _RunLog:
     def line(self, level: int, text: str):
         if self.verbosity >= level:
             print(text)
-            if self.file is not None:
-                self.file.write(text + "\n")
-                self.file.flush()
+        if self.file is not None:
+            self.file.write(text + "\n")
+            self.file.flush()
 
     def close(self):
         if self.file is not None:
@@ -316,20 +329,20 @@ class RunWriter:
         gene_names = ",".join(f"g{k + 1}" for k in range(spec.number_of_genes))
         self._survivors.write(f"generation,index,fitness,{gene_names}\n")
         self._fitness.write("generation,evaluations,mean_fitness,best_fitness\n")
-        self._numeric = spec.is_numeric
+        self._cell = _format_real if spec.is_numeric else str
 
-    def append(self, generation: int, individuals, evaluations: int,
-               mean_fitness: float, best_fitness: float):
-        for index, ind in enumerate(individuals):
-            if self._numeric:
-                genes = ",".join(_format_real(g) for g in ind.genes)
-            else:
-                genes = ",".join(str(g) for g in ind.genes)
-            self._survivors.write(
-                f"{generation},{index},{_format_real(ind.fitness)},{genes}\n")
+    def append(self, generation: int, population, evaluations: int):
+        """Write one RunRecord snapshot and its fitness row."""
+        fitness = population.fitness
+        self._survivors.write("".join(
+            f"{generation},{index},{_format_real(value)},"
+            f"{','.join(map(self._cell, genes))}\n"
+            for index, (value, genes) in enumerate(
+                zip(fitness.tolist(), population.genes.tolist()))))
         self._fitness.write(
-            f"{generation},{evaluations},{_format_real(mean_fitness)},"
-            f"{_format_real(best_fitness)}\n")
+            f"{generation},{evaluations},"
+            f"{_format_real(_mean_fitness(fitness))},"
+            f"{_format_real(fitness.max())}\n")
         self._survivors.flush()
         self._fitness.flush()
 
@@ -341,9 +354,8 @@ class RunWriter:
 def persist(record: RunRecord, directory: str | Path) -> dict:
     """Write a finished record's files into directory, return the paths."""
     writer = RunWriter(directory, record.spec)
-    for g, individuals in enumerate(record.populations):
-        writer.append(g, individuals, record.evaluations[g],
-                      record.mean_fitness[g], record.best_fitness[g])
+    for g, population in enumerate(record.populations):
+        writer.append(g, population, record.evaluations[g])
     writer.close()
     log_path = Path(directory) / "log.txt"
     with open(log_path, "a", encoding="utf-8", newline="\n") as fh:
@@ -425,18 +437,16 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
                                "log": out_dir / "log.txt"}
 
     def snapshot(generation, genes, values, cumulative):
-        survivors = [Individual(genes=row, fitness=float(value))
-                     for row, value in zip(spec.decode(genes), values)]
-        mean = _mean_fitness(values)
-        best = float(values.max())
+        decoded = spec.decode(genes)
+        survivors = np.rec.fromarrays([decoded, values], dtype=[
+            ("genes", decoded.dtype, decoded.shape[1:]), ("fitness", float)])
         record.populations.append(survivors)
-        record.mean_fitness.append(mean)
-        record.best_fitness.append(best)
         record.evaluations.append(cumulative)
         if writer is not None:
-            writer.append(generation, survivors, cumulative, mean, best)
+            writer.append(generation, survivors, cumulative)
+        best = float(values.max())
         log.line(1, f"generation {generation}: best={best:.6g} "
-                    f"mean={mean:.6g} evaluations={cumulative}")
+                    f"mean={_mean_fitness(values):.6g} evaluations={cumulative}")
         return best
 
     log.line(1, f"run started: population={n} "

@@ -1,4 +1,4 @@
-"""Genome specification, the gene matrix and its snapshot rows.
+"""Genome specification and the gene matrix.
 
 A genome is either numeric (every gene is a float drawn from a bounded
 range) or categorical (every gene is a label from one shared category
@@ -7,8 +7,9 @@ set). Mixed genomes are rejected up front.
 A population is a gene matrix, one row per individual. Numeric genes
 are float64. Categorical genes are integer codes into spec.categories;
 GeneSpec.decode turns codes into the label arrays that fitness
-functions, custom distance measures, CSV rows and snapshots see, and
-GeneSpec.encode turns user-given label vectors into codes.
+functions, custom distance measures, CSV rows and the run history
+(divga.engine.RunRecord) see, and GeneSpec.encode turns user-given
+label vectors into codes.
 """
 
 from __future__ import annotations
@@ -138,15 +139,6 @@ def validate_spec(spec: GeneSpec) -> GeneSpec:
     else:
         raise MixedKindsError(f"unknown genome kind {spec.kind!r}")
     return spec
-
-
-@dataclass(eq=False)
-class Individual:
-    """One survivor in a run snapshot: its genes as users see them
-    (labels for categorical genomes) and its fitness."""
-
-    genes: np.ndarray
-    fitness: float
 
 
 def seed_population(spec: GeneSpec, size: int,

@@ -147,6 +147,12 @@ class TestHammingSpread:
                 np.array(list("KKKK"), dtype=object)]
         assert hamming_spread(rows) == 1.0
 
+    def test_strings_match_label_arrays(self):
+        strings = ["EK", "KE", "EE"]
+        labels = [np.array(list(s), dtype=object) for s in strings]
+        assert hamming_spread(strings) == pytest.approx(2 / 3)
+        assert hamming_spread(strings) == hamming_spread(labels)
+
 
 class TestAngularBins:
     def test_all_bins_covered(self):

@@ -12,6 +12,7 @@ from divga import (
     HammingSq,
     LengthMismatchError,
     PopulationTooSmallError,
+    ZeroGenesError,
     default_r0,
     dynamic_sq,
     euclidean_sq,
@@ -90,6 +91,14 @@ class TestHamming:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             hamming_sq("EK", "EKE")
+
+    def test_empty_vectors(self):
+        with pytest.raises(ZeroGenesError):
+            hamming_sq("", "")
+        with pytest.raises(ZeroGenesError):
+            HammingSq()([], [])
+        with pytest.raises(LengthMismatchError):
+            hamming_sq("", "E")
 
 
 class TestGetMeasure:

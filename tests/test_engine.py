@@ -1,5 +1,6 @@
 """Engine runs: reproducibility, bookkeeping, persistence."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from divga import (
     FitnessEvaluationError,
     GeneSpec,
     IllegalMethodError,
+    RunRecord,
     TopN,
     evaluate_population,
     persist,
@@ -33,6 +35,13 @@ from conftest import (
 def quiet(**kwargs) -> EngineConfig:
     kwargs.setdefault("verbosity", 0)
     return EngineConfig(**kwargs)
+
+
+# A numeric and a categorical genome, each with a fitness it accepts.
+both_kinds = pytest.mark.parametrize("spec_name, fitness", [
+    ("numeric_spec", sphere_fitness),
+    ("cat_spec", label_count_fitness),
+], ids=["numeric", "categorical"])
 
 
 class CountingFitness:
@@ -394,12 +403,76 @@ class TestFailureHandling:
         survivors = list(tmp_path.glob("*_survivors.csv"))
         assert len(survivors) == 1
 
+    def test_partial_history_is_consistent(self, numeric_spec):
+        """Call 15 is a child of generation 3: generations 0-2 are kept,
+        each with its mean and best fitness."""
+        calls = []
+
+        def fitness(genes):
+            calls.append(1)
+            if len(calls) == 15:
+                raise ValueError("call 15")
+            return sphere_fitness(genes)
+
+        config = quiet(population_size=4, n_generations=5, seed=0)
+        with pytest.raises(FitnessEvaluationError) as excinfo:
+            run(numeric_spec, fitness, config)
+        record = excinfo.value.partial_record
+        assert record.evaluations == [4, 8, 12]
+        assert len(record.populations) == 3
+        assert len(record.mean_fitness) == len(record.best_fitness) == 3
+
+
+class TestHistory:
+    @both_kinds
+    def test_columns_match_rows_and_trace(self, spec_name, fitness, request):
+        spec = request.getfixturevalue(spec_name)
+        record = run(spec, fitness,
+                     quiet(population_size=6, n_generations=4, seed=3))
+        assert len(record.populations) == 5
+        for g, pop in enumerate(record.populations):
+            assert pop.genes.shape == (6, spec.number_of_genes)
+            assert pop.fitness.shape == (6,)
+            for i in range(len(pop)):
+                np.testing.assert_array_equal(pop.genes[i], pop[i].genes)
+                assert pop.fitness[i] == pop[i].fitness
+            assert record.mean_fitness[g] == np.mean(pop.fitness)
+            assert record.best_fitness[g] == np.max(pop.fitness)
+
+    def test_history_fields(self):
+        assert [f.name for f in dataclasses.fields(RunRecord)] == [
+            "spec", "populations", "evaluations", "termination",
+            "output_files"]
+
+
+class TestLogFile:
+    def test_quiet_run_logs_everything(self, numeric_spec, tmp_path):
+        config = quiet(population_size=4, n_generations=3, seed=0,
+                       output_directory=tmp_path)
+        record = run(numeric_spec, sphere_fitness, config)
+        lines = (tmp_path / "log.txt").read_text().splitlines()
+        assert lines[0].startswith("run started")
+        assert lines[-1].startswith("run finished")
+        generations = [l for l in lines if l.startswith("generation ")]
+        assert [l.split(":")[0] for l in generations] == [
+            f"generation {g}" for g in range(len(record.populations))]
+
+    def test_quiet_abort_is_logged(self, tmp_path):
+        spec = GeneSpec.numeric([(0.5, 1.5)])
+        config = quiet(population_size=4, n_generations=3, seed=1,
+                       output_directory=tmp_path)
+        with pytest.raises(FitnessEvaluationError):
+            run(spec, exploding_fitness, config)
+        lines = (tmp_path / "log.txt").read_text().splitlines()
+        assert lines[-1].startswith("run aborted")
+
 
 class TestPersistence:
-    def run_with_output(self, spec, directory, seed=11):
+    def run_with_output(self, spec, directory, seed=11,
+                        fitness=sphere_fitness):
         config = quiet(population_size=5, n_generations=3, crossover="none",
                        seed=seed, output_directory=directory)
-        return run(spec, sphere_fitness, config)
+        return run(spec, fitness, config)
 
     def test_files_created(self, numeric_spec, tmp_path):
         record = self.run_with_output(numeric_spec, tmp_path)
@@ -449,12 +522,16 @@ class TestPersistence:
         self.run_with_output(numeric_spec, tmp_path, seed=2)
         assert len(list(tmp_path.glob("*_survivors.csv"))) == 2
 
-    def test_standalone_persist_matches_run_output(self, numeric_spec, tmp_path):
-        record = self.run_with_output(numeric_spec, tmp_path / "live")
+    @both_kinds
+    def test_standalone_persist_matches_run_output(self, spec_name, fitness,
+                                                   request, tmp_path):
+        spec = request.getfixturevalue(spec_name)
+        record = self.run_with_output(spec, tmp_path / "live",
+                                      fitness=fitness)
         files = persist(record, tmp_path / "replay")
-        live = record.output_files["survivors"].read_text()
-        replay = files["survivors"].read_text()
-        assert live == replay
+        for key in ("survivors", "fitness"):
+            assert (files[key].read_bytes()
+                    == record.output_files[key].read_bytes())
 
     def test_verbosity_zero_is_silent(self, numeric_spec, capsys):
         config = quiet(population_size=4, n_generations=2, seed=0)
