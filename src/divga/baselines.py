@@ -8,7 +8,7 @@ from heapq import heappush, heappushpop
 
 import numpy as np
 
-from .engine import _BoundFitness, _mean_fitness, evaluate_population
+from .engine import _mean_fitness, evaluate_population
 from .errors import ConfigError, FitnessEvaluationError, PopulationTooSmallError
 from .genome import GeneSpec, seed_population
 
@@ -61,8 +61,7 @@ def _pick_donors(n: int, rng: np.random.Generator) -> np.ndarray:
     return donors + (donors >= np.arange(n)[:, None])
 
 
-def run_de(spec: GeneSpec, fitness, config: DEConfig, *,
-           fitness_args=()) -> DEResult:
+def run_de(spec: GeneSpec, fitness, config: DEConfig) -> DEResult:
     """Classic rand/1/bin differential evolution over a boxed space.
 
     Per target: mutant = a + F * (b - c) from three distinct random
@@ -88,7 +87,6 @@ def run_de(spec: GeneSpec, fitness, config: DEConfig, *,
         raise ConfigError("differential_weight must lie in [0, 2)")
     if not 0.0 <= config.crossover_probability <= 1.0:
         raise ConfigError("crossover_probability must lie in [0, 1]")
-    fitness = _BoundFitness(fitness, fitness_args) if fitness_args else fitness
 
     n = config.population_size
     rng = np.random.default_rng(config.seed)
@@ -143,8 +141,7 @@ class RandomScanTrace:
 
 
 def random_scan(spec: GeneSpec, fitness, total_evaluations: int,
-                keep_best: int, rng: np.random.Generator, *,
-                fitness_args=()) -> RandomScanTrace:
+                keep_best: int, rng: np.random.Generator) -> RandomScanTrace:
     """Sample uniformly, keep the best points seen so far.
 
     Draws total_evaluations points in one seed_population batch (the
@@ -156,7 +153,6 @@ def random_scan(spec: GeneSpec, fitness, total_evaluations: int,
         raise ConfigError("random scan needs a numeric genome")
     if not 1 <= keep_best <= total_evaluations:
         raise ConfigError("need 1 <= keep_best <= total_evaluations")
-    fitness = _BoundFitness(fitness, fitness_args) if fitness_args else fitness
 
     points = seed_population(spec, total_evaluations, rng)
     values = np.empty(total_evaluations)

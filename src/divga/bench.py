@@ -16,13 +16,7 @@ import numpy as np
 
 from .baselines import DEConfig, random_scan, run_de
 from .distance import HammingSq, mean_pairwise
-from .engine import (
-    DiversityEnhanced,
-    EngineConfig,
-    TopN,
-    _format_real,
-    run,
-)
+from .engine import DiversityEnhanced, EngineConfig, _format_real, run
 from .errors import (
     ConfigError,
     PopulationTooSmallError,
@@ -137,7 +131,7 @@ EXPERIMENTS = (
 )
 
 _OVERRIDE_KEYS = ("population", "generations", "repetitions", "crossover",
-                  "pairing", "selection", "d0", "r0", "workers")
+                  "pairing", "d0", "r0", "workers")
 
 _DEFAULTS = {
     "landscape-compare": dict(population=200, generations=100, repetitions=10,
@@ -176,24 +170,14 @@ def _mean_sd(values) -> tuple[float, float]:
     return float(arr.mean()), sd
 
 
-def _selection_from(settings):
-    name = settings.get("selection", "diverse")
-    if name == "topn":
-        return TopN()
-    if name != "diverse":
-        raise ConfigError(f"unknown selection {name!r}")
-    d0 = settings.get("d0")
-    return DiversityEnhanced(d0=1.0 if d0 is None else float(d0),
-                             r0=settings.get("r0"))
-
-
 def _ga_config(settings, seed: int) -> EngineConfig:
     return EngineConfig(
         population_size=settings["population"],
         n_generations=settings["generations"],
         crossover=settings.get("crossover"),
         pairing=settings.get("pairing", "random"),
-        selection=_selection_from(settings),
+        selection=DiversityEnhanced(d0=settings.get("d0", 1.0),
+                                    r0=settings.get("r0")),
         seed=seed,
         parallel_workers=settings.get("workers", 0),
         verbosity=0,

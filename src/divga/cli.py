@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import EXPERIMENTS, run_experiment
+from .bench import _OVERRIDE_KEYS, EXPERIMENTS, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,11 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pairing", default=None,
                         choices=("all", "random"),
                         help="parent pairing strategy")
-    parser.add_argument("--selection", default=None,
-                        choices=("diverse", "topn"),
-                        help="survivor selection method")
     parser.add_argument("--d0", type=float, default=None,
-                        help="diversity penalty amplitude")
+                        help="diversity penalty amplitude; 0 selects the "
+                             "top n by raw fitness")
     parser.add_argument("--r0", type=float, default=None,
                         help="diversity penalty radius")
     parser.add_argument("--workers", type=int, default=None,
@@ -51,17 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "population": args.population,
-        "generations": args.generations,
-        "repetitions": args.repetitions,
-        "crossover": args.crossover,
-        "pairing": args.pairing,
-        "selection": args.selection,
-        "d0": args.d0,
-        "r0": args.r0,
-        "workers": args.workers,
-    }
+    overrides = {key: getattr(args, key) for key in _OVERRIDE_KEYS}
     try:
         report = run_experiment(args.experiment, overrides=overrides,
                                 seed=args.seed, output_directory=args.out)

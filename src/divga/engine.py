@@ -20,8 +20,10 @@ A run writes three files into its output directory when one is given:
     log.txt                           the run log, whatever the verbosity (appended)
 
 Both CSVs are UTF-8 with LF line endings, reals carry 17 significant
-digits, and rows are appended and flushed as each generation completes,
-so a crashed run leaves generations finished so far on disk.
+digits, a label holding a comma, a double quote or a line break is
+quoted as the csv module quotes it, and rows are appended and flushed
+as each generation completes, so a crashed run leaves generations
+finished so far on disk.
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ class DiversityEnhanced:
     the decay radius of exp(-r^2 / r0^2), a distance (the square root of
     the measure's units). r0 None means one tenth of the root mean
     squared distance between the individuals of the initial population
-    (1.0 for categorical genomes). measure is a name, a DistanceMeasure,
-    a callable (a, b) -> squared distance on the genes the fitness sees,
-    or None for the kind default, Euclidean or Hamming.
+    (1.0 for categorical genomes, and at d0 = 0, where r0 has no effect
+    and selection is top-N by raw fitness). measure is a name, a
+    DistanceMeasure, a callable (a, b) -> squared distance on the genes
+    the fitness sees, or None for the kind default, Euclidean or Hamming.
     """
 
     d0: float = 1.0
@@ -89,7 +92,7 @@ class DiversityEnhanced:
         if isinstance(measure, CustomMeasure):
             _warn_if_asymmetric(measure, spec.decode(genes[:3]))
         r0 = self.r0
-        if r0 is None and spec.is_numeric:
+        if r0 is None and spec.is_numeric and self.d0 > 0:
             r0 = default_r0(genes, measure)
             if r0 <= 0.0:
                 warnings.warn(
@@ -109,11 +112,6 @@ def _warn_if_asymmetric(measure, rows):
 
 
 @dataclass
-class TopN:
-    """Plain truncation selection on raw fitness, best first."""
-
-
-@dataclass
 class EngineConfig:
     """Everything a run needs besides the genome spec and the fitness.
 
@@ -127,8 +125,9 @@ class EngineConfig:
             pairs per generation.
         mutation: MutationConfig, or None for per-kind defaults with
             rate 1/number_of_genes.
-        selection: DiversityEnhanced (default) or TopN; the strings
-            "diverse" and "topn" are accepted shorthand.
+        selection: DiversityEnhanced, the one selection type;
+            DiversityEnhanced(d0=0) is plain truncation on raw fitness
+            (top-N).
         fitness_threshold: stop once the best survivor reaches this.
         seed: seed for the single run-wide random generator.
         parallel_workers: 0 evaluates fitness sequentially, otherwise
@@ -286,6 +285,15 @@ def _format_real(x) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_text(label) -> str:
+    """str(label), quoted as csv's minimal quoting does when it holds a
+    comma, a double quote or a line break."""
+    text = str(label)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 class _RunLog:
     """Writes every line to log.txt and prints those within verbosity."""
 
@@ -329,7 +337,8 @@ class RunWriter:
         gene_names = ",".join(f"g{k + 1}" for k in range(spec.number_of_genes))
         self._survivors.write(f"generation,index,fitness,{gene_names}\n")
         self._fitness.write("generation,evaluations,mean_fitness,best_fitness\n")
-        self._cell = _format_real if spec.is_numeric else str
+        self._cell = (_format_real if spec.is_numeric else
+                      {c: _csv_text(c) for c in spec.categories}.__getitem__)
 
     def append(self, generation: int, population, evaluations: int):
         """Write one RunRecord snapshot and its fitness row."""
@@ -367,23 +376,6 @@ def persist(record: RunRecord, directory: str | Path) -> dict:
             "log": log_path}
 
 
-def _resolve_selection(selection, spec: GeneSpec, genes: np.ndarray):
-    """The run's resolved DiversityEnhanced, or None for TopN."""
-    if isinstance(selection, str):
-        name = selection.lower()
-        if name in ("diverse", "diversity"):
-            selection = DiversityEnhanced()
-        elif name in ("topn", "top_n", "fitness"):
-            selection = TopN()
-        else:
-            raise ConfigError(f"unknown selection method {selection!r}")
-    if isinstance(selection, TopN):
-        return None
-    if not isinstance(selection, DiversityEnhanced):
-        raise ConfigError(f"unknown selection method {selection!r}")
-    return selection.resolve(spec, genes)
-
-
 def _validate_config(config: EngineConfig, spec: GeneSpec):
     if config.population_size < 2:
         raise ConfigError("population_size must be at least 2")
@@ -395,6 +387,9 @@ def _validate_config(config: EngineConfig, spec: GeneSpec):
         raise ConfigError("parallel_workers cannot be negative")
     if config.verbosity not in (0, 1, 2):
         raise ConfigError("verbosity must be 0, 1 or 2")
+    if not isinstance(config.selection, DiversityEnhanced):
+        raise ConfigError(f"selection must be a DiversityEnhanced, not "
+                          f"{config.selection!r}")
 
 
 def run(spec: GeneSpec, fitness, config: EngineConfig, *,
@@ -403,7 +398,9 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
 
     fitness maps one gene vector (a label array for categorical genomes)
     to a real number; extra fixed arguments can be bound through
-    fitness_args. init_genes seeds part of the initial population. A
+    fitness_args. init_genes seeds part of the initial population. The
+    selection is resolved against the initial genes before any fitness
+    call or output file, so a bad configuration costs neither. A
     fitness of NaN, a non-number or a raised exception aborts the run
     and raises FitnessEvaluationError with the partial record attached.
     Infinite fitness is accepted: in selection -inf ranks last and +inf
@@ -411,7 +408,8 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
     unpicklable fitness with parallel_workers > 0 raises ConfigError, an
     unwritable output directory OSError, and a generation whose best
     survivor is worse than the previous best (a broken elitism
-    guarantee) RuntimeError.
+    guarantee) RuntimeError. Any exception that ends the run is logged
+    as "run aborted" before it propagates.
     """
     validate_spec(spec)
     _validate_config(config, spec)
@@ -423,18 +421,15 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
 
     rng = np.random.default_rng(config.seed)
     genes = seed_population(spec, n, rng, init_genes)
+    diversity = config.selection.resolve(spec, genes)
     values = np.empty(n)
 
     out_dir = Path(config.output_directory) if config.output_directory else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     log = _RunLog(out_dir, config.verbosity)
-    writer = RunWriter(out_dir, spec) if out_dir is not None else None
+    writer = None
     record = RunRecord(spec=spec, termination=ABORTED)
-    if writer is not None:
-        record.output_files = {"survivors": writer.survivors_path,
-                               "fitness": writer.fitness_path,
-                               "log": out_dir / "log.txt"}
 
     def snapshot(generation, genes, values, cumulative):
         decoded = spec.decode(genes)
@@ -449,19 +444,19 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
                     f"mean={_mean_fitness(values):.6g} evaluations={cumulative}")
         return best
 
-    log.line(1, f"run started: population={n} "
-                f"generations={config.n_generations} crossover={crossover} "
-                f"pairing={config.pairing} seed={config.seed}")
     try:
+        if out_dir is not None:
+            writer = RunWriter(out_dir, spec)
+            record.output_files = {"survivors": writer.survivors_path,
+                                   "fitness": writer.fitness_path,
+                                   "log": out_dir / "log.txt"}
+        log.line(1, f"run started: population={n} "
+                    f"generations={config.n_generations} crossover={crossover} "
+                    f"pairing={config.pairing} seed={config.seed}")
+        log.line(1, f"selection: diversity-enhanced, d0={diversity.d0:g}, "
+                    f"r0={diversity.r0:g}, measure={diversity.measure.name}")
         cumulative = evaluate_population(spec.decode(genes), bound, values,
                                          workers)
-        diversity = _resolve_selection(config.selection, spec, genes)
-        if diversity is not None:
-            log.line(1, f"selection: diversity-enhanced, d0={diversity.d0:g}, "
-                        f"r0={diversity.r0:g}, measure={diversity.measure.name}")
-        else:
-            log.line(1, "selection: top-n on raw fitness")
-
         best = snapshot(0, genes, values, cumulative)
         working = np.empty(n)
         record.termination = GENERATIONS_EXHAUSTED
@@ -472,8 +467,10 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
             pool_values = np.concatenate([values, np.empty(len(children))])
             cumulative += evaluate_population(spec.decode(children), bound,
                                               pool_values[n:], workers)
-            if diversity is None:
+            if diversity.d0 == 0.0:
+                # No penalties: the same picks as select_diverse, by argsort.
                 picks = select_top_n(pool_values, n)
+                working[:] = pool_values[picks]
             else:
                 # Hamming compares codes; any other measure sees the genes
                 # the fitness sees.
@@ -486,10 +483,9 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
             best = snapshot(generation, genes, values, cumulative)
             if config.verbosity >= 2:
                 for rank, ind in enumerate(record.populations[-1]):
-                    note = ("" if diversity is None
-                            else f" working={working[rank]:.6g}")
                     log.line(2, f"  survivor {rank}: fitness={ind.fitness:.6g}"
-                                f"{note} genes={list(ind.genes)}")
+                                f" working={working[rank]:.6g}"
+                                f" genes={list(ind.genes)}")
             if best < previous_best:
                 raise RuntimeError(
                     f"elitist selection lost the best individual: best "
@@ -502,10 +498,11 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
         log.line(1, f"run finished: {record.termination} after "
                     f"{len(record.populations) - 1} generations, "
                     f"{cumulative} evaluations")
-    except FitnessEvaluationError as exc:
+    except BaseException as exc:
         record.termination = ABORTED
-        exc.partial_record = record
-        log.line(1, f"run aborted: {exc}")
+        if isinstance(exc, FitnessEvaluationError):
+            exc.partial_record = record
+        log.line(1, f"run aborted: {type(exc).__name__}: {exc}")
         raise
     finally:
         if writer is not None:

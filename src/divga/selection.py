@@ -10,7 +10,9 @@ new survivor:
 Candidates sitting on top of an already chosen survivor lose the full
 d0, candidates far away lose nothing. Penalties accumulate over the
 picks of one selection pass and are discarded afterwards. With d0 = 0
-the procedure degenerates to plain truncation selection.
+the procedure degenerates to plain truncation selection (top-N), and
+the engine runs DiversityEnhanced(d0=0) as select_top_n: the same
+picks from one stable argsort.
 
 Both selectors take the whole candidate pool as arrays (a gene matrix
 and a fitness vector, one row per candidate) and return the indices of

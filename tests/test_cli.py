@@ -40,7 +40,7 @@ class TestMain:
 
     def test_selection_and_penalty_flags(self, tmp_path):
         code = main(["circle", "--repetitions", "1", "--generations", "3",
-                     "--population", "12", "--selection", "topn",
+                     "--population", "12", "--d0", "0",
                      "--out", str(tmp_path)])
         assert code == 0
         code = main(["circle", "--repetitions", "1", "--generations", "3",

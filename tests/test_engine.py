@@ -1,5 +1,6 @@
 """Engine runs: reproducibility, bookkeeping, persistence."""
 
+import csv
 import dataclasses
 import warnings
 
@@ -14,7 +15,6 @@ from divga import (
     GeneSpec,
     IllegalMethodError,
     RunRecord,
-    TopN,
     evaluate_population,
     persist,
     run,
@@ -137,7 +137,7 @@ class TestRunBasics:
 
     def test_best_fitness_never_degrades_under_top_n(self, numeric_spec):
         config = quiet(population_size=10, n_generations=20, seed=9,
-                       selection=TopN())
+                       selection=DiversityEnhanced(d0=0))
         record = run(numeric_spec, sphere_fitness, config)
         best = record.best_fitness
         assert all(b >= a for a, b in zip(best, best[1:]))
@@ -209,7 +209,8 @@ class TestRunBasics:
         assert len(seen) > 6 * 3
         assert all(set(genes.tolist()) <= {"E", "K"} for genes in seen)
 
-    @pytest.mark.parametrize("selection", ["diverse", "topn"])
+    @pytest.mark.parametrize("selection", [
+        DiversityEnhanced(), DiversityEnhanced(d0=0)], ids=["diverse", "topn"])
     @pytest.mark.parametrize("infinity", [float("-inf"), float("inf")])
     def test_infinite_fitness_ranks_at_the_ends(self, numeric_spec,
                                                selection, infinity):
@@ -233,29 +234,48 @@ class TestRunBasics:
         assert mixed > 0
 
     def test_elitism_check_survives_optimisation(self, numeric_spec,
-                                                monkeypatch):
-        """A selection that loses the best individual stops the run."""
+                                                monkeypatch, tmp_path):
+        """A selection that loses the best individual stops the run, and
+        the abort, not only a fitness failure's, ends log.txt."""
         select_top_n = divga.engine.select_top_n
         monkeypatch.setattr(divga.engine, "select_top_n",
                             lambda fitness, count:
                             select_top_n(fitness, count + 1)[1:])
         config = quiet(population_size=6, n_generations=3, seed=2,
-                       selection=TopN())
-        with pytest.raises(RuntimeError, match="elitist"):
+                       selection=DiversityEnhanced(d0=0),
+                       output_directory=tmp_path)
+        with pytest.raises(RuntimeError, match="elitist") as excinfo:
             run(numeric_spec, sphere_fitness, config)
+        assert not hasattr(excinfo.value, "partial_record")
+        lines = (tmp_path / "log.txt").read_text().splitlines()
+        assert lines[-1].startswith("run aborted: RuntimeError: elitist")
+
+    def test_zero_d0_runs_top_n(self, numeric_spec, monkeypatch):
+        """d0 = 0 selects by argsort; select_diverse is never called."""
+        calls = []
+        select_top_n = divga.engine.select_top_n
+
+        def counting_top_n(fitness, count):
+            calls.append(count)
+            return select_top_n(fitness, count)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("select_diverse called at d0 = 0")
+
+        monkeypatch.setattr(divga.engine, "select_top_n", counting_top_n)
+        monkeypatch.setattr(divga.engine, "select_diverse", forbidden)
+        run(numeric_spec, sphere_fitness,
+            quiet(population_size=6, n_generations=3, seed=2,
+                  selection=DiversityEnhanced(d0=0)))
+        assert calls == [6, 6, 6]
 
     def test_topn_selection(self, numeric_spec):
         config = quiet(population_size=8, n_generations=5, seed=3,
-                       selection=TopN())
+                       selection=DiversityEnhanced(d0=0))
         record = run(numeric_spec, sphere_fitness, config)
         final = record.final_population
         assert final[0].fitness == max(ind.fitness for ind in final)
 
-    def test_selection_strings_accepted(self, numeric_spec):
-        for name in ("topn", "diverse"):
-            config = quiet(population_size=6, n_generations=2, seed=3,
-                           selection=name)
-            run(numeric_spec, sphere_fitness, config)
 
 
 class TestRunValidation:
@@ -284,10 +304,32 @@ class TestRunValidation:
             run(cat_spec, label_count_fitness,
                 quiet(population_size=4, n_generations=1, crossover="midpoint"))
 
-    def test_unknown_selection(self, numeric_spec):
-        with pytest.raises(ConfigError):
-            run(numeric_spec, sphere_fitness,
-                quiet(population_size=4, n_generations=1, selection="roulette"))
+    def test_unknown_selection(self, numeric_spec, tmp_path):
+        """Rejected before any fitness call or output file."""
+        fitness = CountingFitness()
+        out = tmp_path / "out"
+        for selection in ("roulette", "topn", None):
+            with pytest.raises(ConfigError, match="DiversityEnhanced"):
+                run(numeric_spec, fitness,
+                    quiet(population_size=50, n_generations=1,
+                          selection=selection, output_directory=out))
+        assert fitness.calls == 0
+        assert not out.exists()
+
+    def test_raising_measure_costs_no_fitness_call_or_file(self, numeric_spec,
+                                                           tmp_path):
+        def broken(a, b):
+            raise ValueError("no distance")
+
+        fitness = CountingFitness()
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="no distance"):
+            run(numeric_spec, fitness,
+                quiet(population_size=6, n_generations=1,
+                      selection=DiversityEnhanced(measure=broken),
+                      output_directory=out))
+        assert fitness.calls == 0
+        assert not out.exists()
 
 
 class TestReproducibility:
@@ -335,6 +377,14 @@ class TestDiversityResolution:
         config = quiet(population_size=4, n_generations=1, seed=0)
         with pytest.warns(UserWarning, match="no spread"):
             run(numeric_spec, sphere_fitness, config, init_genes=same)
+
+    def test_top_n_skips_default_r0(self, numeric_spec):
+        """At d0 = 0 r0 has no effect: no pairwise pass, no warning."""
+        same = np.full((4, 3), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resolved = DiversityEnhanced(d0=0).resolve(numeric_spec, same)
+        assert resolved.r0 == 1.0
 
     def test_explicit_r0_and_d0(self, numeric_spec):
         config = quiet(population_size=6, n_generations=2, seed=0,
@@ -516,6 +566,22 @@ class TestPersistence:
         lines = record.output_files["survivors"].read_text().splitlines()
         first = lines[1].split(",")
         assert set(first[3:]) <= {"E", "K"}
+
+    def test_labels_needing_quotes_read_back(self, tmp_path):
+        """Labels with a comma, a quote or a line break are quoted as
+        csv.writer quotes them, so csv.reader gives the labels back."""
+        spec = GeneSpec.categorical(("a,b", 'say "hi"', "two\nlines", "p"), 3)
+        config = quiet(population_size=4, n_generations=2, seed=0,
+                       output_directory=tmp_path)
+        record = run(spec, lambda genes: float(list(genes).count("p")),
+                     config)
+        with open(record.output_files["survivors"], encoding="utf-8",
+                  newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["generation", "index", "fitness", "g1", "g2", "g3"]
+        written = [genes.tolist() for pop in record.populations
+                   for genes in pop.genes]
+        assert [row[3:] for row in rows[1:]] == written
 
     def test_same_directory_twice_keeps_both_runs(self, numeric_spec, tmp_path):
         self.run_with_output(numeric_spec, tmp_path, seed=1)
