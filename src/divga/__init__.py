@@ -25,10 +25,7 @@ from .distance import (
     EuclideanSq,
     HammingSq,
     default_r0,
-    dynamic_sq,
-    euclidean_sq,
     get_measure,
-    hamming_sq,
 )
 from .engine import (
     DiversityEnhanced,
@@ -38,25 +35,9 @@ from .engine import (
     persist,
     run,
 )
-from .errors import (
-    ConfigError,
-    CountExceedsPoolError,
-    DivgaError,
-    EmptyRangeError,
-    FitnessEvaluationError,
-    IllegalMethodError,
-    LengthMismatchError,
-    MixedKindsError,
-    PopulationTooSmallError,
-    ShapeMismatchError,
-    TooFewCategoriesError,
-    UnevaluatedCandidateError,
-    UnknownExperimentError,
-    UnknownLabelError,
-    ZeroGenesError,
-)
+from .errors import ConfigError, DivgaError, FitnessEvaluationError
 from .genome import GeneSpec, seed_population
-from .selection import diversity_penalty, select_diverse, select_top_n
+from .selection import select_diverse, select_top_n
 from .variation import MutationConfig, crossover, make_pairs, mutate, produce_offspring
 
 __version__ = "0.1.0"
@@ -64,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchmarkReport",
     "ConfigError",
-    "CountExceedsPoolError",
     "DEConfig",
     "DEResult",
     "DistanceMeasure",
@@ -72,37 +52,22 @@ __all__ = [
     "DivgaError",
     "DynamicSq",
     "EXPERIMENTS",
-    "EmptyRangeError",
     "EngineConfig",
     "EuclideanSq",
     "FitnessEvaluationError",
     "GeneSpec",
     "HammingSq",
-    "IllegalMethodError",
-    "LengthMismatchError",
-    "MixedKindsError",
     "MutationConfig",
-    "PopulationTooSmallError",
     "RandomScanTrace",
     "RunRecord",
-    "ShapeMismatchError",
-    "TooFewCategoriesError",
-    "UnevaluatedCandidateError",
-    "UnknownExperimentError",
-    "UnknownLabelError",
-    "ZeroGenesError",
     "angular_bin_occupancy",
     "calculate_scd",
     "circle_fitness",
     "crossover",
     "default_r0",
-    "diversity_penalty",
-    "dynamic_sq",
-    "euclidean_sq",
     "evaluate_population",
     "get_measure",
     "hamming_spread",
-    "hamming_sq",
     "landscape_fitness",
     "make_pairs",
     "mutate",

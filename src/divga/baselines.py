@@ -9,7 +9,7 @@ from heapq import heappush, heappushpop
 import numpy as np
 
 from .engine import _mean_fitness, evaluate_population
-from .errors import ConfigError, FitnessEvaluationError, PopulationTooSmallError
+from .errors import ConfigError, FitnessEvaluationError
 from .genome import GeneSpec, seed_population
 
 
@@ -81,8 +81,11 @@ def run_de(spec: GeneSpec, fitness, config: DEConfig) -> DEResult:
     if not spec.is_numeric:
         raise ConfigError("differential evolution needs a numeric genome")
     if config.population_size < 4:
-        raise PopulationTooSmallError(
-            "rand/1 mutation needs at least four individuals")
+        raise ConfigError("rand/1 mutation needs at least four individuals")
+    if config.n_generations < 1:
+        raise ConfigError("n_generations must be positive")
+    if config.parallel_workers < 0:
+        raise ConfigError("parallel_workers cannot be negative")
     if not 0.0 <= config.differential_weight < 2.0:
         raise ConfigError("differential_weight must lie in [0, 2)")
     if not 0.0 <= config.crossover_probability <= 1.0:

@@ -17,12 +17,7 @@ import numpy as np
 from .baselines import DEConfig, random_scan, run_de
 from .distance import HammingSq, mean_pairwise
 from .engine import DiversityEnhanced, EngineConfig, _format_real, run
-from .errors import (
-    ConfigError,
-    PopulationTooSmallError,
-    UnknownExperimentError,
-    UnknownLabelError,
-)
+from .errors import ConfigError
 from .genome import GeneSpec
 
 CHARGES = {"K": 1.0, "E": -1.0}
@@ -53,7 +48,7 @@ def _charge_vector(sequence) -> np.ndarray:
         try:
             charges[k] = CHARGES[label]
         except (KeyError, TypeError):
-            raise UnknownLabelError(f"no charge defined for label {label!r}")
+            raise ConfigError(f"no charge defined for label {label!r}")
     return charges
 
 
@@ -67,7 +62,7 @@ def calculate_scd(sequence) -> float:
     q = _charge_vector(sequence)
     n = len(q)
     if n == 0:
-        raise UnknownLabelError("empty sequence")
+        raise ConfigError("empty sequence")
     a, b = np.triu_indices(n, k=1)
     return float(np.sum(q[a] * q[b] * np.sqrt(b - a)) / n)
 
@@ -87,7 +82,7 @@ def spread(points) -> float:
     pts = np.asarray(list(points), dtype=float)
     n = len(pts)
     if n < 2:
-        raise PopulationTooSmallError("spread needs at least two points")
+        raise ConfigError("spread needs at least two points")
     diff = pts[:, None, :] - pts[None, :, :]
     dists = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     iu = np.triu_indices(n, k=1)
@@ -441,7 +436,7 @@ def run_experiment(name: str, overrides: dict | None = None, seed: int = 0,
     the whole experiment.
     """
     if name not in _EXPERIMENT_FNS:
-        raise UnknownExperimentError(
+        raise ConfigError(
             f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}")
     settings = _apply_overrides(dict(_DEFAULTS[name]), overrides)
     rows, aggregates, lines = _EXPERIMENT_FNS[name](settings, seed)

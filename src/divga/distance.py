@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatchError, PopulationTooSmallError, ZeroGenesError
+from .errors import ConfigError
 from .genome import CATEGORICAL, GeneSpec
-
-DEFAULT_EPSILON = 1e-15
 
 
 def _check_lengths(a, b):
     if len(a) != len(b):
-        raise LengthMismatchError(
+        raise ConfigError(
             f"gene vectors differ in length: {len(a)} vs {len(b)}")
 
 
@@ -61,9 +59,7 @@ class DynamicSq(DistanceMeasure):
     """
 
     name = "dynamic"
-
-    def __init__(self, epsilon: float = DEFAULT_EPSILON):
-        self.epsilon = epsilon
+    epsilon = 1e-15
 
     def to_point(self, matrix, point):
         scale = np.abs(matrix) + np.abs(point) + self.epsilon
@@ -80,7 +76,7 @@ class HammingSq(DistanceMeasure):
 
     def __call__(self, a, b) -> float:
         if len(a) == len(b) == 0:
-            raise ZeroGenesError("empty gene vectors")
+            raise ConfigError("empty gene vectors")
         return super().__call__(a, b)
 
     def to_point(self, matrix, point):
@@ -99,21 +95,6 @@ class CustomMeasure(DistanceMeasure):
 
     def to_point(self, matrix, point):
         return np.array([self(row, point) for row in matrix])
-
-
-def euclidean_sq(a, b) -> float:
-    """Sum of squared per-gene differences."""
-    return EuclideanSq()(a, b)
-
-
-def dynamic_sq(a, b, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Scale-normalized squared distance (see DynamicSq)."""
-    return DynamicSq(epsilon)(a, b)
-
-
-def hamming_sq(a, b) -> float:
-    """Fraction of positions at which the two label vectors disagree."""
-    return HammingSq()(a, b)
 
 
 _NAMED = {
@@ -139,7 +120,7 @@ def get_measure(measure, spec: GeneSpec | None = None) -> DistanceMeasure:
         return CustomMeasure(measure)
     name = str(measure).lower()
     if name not in _NAMED:
-        raise ValueError(
+        raise ConfigError(
             f"unknown distance measure {measure!r}; "
             f"choose from {sorted(_NAMED)} or pass a callable")
     return _NAMED[name]()
@@ -159,7 +140,7 @@ def mean_pairwise(rows: np.ndarray, measure: DistanceMeasure) -> float:
     """Mean of measure over all unordered pairs of distinct rows."""
     n = len(rows)
     if n < 2:
-        raise PopulationTooSmallError("need at least two rows to pair")
+        raise ConfigError("need at least two rows to pair")
     total = 0.0
     for i in range(n - 1):
         total += float(np.sum(measure.to_point(rows[i + 1:], rows[i])))

@@ -461,8 +461,8 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
         working = np.empty(n)
         record.termination = GENERATIONS_EXHAUSTED
         for generation in range(1, config.n_generations + 1):
-            children = produce_offspring(genes, crossover, config.pairing,
-                                         mutation, rng)
+            children = produce_offspring(genes, spec, crossover,
+                                         config.pairing, mutation, rng)
             pool_genes = np.concatenate([genes, children])
             pool_values = np.concatenate([values, np.empty(len(children))])
             cumulative += evaluate_population(spec.decode(children), bound,

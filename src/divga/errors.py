@@ -1,8 +1,14 @@
 """Exception types raised by the library.
 
-Validation problems are ValueErrors so that callers who do not care about
-the fine-grained class can catch the builtin. Fitness evaluation failures
-are RuntimeErrors because they happen mid-run, not at configuration time.
+There are two kinds of failure, under one base class DivgaError:
+
+- ConfigError, a ValueError: bad input or configuration (a genome
+  spec, a gene vector, a run or selection setting, an experiment name,
+  an unpicklable fitness), raised before or instead of the work it
+  would spoil;
+- FitnessEvaluationError, a RuntimeError: the user fitness raised or
+  returned a non-number mid-run; it carries the index of the failing
+  individual and the history collected so far.
 """
 
 
@@ -10,56 +16,8 @@ class DivgaError(Exception):
     """Base class for all library errors."""
 
 
-class EmptyRangeError(DivgaError, ValueError):
-    """A numeric gene range has lower bound >= upper bound."""
-
-
-class MixedKindsError(DivgaError, ValueError):
-    """A genome specification mixes numeric ranges with categories."""
-
-
-class TooFewCategoriesError(DivgaError, ValueError):
-    """A categorical genome was given fewer than two distinct labels."""
-
-
-class ZeroGenesError(DivgaError, ValueError):
-    """A genome specification declares no genes."""
-
-
-class ShapeMismatchError(DivgaError, ValueError):
-    """A gene vector does not match the genome specification."""
-
-
-class PopulationTooSmallError(DivgaError, ValueError):
-    """An operation needs more individuals than the population holds."""
-
-
-class IllegalMethodError(DivgaError, ValueError):
-    """A crossover or mutation method is not legal for the genome kind."""
-
-
-class LengthMismatchError(DivgaError, ValueError):
-    """Two gene vectors passed to a distance measure differ in length."""
-
-
-class CountExceedsPoolError(DivgaError, ValueError):
-    """More survivors were requested than there are candidates."""
-
-
-class UnevaluatedCandidateError(DivgaError, ValueError):
-    """Selection was attempted on individuals without fitness values."""
-
-
 class ConfigError(DivgaError, ValueError):
-    """A run configuration value is out of its legal domain."""
-
-
-class UnknownLabelError(DivgaError, ValueError):
-    """A sequence contains a label with no defined charge."""
-
-
-class UnknownExperimentError(DivgaError, ValueError):
-    """An experiment name does not match any registered benchmark."""
+    """An input or configuration value is out of its legal domain."""
 
 
 class FitnessEvaluationError(DivgaError, RuntimeError):

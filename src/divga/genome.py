@@ -14,18 +14,13 @@ label vectors into codes.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyRangeError,
-    MixedKindsError,
-    ShapeMismatchError,
-    TooFewCategoriesError,
-    ZeroGenesError,
-)
+from .errors import ConfigError
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -80,8 +75,8 @@ class GeneSpec:
         """Gene matrix of the given gene vectors, one row each.
 
         Numeric vectors become float rows; label vectors become rows of
-        codes into categories. Raises ShapeMismatchError when a vector
-        has the wrong length, or holds a non-number or an unknown label.
+        codes into categories. Raises ConfigError when a vector has the
+        wrong length, or holds a non-number or an unknown label.
         """
         try:
             if self.is_numeric:
@@ -92,7 +87,7 @@ class GeneSpec:
                                   for row in rows], dtype=np.intp)
             return genes.reshape(len(rows), self.number_of_genes)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ShapeMismatchError(
+            raise ConfigError(
                 f"not a vector of {self.number_of_genes} genes of this "
                 f"genome: {exc!r}")
 
@@ -109,35 +104,36 @@ def validate_spec(spec: GeneSpec) -> GeneSpec:
     """Check a GeneSpec and return it unchanged, or raise.
 
     Raises:
-        MixedKindsError: both ranges and categories given, or kind
-            inconsistent with the populated fields.
-        ZeroGenesError: no genes declared.
-        EmptyRangeError: some numeric range has lower >= upper.
-        TooFewCategoriesError: fewer than two distinct labels.
+        ConfigError: both ranges and categories given, or kind
+            inconsistent with the populated fields; no genes declared;
+            a numeric range not finite or with lower >= upper; fewer
+            than two distinct labels.
     """
     if spec.numeric_ranges is not None and spec.categories is not None:
-        raise MixedKindsError("genome cannot be both numeric and categorical")
+        raise ConfigError("genome cannot be both numeric and categorical")
     if spec.kind == NUMERIC:
         if spec.numeric_ranges is None:
-            raise MixedKindsError("numeric genome needs numeric_ranges")
+            raise ConfigError("numeric genome needs numeric_ranges")
         if spec.number_of_genes < 1 or len(spec.numeric_ranges) < 1:
-            raise ZeroGenesError("genome must have at least one gene")
+            raise ConfigError("genome must have at least one gene")
         if len(spec.numeric_ranges) != spec.number_of_genes:
-            raise ShapeMismatchError(
+            raise ConfigError(
                 "number_of_genes does not match the number of ranges")
         for lo, hi in spec.numeric_ranges:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(f"gene range ({lo}, {hi}) is not finite")
             if not lo < hi:
-                raise EmptyRangeError(f"empty gene range ({lo}, {hi})")
+                raise ConfigError(f"empty gene range ({lo}, {hi})")
     elif spec.kind == CATEGORICAL:
         if spec.categories is None:
-            raise MixedKindsError("categorical genome needs categories")
+            raise ConfigError("categorical genome needs categories")
         if spec.number_of_genes < 1:
-            raise ZeroGenesError("genome must have at least one gene")
+            raise ConfigError("genome must have at least one gene")
         if len(set(spec.categories)) < 2:
-            raise TooFewCategoriesError(
+            raise ConfigError(
                 "categorical genome needs at least two distinct labels")
     else:
-        raise MixedKindsError(f"unknown genome kind {spec.kind!r}")
+        raise ConfigError(f"unknown genome kind {spec.kind!r}")
     return spec
 
 
@@ -153,7 +149,7 @@ def seed_population(spec: GeneSpec, size: int,
     """
     validate_spec(spec)
     if size < 1:
-        raise ValueError("population size must be positive")
+        raise ConfigError("population size must be positive")
     given = list(init_genes) if init_genes is not None else []
     if len(given) > size:
         warnings.warn(

@@ -27,35 +27,17 @@ from __future__ import annotations
 import numpy as np
 
 from .distance import get_measure
-from .errors import (
-    ConfigError,
-    CountExceedsPoolError,
-    ShapeMismatchError,
-    UnevaluatedCandidateError,
-)
+from .errors import ConfigError
 
 
 def _checked_fitness(fitness, count: int) -> np.ndarray:
     fitness = np.asarray(fitness, dtype=float)
     if count > len(fitness):
-        raise CountExceedsPoolError(
+        raise ConfigError(
             f"asked for {count} survivors from {len(fitness)} candidates")
     if np.isnan(fitness).any():
-        raise UnevaluatedCandidateError("a candidate has no fitness value")
+        raise ConfigError("a candidate has no fitness value")
     return fitness
-
-
-def _measure_and_r0(diversity):
-    if diversity.r0 is None:
-        raise ConfigError("r0 is not set; give it or resolve the selection "
-                          "against a population first")
-    return get_measure(diversity.measure), diversity.r0
-
-
-def diversity_penalty(a, b, diversity) -> float:
-    """Penalty a candidate with genes a receives from a survivor at b."""
-    measure, r0 = _measure_and_r0(diversity)
-    return diversity.d0 * float(np.exp(-measure(a, b) / r0 ** 2))
 
 
 def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
@@ -71,10 +53,13 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
     """
     work = _checked_fitness(fitness, count).copy()
     if len(genes) != len(work):
-        raise ShapeMismatchError(
+        raise ConfigError(
             f"{len(genes)} gene rows for {len(work)} fitness values")
-    measure, r0 = _measure_and_r0(diversity)
-    inv_r0_sq = 1.0 / r0 ** 2
+    if diversity.r0 is None:
+        raise ConfigError("r0 is not set; give it or resolve the selection "
+                          "against a population first")
+    measure = get_measure(diversity.measure)
+    inv_r0_sq = 1.0 / diversity.r0 ** 2
     alive = np.ones(len(work), dtype=bool)
     picks = np.empty(count, dtype=np.intp)
     for k in range(count):

@@ -25,11 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    IllegalMethodError,
-    PopulationTooSmallError,
-)
+from .errors import ConfigError
 from .genome import GeneSpec
 
 MIDPOINT = "midpoint"
@@ -54,15 +50,13 @@ class MutationConfig:
     """Per-gene mutation settings.
 
     rate None resolves to 1 / number_of_genes, mode None to "additive"
-    for numeric genomes and "categorical" for categorical ones. The spec
-    supplies gene ranges (additive noise scale is one tenth of the range
-    width) and the category set. Mutated numeric genes may leave their
-    initial ranges unless clip_to_ranges is set.
+    for numeric genomes and "categorical" for categorical ones. Mutated
+    numeric genes may leave their initial ranges unless clip_to_ranges
+    is set.
     """
 
     rate: float | None = None
     mode: str | None = None
-    spec: GeneSpec | None = None
     clip_to_ranges: bool = False
 
 
@@ -85,7 +79,7 @@ def resolve_mutation(config: MutationConfig | None,
         raise ConfigError("categorical mutation needs a categorical genome")
     if not spec.is_numeric and mode != CATEGORICAL_MODE:
         raise ConfigError("categorical genomes only support categorical mutation")
-    return replace(config, rate=rate, mode=mode, spec=spec)
+    return replace(config, rate=rate, mode=mode)
 
 
 def resolve_crossover(method: str | None, spec: GeneSpec) -> str:
@@ -95,9 +89,9 @@ def resolve_crossover(method: str | None, spec: GeneSpec) -> str:
     if method is None:
         return BETWEEN if spec.is_numeric else EITHER_OR
     if method not in CROSSOVER_METHODS:
-        raise IllegalMethodError(f"unknown crossover method {method!r}")
+        raise ConfigError(f"unknown crossover method {method!r}")
     if not spec.is_numeric and method in (MIDPOINT, BETWEEN):
-        raise IllegalMethodError(
+        raise ConfigError(
             f"{method} crossover is undefined for categorical genomes")
     return method
 
@@ -116,7 +110,7 @@ def crossover(parents_a: np.ndarray, parents_b: np.ndarray, method: str,
     midpoint and between only make sense on numeric genes.
     """
     if method not in CROSSOVER_METHODS:
-        raise IllegalMethodError(f"unknown crossover method {method!r}")
+        raise ConfigError(f"unknown crossover method {method!r}")
     a, b = parents_a, parents_b
     if method == NONE:
         return a.copy()
@@ -127,20 +121,19 @@ def crossover(parents_a: np.ndarray, parents_b: np.ndarray, method: str,
     return rng.uniform(np.minimum(a, b), np.maximum(a, b))
 
 
-def mutate(genes: np.ndarray, config: MutationConfig,
+def mutate(genes: np.ndarray, spec: GeneSpec, config: MutationConfig | None,
            rng: np.random.Generator) -> np.ndarray:
-    """Return a mutated copy of a gene matrix.
+    """Return a mutated copy of a gene matrix of the genome spec.
 
-    Each gene independently mutates with probability config.rate.
-    Additive mutation adds Gaussian noise with sigma one tenth of the
-    gene's range width, multiplicative scales by N(1, 0.5), random picks
-    one of the two per mutated gene with equal probability, categorical
-    redraws the code uniformly from the full category set (so it can
-    redraw the current label).
+    config is resolved against spec first (see resolve_mutation; None
+    means the defaults). Each gene independently mutates with
+    probability config.rate. Additive mutation adds Gaussian noise with
+    sigma one tenth of the gene's range width, multiplicative scales by
+    N(1, 0.5), random picks one of the two per mutated gene with equal
+    probability, categorical redraws the code uniformly from the full
+    category set (so it can redraw the current label).
     """
-    spec = config.spec
-    if spec is None:
-        raise ConfigError("mutation config is not bound to a genome spec")
+    config = resolve_mutation(config, spec)
     genes = genes.copy()
     fires = rng.random(genes.shape) < config.rate
     if config.mode == CATEGORICAL_MODE:
@@ -175,7 +168,7 @@ def make_pairs(n: int, strategy: str, rng: np.random.Generator) -> np.ndarray:
     independently and with replacement across draws.
     """
     if n < 2:
-        raise PopulationTooSmallError("pairing needs at least two parents")
+        raise ConfigError("pairing needs at least two parents")
     if strategy == ALL_PAIRS:
         return np.column_stack(np.triu_indices(n, k=1))
     if strategy != RANDOM_PAIRS:
@@ -185,8 +178,8 @@ def make_pairs(n: int, strategy: str, rng: np.random.Generator) -> np.ndarray:
     return np.column_stack([first, second + (second >= first)])
 
 
-def produce_offspring(genes: np.ndarray, method: str, strategy: str,
-                      mutation: MutationConfig,
+def produce_offspring(genes: np.ndarray, spec: GeneSpec, method: str | None,
+                      strategy: str, mutation: MutationConfig | None,
                       rng: np.random.Generator) -> np.ndarray:
     """One generation's children as a gene matrix, crossed and mutated.
 
@@ -195,11 +188,9 @@ def produce_offspring(genes: np.ndarray, method: str, strategy: str,
     Otherwise the pairing strategy decides the number of children:
     n(n-1)/2 for "all", n for "random".
     """
-    if mutation.spec is None:
-        raise ConfigError("mutation config is not bound to a genome spec")
-    method = resolve_crossover(method, mutation.spec)
+    method = resolve_crossover(method, spec)
     if method == NONE:
-        return mutate(genes, mutation, rng)
+        return mutate(genes, spec, mutation, rng)
     pairs = make_pairs(len(genes), strategy, rng)
     children = crossover(genes[pairs[:, 0]], genes[pairs[:, 1]], method, rng)
-    return mutate(children, mutation, rng)
+    return mutate(children, spec, mutation, rng)

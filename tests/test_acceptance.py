@@ -15,10 +15,9 @@ from divga import (
     DiversityEnhanced,
     EngineConfig,
     GeneSpec,
+    HammingSq,
     calculate_scd,
     default_r0,
-    diversity_penalty,
-    hamming_sq,
     run,
     run_experiment,
     select_diverse,
@@ -133,11 +132,19 @@ class TestAcceptance:
 
     def test_criterion_7_measure_units(self):
         """Penalty at zero distance, Hamming value, SCD and r0 oracles."""
+        def zero_distance_working(d0, r0):
+            """Pick-time working fitness of a fitness-0 candidate that
+            coincides with the first survivor: 0 - penalty(r=0)."""
+            working = np.empty(2)
+            select_diverse(np.array([[0.3, -0.7], [0.3, -0.7]]),
+                           np.zeros(2), 2, DiversityEnhanced(d0=d0, r0=r0),
+                           working)
+            return working[1]
+
         penalty_exact = all(
-            diversity_penalty(np.array([0.3, -0.7]), np.array([0.3, -0.7]),
-                              DiversityEnhanced(d0=d0, r0=r0)) == d0
+            zero_distance_working(d0, r0) == -d0
             for d0, r0 in ((1.0, 1.0), (2.5, 0.3), (0.17, 4.0)))
-        hamming_exact = hamming_sq("EK", "KE") == 1.0
+        hamming_exact = HammingSq()("EK", "KE") == 1.0
 
         rng = np.random.default_rng(11)
         scd_worst = 0.0
@@ -168,7 +175,7 @@ class TestAcceptance:
         ok = penalty_exact and hamming_exact and scd_ok and r0_ok
         report(7, ok,
                f"penalty(r=0) == d0 exactly: {penalty_exact}, "
-               f"hamming_sq('EK','KE') == 1: {hamming_exact}, "
+               f"HammingSq()('EK','KE') == 1: {hamming_exact}, "
                f"scd oracle max rel err {scd_worst:.2e} (< 1e-12), "
                f"default_r0 oracle max rel err {r0_worst:.2e} (< 1e-12)")
 
@@ -199,11 +206,11 @@ class TestAcceptance:
         rng = np.random.default_rng(0)
         population = seed_population(spec, 350, rng)
         mutation = resolve_mutation(None, spec)
-        n_all = len(produce_offspring(population, "between", "all",
+        n_all = len(produce_offspring(population, spec, "between", "all",
                                       mutation, rng))
-        n_random = len(produce_offspring(population, "between", "random",
-                                         mutation, rng))
-        n_none = len(produce_offspring(population, "none", "random",
+        n_random = len(produce_offspring(population, spec, "between",
+                                         "random", mutation, rng))
+        n_none = len(produce_offspring(population, spec, "none", "random",
                                        mutation, rng))
         ok = n_all == 61075 and n_random == 350 and n_none == 350
         report(9, ok,

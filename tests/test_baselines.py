@@ -11,7 +11,6 @@ from divga import (
     DEResult,
     FitnessEvaluationError,
     GeneSpec,
-    PopulationTooSmallError,
     random_scan,
     run_de,
     seed_population,
@@ -112,7 +111,8 @@ class TestRunDE:
         np.testing.assert_array_equal(a.fitness, b.fitness)
 
     def test_population_too_small(self):
-        with pytest.raises(PopulationTooSmallError):
+        with pytest.raises(ConfigError,
+                           match="needs at least four individuals"):
             run_de(self.spec(), sphere_fitness,
                    DEConfig(population_size=3, n_generations=1))
 
@@ -131,6 +131,27 @@ class TestRunDE:
             with pytest.raises(ConfigError):
                 run_de(self.spec(), sphere_fitness,
                        DEConfig(population_size=8, n_generations=1, **kwargs))
+
+    def test_run_settings_validated_as_in_run(self):
+        """run's n_generations and parallel_workers checks and messages."""
+        calls = []
+
+        def counting(genes):
+            calls.append(1)
+            return 0.0
+
+        for generations in (0, -3):
+            with pytest.raises(ConfigError,
+                               match="n_generations must be positive"):
+                run_de(self.spec(), counting,
+                       DEConfig(population_size=8, n_generations=generations,
+                                parallel_workers=-2))
+        with pytest.raises(ConfigError,
+                           match="parallel_workers cannot be negative"):
+            run_de(self.spec(), counting,
+                   DEConfig(population_size=8, n_generations=1,
+                            parallel_workers=-2))
+        assert calls == []
 
     def test_zero_weight_full_crossover_is_greedy_shuffle(self):
         # F=0 with CR=1 makes every trial a copy of some existing vector,

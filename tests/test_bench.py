@@ -7,9 +7,6 @@ import numpy as np
 import pytest
 
 from divga import (
-    PopulationTooSmallError,
-    UnknownExperimentError,
-    UnknownLabelError,
     angular_bin_occupancy,
     calculate_scd,
     circle_fitness,
@@ -88,7 +85,8 @@ class TestCalculateSCD:
                 brute_force_scd(seq), rel=1e-12)
 
     def test_unknown_label(self):
-        with pytest.raises(UnknownLabelError):
+        with pytest.raises(ConfigError,
+                           match="no charge defined for label 'X'"):
             calculate_scd("EKX")
 
     def test_accepts_object_arrays(self):
@@ -133,7 +131,8 @@ class TestSpread:
         assert spread(pts) == pytest.approx(total / pairs, rel=1e-12)
 
     def test_too_few(self):
-        with pytest.raises(PopulationTooSmallError):
+        with pytest.raises(ConfigError,
+                           match="spread needs at least two points"):
             spread([[0.0, 0.0]])
 
 
@@ -170,7 +169,8 @@ class TestAngularBins:
 
 class TestRunExperiment:
     def test_unknown_name(self):
-        with pytest.raises(UnknownExperimentError):
+        with pytest.raises(ConfigError,
+                           match="unknown experiment 'no-such-thing'"):
             run_experiment("no-such-thing")
 
     def test_unknown_override(self):

@@ -6,18 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divga import (
+    ConfigError,
     DynamicSq,
     EuclideanSq,
     GeneSpec,
     HammingSq,
-    LengthMismatchError,
-    PopulationTooSmallError,
-    ZeroGenesError,
     default_r0,
-    dynamic_sq,
-    euclidean_sq,
     get_measure,
-    hamming_sq,
     seed_population,
 )
 
@@ -28,15 +23,15 @@ finite_vectors = st.lists(
 
 class TestEuclidean:
     def test_known_value(self):
-        assert euclidean_sq([0, 0], [3, 4]) == 25.0
+        assert EuclideanSq()([0, 0], [3, 4]) == 25.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            euclidean_sq([1, 2], [1, 2, 3])
+        with pytest.raises(ConfigError, match="gene vectors differ in length"):
+            EuclideanSq()([1, 2], [1, 2, 3])
 
     @given(finite_vectors)
     def test_identity(self, vec):
-        assert euclidean_sq(vec, vec) == 0.0
+        assert EuclideanSq()(vec, vec) == 0.0
 
     @given(st.data())
     @settings(max_examples=50)
@@ -45,60 +40,61 @@ class TestEuclidean:
         b = data.draw(st.lists(
             st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
             min_size=len(a), max_size=len(a)))
-        assert euclidean_sq(a, b) >= 0.0
-        assert euclidean_sq(a, b) == euclidean_sq(b, a)
+        assert EuclideanSq()(a, b) >= 0.0
+        assert EuclideanSq()(a, b) == EuclideanSq()(b, a)
 
 
 class TestDynamic:
     def test_scale_normalization(self):
         """A fixed relative offset scores the same at any magnitude."""
-        large = dynamic_sq([1000.0], [999.0])
-        small = dynamic_sq([1.0], [0.999])
+        large = DynamicSq()([1000.0], [999.0])
+        small = DynamicSq()([1.0], [0.999])
         assert large == pytest.approx(2.5e-7, rel=1e-2)
         assert small == pytest.approx(large, rel=1e-2)
 
     def test_epsilon_guards_zero(self):
-        assert dynamic_sq([0.0], [0.0]) == 0.0
+        assert DynamicSq.epsilon == 1e-15
+        assert DynamicSq()([0.0], [0.0]) == 0.0
 
     def test_scale_invariance(self, rng):
         for _ in range(50):
             a = rng.uniform(-5, 5, size=4)
             b = rng.uniform(-5, 5, size=4)
             c = rng.uniform(0.1, 100)
-            assert dynamic_sq(c * a, c * b) == pytest.approx(
-                dynamic_sq(a, b), rel=1e-9)
+            assert DynamicSq()(c * a, c * b) == pytest.approx(
+                DynamicSq()(a, b), rel=1e-9)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            dynamic_sq([1], [1, 2])
+        with pytest.raises(ConfigError, match="gene vectors differ in length"):
+            DynamicSq()([1], [1, 2])
 
 
 class TestHamming:
     def test_known_values(self):
-        assert hamming_sq("AAB", "ABB") == pytest.approx(1 / 3)
-        assert hamming_sq("EK", "KE") == 1.0
-        assert hamming_sq("EEEE", "EEEE") == 0.0
+        assert HammingSq()("AAB", "ABB") == pytest.approx(1 / 3)
+        assert HammingSq()("EK", "KE") == 1.0
+        assert HammingSq()("EEEE", "EEEE") == 0.0
 
     def test_bounds(self, rng):
         for _ in range(100):
             n = rng.integers(1, 20)
             a = rng.choice(["E", "K"], size=n)
             b = rng.choice(["E", "K"], size=n)
-            d = hamming_sq(a, b)
+            d = HammingSq()(a, b)
             assert 0.0 <= d <= 1.0
-            assert d == hamming_sq(b, a)
+            assert d == HammingSq()(b, a)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            hamming_sq("EK", "EKE")
+        with pytest.raises(ConfigError, match="gene vectors differ in length"):
+            HammingSq()("EK", "EKE")
 
     def test_empty_vectors(self):
-        with pytest.raises(ZeroGenesError):
-            hamming_sq("", "")
-        with pytest.raises(ZeroGenesError):
+        with pytest.raises(ConfigError, match="empty gene vectors"):
+            HammingSq()("", "")
+        with pytest.raises(ConfigError, match="empty gene vectors"):
             HammingSq()([], [])
-        with pytest.raises(LengthMismatchError):
-            hamming_sq("", "E")
+        with pytest.raises(ConfigError, match="gene vectors differ in length"):
+            HammingSq()("", "E")
 
 
 class TestGetMeasure:
@@ -118,7 +114,7 @@ class TestGetMeasure:
         assert measure([0], [1]) == 7.0
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown distance measure"):
+        with pytest.raises(ConfigError, match="unknown distance measure"):
             get_measure("manhattan")
 
 
@@ -156,7 +152,8 @@ class TestDefaultR0:
         assert default_r0(np.zeros((4, 2)), EuclideanSq()) == 0.0
 
     def test_too_small(self):
-        with pytest.raises(PopulationTooSmallError):
+        with pytest.raises(ConfigError,
+                           match="need at least two rows to pair"):
             default_r0(np.zeros((1, 2)), EuclideanSq())
 
     def test_matches_double_loop(self, rng):

@@ -13,7 +13,6 @@ from divga import (
     EngineConfig,
     FitnessEvaluationError,
     GeneSpec,
-    IllegalMethodError,
     RunRecord,
     evaluate_population,
     persist,
@@ -300,7 +299,8 @@ class TestRunValidation:
                 quiet(population_size=4, n_generations=1, verbosity=7))
 
     def test_categorical_midpoint_rejected(self, cat_spec):
-        with pytest.raises(IllegalMethodError):
+        with pytest.raises(ConfigError, match="midpoint crossover is "
+                           "undefined for categorical genomes"):
             run(cat_spec, label_count_fitness,
                 quiet(population_size=4, n_generations=1, crossover="midpoint"))
 
@@ -313,6 +313,22 @@ class TestRunValidation:
                 run(numeric_spec, fitness,
                     quiet(population_size=50, n_generations=1,
                           selection=selection, output_directory=out))
+        assert fitness.calls == 0
+        assert not out.exists()
+
+    def test_unknown_measure(self, numeric_spec, tmp_path):
+        """An unknown measure name is a ConfigError, raised before any
+        fitness call or output file."""
+        fitness = CountingFitness()
+        out = tmp_path / "out"
+        for d0 in (1.0, 0.0):
+            with pytest.raises(ConfigError,
+                               match="unknown distance measure 'manhattan'"):
+                run(numeric_spec, fitness,
+                    quiet(population_size=50, n_generations=1,
+                          selection=DiversityEnhanced(d0=d0,
+                                                      measure="manhattan"),
+                          output_directory=out))
         assert fitness.calls == 0
         assert not out.exists()
 

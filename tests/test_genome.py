@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from divga import (
-    EmptyRangeError,
-    GeneSpec,
-    MixedKindsError,
-    ShapeMismatchError,
-    TooFewCategoriesError,
-    ZeroGenesError,
-    seed_population,
-)
+from divga import ConfigError, GeneSpec, seed_population
 from divga.genome import validate_spec
 
 
@@ -29,28 +21,37 @@ class TestGeneSpec:
         assert spec.number_of_genes == 5
 
     def test_empty_range_rejected(self):
-        with pytest.raises(EmptyRangeError):
+        with pytest.raises(ConfigError, match="empty gene range"):
             GeneSpec.numeric([(-1, 1), (2, 2)])
-        with pytest.raises(EmptyRangeError):
+        with pytest.raises(ConfigError, match="empty gene range"):
             GeneSpec.numeric([(5, 3)])
 
+    @pytest.mark.parametrize("bounds", [(-np.inf, np.inf), (0.0, np.inf),
+                                        (-np.inf, 0.0), (np.nan, 1.0)],
+                             ids=["both", "upper", "lower", "nan"])
+    def test_non_finite_range_rejected(self, bounds):
+        with pytest.raises(ConfigError, match="is not finite"):
+            GeneSpec.numeric([bounds, (0, 1)])
+
     def test_zero_genes_rejected(self):
-        with pytest.raises(ZeroGenesError):
+        with pytest.raises(ConfigError,
+                           match="genome must have at least one gene"):
             GeneSpec.numeric([])
-        with pytest.raises(ZeroGenesError):
+        with pytest.raises(ConfigError,
+                           match="genome must have at least one gene"):
             GeneSpec.categorical("EK", 0)
 
     def test_too_few_categories(self):
-        with pytest.raises(TooFewCategoriesError):
+        with pytest.raises(ConfigError, match="at least two distinct labels"):
             GeneSpec.categorical(["E"], 5)
         # duplicates do not count as distinct labels
-        with pytest.raises(TooFewCategoriesError):
+        with pytest.raises(ConfigError, match="at least two distinct labels"):
             GeneSpec.categorical(["E", "E"], 5)
 
     def test_mixed_kinds_rejected(self):
         mixed = GeneSpec("numeric", numeric_ranges=((0.0, 1.0),),
                          categories=("E", "K"), number_of_genes=1)
-        with pytest.raises(MixedKindsError):
+        with pytest.raises(ConfigError, match="both numeric and categorical"):
             validate_spec(mixed)
 
     def test_range_widths(self):
@@ -125,15 +126,21 @@ class TestSeedPopulation:
         assert len(pop) == 5
 
     def test_init_genes_wrong_length(self, numeric_spec, cat_spec, rng):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ConfigError, match="not a vector of 3 genes"):
             seed_population(numeric_spec, 3, rng, init_genes=[[0.1, 0.2]])
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ConfigError, match="not a vector of 8 genes"):
             seed_population(cat_spec, 3, rng, init_genes=[["E"] * 7])
 
     def test_init_genes_unknown_label(self, cat_spec, rng):
         bad = [["E"] * 7 + ["X"]]
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ConfigError, match="not a vector of 8 genes"):
             seed_population(cat_spec, 3, rng, init_genes=bad)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_size_below_one(self, numeric_spec, rng, size):
+        with pytest.raises(ConfigError,
+                           match="population size must be positive"):
+            seed_population(numeric_spec, size, rng)
 
     def test_extra_init_genes_truncated_with_warning(self, numeric_spec, rng):
         vectors = [[0.0, 0.0, 0.0], [0.1, 0.1, 0.1], [0.2, 0.2, 0.2]]

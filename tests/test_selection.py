@@ -8,15 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divga import (
-    CountExceedsPoolError,
+    ConfigError,
     DiversityEnhanced,
     HammingSq,
-    UnevaluatedCandidateError,
-    diversity_penalty,
     select_diverse,
     select_top_n,
 )
-from divga.errors import ConfigError
 
 
 def brute_force_diverse(genes_rows, fitness_values, count, d0, r0):
@@ -42,17 +39,26 @@ def picks(genes, fitness, count, d0=1.0, r0=1.0, measure=None):
                           selection).tolist()
 
 
+def penalty_from(survivor, candidate, selection):
+    """Penalty select_diverse takes off candidate when survivor is picked:
+    the pick-time working fitness of a fitness-0 candidate, negated."""
+    working = np.empty(2)
+    select_diverse(np.array([survivor, candidate], dtype=float),
+                   np.array([1.0, 0.0]), 2, selection, working)
+    return -working[1]
+
+
 class TestDiversityPenalty:
     def test_full_penalty_at_zero_distance(self):
-        a = np.array([1.0, 2.0])
-        assert diversity_penalty(a, a, DiversityEnhanced(d0=2.5, r0=0.3)) == 2.5
+        a = [1.0, 2.0]
+        assert penalty_from(a, a, DiversityEnhanced(d0=2.5, r0=0.3)) == 2.5
 
     def test_decays_with_distance(self):
         config = DiversityEnhanced(d0=1.0, r0=1.0)
-        origin, near, far = np.zeros(1), np.array([0.1]), np.array([3.0])
-        assert diversity_penalty(origin, near, config) > \
-            diversity_penalty(origin, far, config)
-        assert diversity_penalty(origin, far, config) == pytest.approx(
+        origin, near, far = [0.0], [0.1], [3.0]
+        assert penalty_from(origin, near, config) > \
+            penalty_from(origin, far, config)
+        assert penalty_from(origin, far, config) == pytest.approx(
             math.exp(-9.0))
 
     def test_config_validation(self):
@@ -62,9 +68,10 @@ class TestDiversityPenalty:
             DiversityEnhanced(d0=math.inf)
         with pytest.raises(ConfigError):
             DiversityEnhanced(r0=0.0)
-        # r0 left unset must be resolved before the penalty can be taken
-        with pytest.raises(ConfigError):
-            diversity_penalty(np.zeros(1), np.zeros(1), DiversityEnhanced())
+        # r0 left unset must be resolved before selection can penalize
+        with pytest.raises(ConfigError, match="r0 is not set"):
+            select_diverse(np.zeros((2, 1)), np.zeros(2), 1,
+                           DiversityEnhanced())
 
 
 class TestSelectDiverse:
@@ -159,11 +166,13 @@ class TestSelectDiverse:
         np.testing.assert_array_equal(fitness, fitness_before)
 
     def test_count_exceeds_pool(self):
-        with pytest.raises(CountExceedsPoolError):
+        with pytest.raises(ConfigError,
+                           match="asked for 2 survivors from 1 candidates"):
             picks([[0.0]], [1.0], 2)
 
     def test_unevaluated_candidate(self):
-        with pytest.raises(UnevaluatedCandidateError):
+        with pytest.raises(ConfigError,
+                           match="a candidate has no fitness value"):
             picks([[0.0], [1.0]], [1.0, np.nan], 1)
 
     def test_survivors_distinct(self, rng):
@@ -192,11 +201,13 @@ class TestSelectTopN:
         assert select_top_n(np.array([2.0, 2.0, 2.0]), 2).tolist() == [0, 1]
 
     def test_count_exceeds_pool(self):
-        with pytest.raises(CountExceedsPoolError):
+        with pytest.raises(ConfigError,
+                           match="asked for 5 survivors from 1 candidates"):
             select_top_n(np.array([1.0]), 5)
 
     def test_unevaluated(self):
-        with pytest.raises(UnevaluatedCandidateError):
+        with pytest.raises(ConfigError,
+                           match="a candidate has no fitness value"):
             select_top_n(np.array([np.nan]), 1)
 
 

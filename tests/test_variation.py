@@ -6,9 +6,7 @@ import pytest
 from divga import (
     ConfigError,
     GeneSpec,
-    IllegalMethodError,
     MutationConfig,
-    PopulationTooSmallError,
     crossover,
     make_pairs,
     mutate,
@@ -42,7 +40,8 @@ class TestMakePairs:
             assert ((0 <= pairs) & (pairs < 7)).all()
 
     def test_too_small(self, rng):
-        with pytest.raises(PopulationTooSmallError):
+        with pytest.raises(ConfigError,
+                           match="pairing needs at least two parents"):
             make_pairs(1, "all", rng)
 
     def test_unknown_strategy(self, rng):
@@ -97,12 +96,15 @@ class TestCrossover:
         spec, mutation = categorical_mutation()
         genes = spec.encode([["E", "E"], ["K", "K"]])
         for method in ("midpoint", "between"):
-            with pytest.raises(IllegalMethodError):
-                produce_offspring(genes, method, "random", mutation, rng)
+            with pytest.raises(ConfigError, match=f"{method} crossover is "
+                               "undefined for categorical genomes"):
+                produce_offspring(genes, spec, method, "random", mutation,
+                                  rng)
 
     def test_unknown_method(self, rng):
         a, b = numeric_parents()
-        with pytest.raises(IllegalMethodError):
+        with pytest.raises(ConfigError,
+                           match="unknown crossover method 'uniform'"):
             crossover(a, b, "uniform", rng)
 
 
@@ -112,7 +114,7 @@ class TestResolveMutation:
         cfg = resolve_mutation(None, spec)
         assert cfg.rate == pytest.approx(0.2)
         assert cfg.mode == "additive"
-        assert cfg.spec is spec
+        assert cfg.clip_to_ranges is False
 
     def test_categorical_default_mode(self):
         spec = GeneSpec.categorical("EK", 4)
@@ -139,13 +141,27 @@ class TestMutate:
         spec = GeneSpec.numeric([(0, 10)] * 3)
         cfg = resolve_mutation(MutationConfig(rate=0.0), spec)
         genes = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        np.testing.assert_array_equal(mutate(genes, cfg, rng), genes)
+        np.testing.assert_array_equal(mutate(genes, spec, cfg, rng), genes)
+
+    def test_unresolved_config_resolved_against_spec(self):
+        """None and an unresolved MutationConfig mean the kind defaults."""
+        spec = GeneSpec.numeric([(0.0, 10.0)] * 4)
+        genes = np.full((50, 4), 5.0)
+        resolved = resolve_mutation(None, spec)
+        expected = mutate(genes, spec, resolved, np.random.default_rng(3))
+        for config in (None, MutationConfig()):
+            np.testing.assert_array_equal(
+                mutate(genes, spec, config, np.random.default_rng(3)),
+                expected)
+        with pytest.raises(ConfigError, match="mutation rate 2.0"):
+            mutate(genes, spec, MutationConfig(rate=2.0),
+                   np.random.default_rng(3))
 
     def test_additive_noise_scale(self, rng):
         """Range width 10 gives sigma 1; check sample mean and std."""
         spec = GeneSpec.numeric([(0.0, 10.0)])
         cfg = resolve_mutation(MutationConfig(rate=1.0, mode="additive"), spec)
-        draws = mutate(np.full((10_000, 1), 5.0), cfg, rng)[:, 0]
+        draws = mutate(np.full((10_000, 1), 5.0), spec, cfg, rng)[:, 0]
         assert abs(draws.mean() - 5.0) < 0.05
         assert 0.9 < draws.std() < 1.1
 
@@ -153,7 +169,7 @@ class TestMutate:
         spec = GeneSpec.numeric([(0.0, 10.0)])
         cfg = resolve_mutation(
             MutationConfig(rate=1.0, mode="multiplicative"), spec)
-        draws = mutate(np.full((10_000, 1), 4.0), cfg, rng)[:, 0]
+        draws = mutate(np.full((10_000, 1), 4.0), spec, cfg, rng)[:, 0]
         # 4 * N(1, 0.5) has mean 4 and standard deviation 2
         assert abs(draws.mean() - 4.0) < 0.1
         assert 1.9 < draws.std() < 2.1
@@ -161,7 +177,7 @@ class TestMutate:
     def test_random_mode_mixes_both(self, rng):
         spec = GeneSpec.numeric([(0.0, 10.0)])
         cfg = resolve_mutation(MutationConfig(rate=1.0, mode="random"), spec)
-        draws = mutate(np.full((10_000, 1), 4.0), cfg, rng)[:, 0]
+        draws = mutate(np.full((10_000, 1), 4.0), spec, cfg, rng)[:, 0]
         assert abs(draws.mean() - 4.0) < 0.1
         # variance is the average of the additive and multiplicative cases
         expected_std = np.sqrt((1.0 + 4.0) / 2)
@@ -172,26 +188,27 @@ class TestMutate:
         spec = GeneSpec.categorical(("E", "K"), 1)
         cfg = resolve_mutation(MutationConfig(rate=1.0), spec)
         start = spec.encode([["E"]] * 10_000)
-        labels = spec.decode(mutate(start, cfg, rng))[:, 0].tolist()
+        labels = spec.decode(mutate(start, spec, cfg, rng))[:, 0].tolist()
         fraction_k = labels.count("K") / len(labels)
         assert 0.47 < fraction_k < 0.53
 
     def test_not_clipped_by_default(self, rng):
         spec = GeneSpec.numeric([(0.0, 1.0)])
         cfg = resolve_mutation(MutationConfig(rate=1.0, mode="additive"), spec)
-        assert (mutate(np.full((200, 1), 0.99), cfg, rng) > 1.0).any()
+        assert (mutate(np.full((200, 1), 0.99), spec, cfg, rng) > 1.0).any()
 
     def test_clip_to_ranges(self, rng):
         spec = GeneSpec.numeric([(0.0, 1.0)])
         cfg = resolve_mutation(
             MutationConfig(rate=1.0, mode="additive", clip_to_ranges=True), spec)
-        out = mutate(np.full((200, 1), 0.99), cfg, rng)
+        out = mutate(np.full((200, 1), 0.99), spec, cfg, rng)
         assert ((0.0 <= out) & (out <= 1.0)).all()
 
     def test_partial_rate_leaves_some_genes(self, rng):
         spec = GeneSpec.numeric([(0.0, 10.0)] * 50)
         cfg = resolve_mutation(MutationConfig(rate=0.1, mode="additive"), spec)
-        changed = (mutate(np.full((500, 50), 5.0), cfg, rng) != 5.0).sum(axis=1)
+        out = mutate(np.full((500, 50), 5.0), spec, cfg, rng)
+        changed = (out != 5.0).sum(axis=1)
         # mean changed genes near 50 * 0.1 = 5
         assert 4.0 < changed.mean() < 6.0
 
@@ -200,9 +217,12 @@ class TestProduceOffspring:
     def test_counts_by_mode(self, rng, numeric_spec):
         pop = seed_population(numeric_spec, 10, rng)
         mutation = resolve_mutation(None, numeric_spec)
-        none = produce_offspring(pop, "none", "random", mutation, rng)
-        random_pairs = produce_offspring(pop, "between", "random", mutation, rng)
-        all_pairs = produce_offspring(pop, "between", "all", mutation, rng)
+        spec = numeric_spec
+        none = produce_offspring(pop, spec, "none", "random", mutation, rng)
+        random_pairs = produce_offspring(pop, spec, "between", "random",
+                                         mutation, rng)
+        all_pairs = produce_offspring(pop, spec, "between", "all", mutation,
+                                      rng)
         assert none.shape == (10, 3)
         assert random_pairs.shape == (10, 3)
         assert all_pairs.shape == (45, 3)
@@ -212,7 +232,8 @@ class TestProduceOffspring:
         for spec, method in ((numeric_spec, "midpoint"), (cat_spec, "eitheror")):
             pop = seed_population(spec, 6, rng)
             mutation = resolve_mutation(None, spec)
-            children = produce_offspring(pop, method, "random", mutation, rng)
+            children = produce_offspring(pop, spec, method, "random", mutation,
+                                         rng)
             assert children.dtype == pop.dtype
             assert children.shape == pop.shape
 
@@ -220,12 +241,15 @@ class TestProduceOffspring:
         pop = seed_population(numeric_spec, 6, rng)
         before = pop.copy()
         mutation = resolve_mutation(MutationConfig(rate=1.0), numeric_spec)
-        produce_offspring(pop, "between", "random", mutation, rng)
-        produce_offspring(pop, "none", "random", mutation, rng)
+        for method in ("between", "none"):
+            produce_offspring(pop, numeric_spec, method, "random", mutation,
+                              rng)
         np.testing.assert_array_equal(pop, before)
 
     def test_unknown_method(self, rng, numeric_spec):
         pop = seed_population(numeric_spec, 4, rng)
         mutation = resolve_mutation(None, numeric_spec)
-        with pytest.raises(IllegalMethodError):
-            produce_offspring(pop, "blend", "random", mutation, rng)
+        with pytest.raises(ConfigError,
+                           match="unknown crossover method 'blend'"):
+            produce_offspring(pop, numeric_spec, "blend", "random", mutation,
+                              rng)
