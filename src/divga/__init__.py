@@ -31,6 +31,7 @@ from .engine import (
     DiversityEnhanced,
     EngineConfig,
     RunRecord,
+    WorkerPool,
     evaluate_population,
     persist,
     run,
@@ -60,6 +61,7 @@ __all__ = [
     "MutationConfig",
     "RandomScanTrace",
     "RunRecord",
+    "WorkerPool",
     "angular_bin_occupancy",
     "calculate_scd",
     "circle_fitness",

@@ -8,7 +8,7 @@ from heapq import heappush, heappushpop
 
 import numpy as np
 
-from .engine import _mean_fitness, evaluate_population
+from .engine import WorkerPool, _check_ints, _mean_fitness, evaluate_population
 from .errors import ConfigError, FitnessEvaluationError
 from .genome import GeneSpec, seed_population
 
@@ -70,6 +70,8 @@ def run_de(spec: GeneSpec, fitness, config: DEConfig) -> DEResult:
     ranges, replaces the target when its fitness is >= the target's.
     Fitness is checked as in run, a failure attaching the DEResult so
     far as partial_record; a population with +inf and -inf has mean NaN.
+    With parallel_workers > 0 one WorkerPool serves every generation
+    and is shut down when run_de returns or raises.
 
     One seeded generator draws generation zero with seed_population,
     then per generation, for all n targets at once and in this order:
@@ -80,6 +82,7 @@ def run_de(spec: GeneSpec, fitness, config: DEConfig) -> DEResult:
     """
     if not spec.is_numeric:
         raise ConfigError("differential evolution needs a numeric genome")
+    _check_ints(config, "population_size", "n_generations", "parallel_workers")
     if config.population_size < 4:
         raise ConfigError("rand/1 mutation needs at least four individuals")
     if config.n_generations < 1:
@@ -96,6 +99,8 @@ def run_de(spec: GeneSpec, fitness, config: DEConfig) -> DEResult:
     genes = seed_population(spec, n, rng)
     values = np.empty(n)
     result = DEResult(genes=genes, fitness=values)
+    workers = (WorkerPool(config.parallel_workers, fitness)
+               if config.parallel_workers > 0 else None)
 
     def record():
         result.mean_fitness.append(_mean_fitness(values))
@@ -103,7 +108,7 @@ def run_de(spec: GeneSpec, fitness, config: DEConfig) -> DEResult:
         result.evaluations.append(result.total_evaluations + n)
 
     try:
-        evaluate_population(genes, fitness, values, config.parallel_workers)
+        evaluate_population(genes, fitness, values, workers)
         record()
         for _ in range(config.n_generations):
             a, b, c = _pick_donors(n, rng).T
@@ -113,8 +118,7 @@ def run_de(spec: GeneSpec, fitness, config: DEConfig) -> DEResult:
             trials = _reflect_into(spec.numeric_ranges,
                                    np.where(take, genes[a] + step, genes))
             trial_values = np.empty(n)
-            evaluate_population(trials, fitness, trial_values,
-                                config.parallel_workers)
+            evaluate_population(trials, fitness, trial_values, workers)
             improved = trial_values >= values
             genes[improved] = trials[improved]
             values[improved] = trial_values[improved]
@@ -122,6 +126,9 @@ def run_de(spec: GeneSpec, fitness, config: DEConfig) -> DEResult:
     except FitnessEvaluationError as exc:
         exc.partial_record = result
         raise
+    finally:
+        if workers is not None:
+            workers.close()
     return result
 
 

@@ -9,6 +9,7 @@ rows plus aggregates that can be recomputed from those rows.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,8 +64,19 @@ def calculate_scd(sequence) -> float:
     n = len(q)
     if n == 0:
         raise ConfigError("empty sequence")
+    a, b, w = _scd_pairs(n)
+    return float(np.sum(q[a] * q[b] * w) / n)
+
+
+@functools.lru_cache(maxsize=128)
+def _scd_pairs(n: int):
+    """Read-only index pairs a < b of a length-n sequence and their
+    weights sqrt(b - a), built once per length."""
     a, b = np.triu_indices(n, k=1)
-    return float(np.sum(q[a] * q[b] * np.sqrt(b - a)) / n)
+    pairs = a, b, np.sqrt(b - a)
+    for array in pairs:
+        array.flags.writeable = False
+    return pairs
 
 
 def scd_fitness(sequence, target_scd: float) -> float:

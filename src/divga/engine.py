@@ -13,6 +13,10 @@ for the whole generation). Fitness evaluation and selection consume no
 randomness, so results are identical whether fitness is computed
 sequentially or on worker processes.
 
+With parallel_workers > 0, run starts one WorkerPool after validating
+its settings and checking that the fitness pickles, evaluates every
+generation on it, and shuts it down when it returns or raises.
+
 A run writes three files into its output directory when one is given:
 
     <YYYYMMDD-HHMMSS>_survivors.csv   generation,index,fitness,g1..gN
@@ -131,7 +135,8 @@ class EngineConfig:
         fitness_threshold: stop once the best survivor reaches this.
         seed: seed for the single run-wide random generator.
         parallel_workers: 0 evaluates fitness sequentially, otherwise
-            the number of worker processes (fitness must be picklable).
+            the number of worker processes, started once per run
+            (fitness must be picklable).
         output_directory: where to write the run files, None disables.
         verbosity: console output: 0 silent, 1 per-generation line,
             2 adds the survivor listing in selection order. log.txt
@@ -234,15 +239,44 @@ def _evaluate_rows(fitness, start: int, rows):
     return values, None
 
 
+class WorkerPool:
+    """The fitness worker processes of one run or run_de call.
+
+    Building it checks that fitness pickles (ConfigError otherwise)
+    before any process starts; the processes start with the first
+    evaluation and serve every later one. close(), or leaving a with
+    block, cancels the chunks not yet started and waits for the running
+    ones.
+    """
+
+    def __init__(self, workers: int, fitness):
+        try:
+            pickle.dumps(fitness)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ConfigError(f"fitness is not picklable: {exc!r}") from exc
+        self.workers = workers
+        self.executor = ProcessPoolExecutor(max_workers=workers)
+
+    def close(self):
+        self.executor.shutdown(cancel_futures=True)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
 def evaluate_population(genes, fitness, values: np.ndarray,
-                        parallel_workers: int = 0) -> int:
+                        pool: WorkerPool | None = None) -> int:
     """Evaluate fitness on every row of genes into values, in index order.
 
-    Returns the number of evaluations, len(genes). With parallel_workers
-    > 0 the rows go to a process pool in chunks (an unpicklable fitness
-    raises ConfigError first); results are committed in index order
-    either way, so the outcome, and the index a FitnessEvaluationError
-    reports, do not depend on the worker count.
+    Returns the number of evaluations, len(genes). With a WorkerPool the
+    rows go to its workers in chunks of max(1, n // (4 * workers)), and
+    a chunk that fails as a whole (a worker died) is reported at the
+    first uncommitted index. Results are committed in index order either
+    way, so the outcome, and the index a FitnessEvaluationError reports,
+    do not depend on the worker count.
     """
     n = len(genes)
     committed = 0
@@ -258,26 +292,21 @@ def evaluate_population(genes, fitness, values: np.ndarray,
                 f"fitness raised {exc!r} for individual {index}",
                 index=index) from exc
 
-    if parallel_workers > 0 and n > 1:
-        try:
-            pickle.dumps(fitness)
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise ConfigError(f"fitness is not picklable: {exc!r}") from exc
-        size = max(1, n // (parallel_workers * 4))
-        with ProcessPoolExecutor(max_workers=parallel_workers) as pool:
-            chunks = [pool.submit(_evaluate_rows, fitness, start,
-                                  genes[start:start + size])
-                      for start in range(0, n, size)]
-            for chunk in chunks:
-                try:
-                    raw, failure = chunk.result()
-                except Exception as exc:
-                    raise FitnessEvaluationError(
-                        f"fitness evaluation failed: {exc!r}",
-                        index=committed) from exc
-                commit(raw, failure)
-    else:
+    if pool is None:
         commit(*_evaluate_rows(fitness, 0, genes))
+        return n
+    size = max(1, n // (4 * pool.workers))
+    chunks = [pool.executor.submit(_evaluate_rows, fitness, start,
+                                   genes[start:start + size])
+              for start in range(0, n, size)]
+    for chunk in chunks:
+        try:
+            raw, failure = chunk.result()
+        except Exception as exc:
+            raise FitnessEvaluationError(
+                f"fitness evaluation failed: {exc!r}",
+                index=committed) from exc
+        commit(raw, failure)
     return n
 
 
@@ -376,7 +405,17 @@ def persist(record: RunRecord, directory: str | Path) -> dict:
             "log": log_path}
 
 
+def _check_ints(config, *names):
+    """ConfigError unless each named setting is a Python or numpy
+    integer; bool is not one."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, not {value!r}")
+
+
 def _validate_config(config: EngineConfig, spec: GeneSpec):
+    _check_ints(config, "population_size", "n_generations", "parallel_workers")
     if config.population_size < 2:
         raise ConfigError("population_size must be at least 2")
     if config.n_generations < 1:
@@ -404,9 +443,11 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
     fitness of NaN, a non-number or a raised exception aborts the run
     and raises FitnessEvaluationError with the partial record attached.
     Infinite fitness is accepted: in selection -inf ranks last and +inf
-    ranks first; survivors holding both record a NaN mean fitness. An
-    unpicklable fitness with parallel_workers > 0 raises ConfigError, an
-    unwritable output directory OSError, and a generation whose best
+    ranks first; survivors holding both record a NaN mean fitness. With
+    parallel_workers > 0 one WorkerPool serves the whole run and is shut
+    down when it returns or raises. An unpicklable fitness with
+    parallel_workers > 0 raises ConfigError before any process starts,
+    an unwritable output directory OSError, and a generation whose best
     survivor is worse than the previous best (a broken elitism
     guarantee) RuntimeError. Any exception that ends the run is logged
     as "run aborted" before it propagates.
@@ -417,7 +458,6 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
     mutation = resolve_mutation(config.mutation, spec)
     bound = _BoundFitness(fitness, fitness_args) if fitness_args else fitness
     n = config.population_size
-    workers = config.parallel_workers
 
     rng = np.random.default_rng(config.seed)
     genes = seed_population(spec, n, rng, init_genes)
@@ -428,7 +468,7 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     log = _RunLog(out_dir, config.verbosity)
-    writer = None
+    writer = workers = None
     record = RunRecord(spec=spec, termination=ABORTED)
 
     def snapshot(generation, genes, values, cumulative):
@@ -445,6 +485,8 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
         return best
 
     try:
+        if config.parallel_workers > 0:
+            workers = WorkerPool(config.parallel_workers, bound)
         if out_dir is not None:
             writer = RunWriter(out_dir, spec)
             record.output_files = {"survivors": writer.survivors_path,
@@ -505,6 +547,8 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
         log.line(1, f"run aborted: {type(exc).__name__}: {exc}")
         raise
     finally:
+        if workers is not None:
+            workers.close()
         if writer is not None:
             writer.close()
         log.close()

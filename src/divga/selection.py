@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distance import get_measure
+from .distance import HammingSq, get_measure
 from .errors import ConfigError
 
 
@@ -48,17 +48,21 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
     (ties broken toward the lowest index), then subtracts the diversity
     penalty around the pick from every candidate; picked rows are
     masked out. When working is given, working[k] receives the working
-    fitness of pick k at the moment it was picked. The inputs are not
-    modified; calling twice on the same pool gives the same result.
+    fitness of pick k at the moment it was picked. A measure of None is
+    the kind default: Hamming for label genes (object or string dtype),
+    Euclidean otherwise. The inputs are not modified; calling twice on
+    the same pool gives the same result.
     """
     work = _checked_fitness(fitness, count).copy()
+    genes = np.asarray(genes)
     if len(genes) != len(work):
         raise ConfigError(
             f"{len(genes)} gene rows for {len(work)} fitness values")
     if diversity.r0 is None:
         raise ConfigError("r0 is not set; give it or resolve the selection "
                           "against a population first")
-    measure = get_measure(diversity.measure)
+    measure = (HammingSq() if diversity.measure is None
+               and genes.dtype.kind in "OSU" else get_measure(diversity.measure))
     inv_r0_sq = 1.0 / diversity.r0 ** 2
     alive = np.ones(len(work), dtype=bool)
     picks = np.empty(count, dtype=np.intp)

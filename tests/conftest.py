@@ -4,9 +4,13 @@ Fitness functions live at module level so process pools can pickle
 them.
 """
 
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+import divga.engine
 from divga import GeneSpec
 
 
@@ -41,6 +45,33 @@ def fails_on_13(genes):
     if genes[0] == 13:
         raise ValueError("individual 13")
     return 0.0
+
+
+def exits_on_half(genes):
+    """Kills the worker process that evaluates a row starting with 0.5."""
+    if genes[0] == 0.5:
+        os._exit(1)
+    return 0.0
+
+
+@pytest.fixture
+def started_pools(monkeypatch):
+    """Every executor divga.engine builds, in order; each records the
+    keyword arguments of its shutdown calls."""
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.shutdowns = []
+            pools.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.shutdowns.append(kwargs)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(divga.engine, "ProcessPoolExecutor", CountingPool)
+    return pools
 
 
 @pytest.fixture

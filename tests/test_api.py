@@ -62,6 +62,33 @@ def _raised_builtins(path):
             yield node.lineno, name
 
 
+def _pool_constructions(node, scope=""):
+    """Enclosing class.function scope of every ProcessPoolExecutor(...)
+    call under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if name == "ProcessPoolExecutor":
+                yield inner
+        yield from _pool_constructions(child, inner)
+
+
+def test_one_process_pool_constructor():
+    """Worker processes start only in WorkerPool, once per run or run_de,
+    so no per-generation pool comes back."""
+    sites = [(path.name, scope)
+             for path in sorted(SOURCE.glob("*.py"))
+             for scope in _pool_constructions(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert sites == [("engine.py", "WorkerPool.__init__")]
+
+
 def test_no_builtin_exceptions_raised():
     """Bad input raises ConfigError, never a bare ValueError, TypeError or
     KeyError, so one except clause catches every library error."""

@@ -17,7 +17,7 @@ from divga import (
 )
 from divga.baselines import _pick_donors, _reflect_into
 
-from conftest import sphere_fitness, sum_fitness
+from conftest import exploding_fitness, sphere_fitness, sum_fitness
 
 
 class TestReflection:
@@ -229,6 +229,47 @@ class TestRunDE:
         config = DEConfig(population_size=6, n_generations=1)
         result = run_de(self.spec(), lambda genes: 1.0, config)
         assert result.mean_fitness == [1.0, 1.0]
+
+    def test_one_pool_per_run(self, started_pools):
+        config = DEConfig(population_size=8, n_generations=5, seed=2,
+                          parallel_workers=2)
+        result = run_de(self.spec(), sphere_fitness, config)
+        assert result.evaluations[-1] == 48
+        assert len(started_pools) == 1
+        assert started_pools[0].shutdowns == [{"cancel_futures": True}]
+
+    def test_no_pool_without_workers(self, started_pools):
+        run_de(self.spec(), sphere_fitness,
+               DEConfig(population_size=8, n_generations=5, seed=2))
+        assert started_pools == []
+
+    def test_pool_shut_down_when_fitness_raises(self, started_pools):
+        config = DEConfig(population_size=8, n_generations=5, seed=2,
+                          parallel_workers=2)
+        with pytest.raises(FitnessEvaluationError) as excinfo:
+            run_de(self.spec(), exploding_fitness, config)
+        assert isinstance(excinfo.value.partial_record, DEResult)
+        assert len(started_pools) == 1
+        assert started_pools[0].shutdowns == [{"cancel_futures": True}]
+
+    @pytest.mark.parametrize("field, value", [
+        ("population_size", 5.5), ("population_size", True),
+        ("n_generations", 2.0), ("parallel_workers", 1.0),
+        ("parallel_workers", "2"),
+    ])
+    def test_integer_settings(self, field, value, started_pools):
+        settings = dict(population_size=6, n_generations=1)
+        settings[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            run_de(self.spec(), sphere_fitness, DEConfig(**settings))
+        assert started_pools == []
+
+    def test_numpy_integer_settings(self):
+        config = DEConfig(population_size=np.int64(6),
+                          n_generations=np.int32(2),
+                          parallel_workers=np.uint8(0))
+        assert run_de(self.spec(), sphere_fitness, config).evaluations == [
+            6, 12, 18]
 
     def test_mixed_infinities_give_nan_mean(self):
         def fitness(genes):

@@ -16,7 +16,7 @@ from divga import (
     scd_fitness,
     spread,
 )
-from divga.bench import hamming_spread
+from divga.bench import _scd_pairs, hamming_spread
 from divga.errors import ConfigError
 
 
@@ -83,6 +83,24 @@ class TestCalculateSCD:
             seq = "".join(rng.choice(["E", "K"], size=n))
             assert calculate_scd(seq) == pytest.approx(
                 brute_force_scd(seq), rel=1e-12)
+
+    def test_cached_pairs_match_brute_force_at_every_length(self, rng):
+        """Twice per length, so the second call reads the cached pairs;
+        both equal the uncached sum bit for bit."""
+        for n in range(1, 41):
+            seq = "".join(rng.choice(["E", "K"], size=n))
+            q = np.array([1.0 if c == "K" else -1.0 for c in seq])
+            a, b = np.triu_indices(n, k=1)
+            uncached = float(np.sum(q[a] * q[b] * np.sqrt(b - a)) / n)
+            for _ in range(2):
+                assert calculate_scd(seq) == uncached
+                assert calculate_scd(seq) == pytest.approx(
+                    brute_force_scd(seq), rel=1e-12, abs=1e-12)
+
+    def test_cached_pairs_read_only(self):
+        for array in _scd_pairs(6):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     def test_unknown_label(self):
         with pytest.raises(ConfigError,

@@ -1,7 +1,9 @@
 """Engine runs: reproducibility, bookkeeping, persistence."""
 
+import contextlib
 import csv
 import dataclasses
+import faulthandler
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from divga import (
     FitnessEvaluationError,
     GeneSpec,
     RunRecord,
+    WorkerPool,
     evaluate_population,
     persist,
     run,
@@ -22,6 +25,7 @@ from divga import (
 import divga.engine
 
 from conftest import (
+    exits_on_half,
     exploding_fitness,
     fails_on_13,
     label_count_fitness,
@@ -72,8 +76,9 @@ class TestEvaluatePopulation:
     def test_parallel_matches_sequential(self, numeric_spec, rng):
         genes = seed_population(numeric_spec, 12, np.random.default_rng(3))
         sequential, parallel = np.empty(12), np.empty(12)
-        evaluate_population(genes, sphere_fitness, sequential, 0)
-        evaluate_population(genes, sphere_fitness, parallel, 3)
+        evaluate_population(genes, sphere_fitness, sequential)
+        with WorkerPool(3, sphere_fitness) as pool:
+            evaluate_population(genes, sphere_fitness, parallel, pool)
         assert sequential.tolist() == parallel.tolist()
 
     def test_raising_fitness_wrapped(self):
@@ -86,8 +91,10 @@ class TestEvaluatePopulation:
     def test_failure_reports_the_failing_individual(self, workers):
         """Chunked parallel evaluation reports row 13, not its chunk start."""
         genes = np.arange(40.0).reshape(40, 1)
-        with pytest.raises(FitnessEvaluationError) as excinfo:
-            evaluate_population(genes, fails_on_13, np.empty(40), workers)
+        with (WorkerPool(workers, fails_on_13) if workers
+              else contextlib.nullcontext()) as pool:
+            with pytest.raises(FitnessEvaluationError) as excinfo:
+                evaluate_population(genes, fails_on_13, np.empty(40), pool)
         assert excinfo.value.index == 13
         assert "individual 13" in str(excinfo.value)
 
@@ -107,8 +114,91 @@ class TestEvaluatePopulation:
 
         monkeypatch.setattr(divga.engine, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ConfigError, match="picklable"):
-            evaluate_population(np.zeros((4, 1)), lambda g: 0.0,
-                                np.empty(4), 2)
+            WorkerPool(2, lambda g: 0.0)
+
+    def test_pool_serves_repeated_evaluations(self, started_pools):
+        """One pool evaluates batch after batch, each as the sequential
+        path does, and leaving the with block shuts it down."""
+        genes = np.arange(30.0).reshape(10, 3)
+        with WorkerPool(2, sum_fitness) as pool:
+            for rows in (genes, genes[:1], genes[3:]):
+                expected, got = np.empty(len(rows)), np.empty(len(rows))
+                evaluate_population(rows, sum_fitness, expected)
+                assert evaluate_population(rows, sum_fitness, got,
+                                           pool) == len(rows)
+                assert got.tolist() == expected.tolist()
+        assert len(started_pools) == 1
+        assert started_pools[0].shutdowns == [{"cancel_futures": True}]
+
+
+class TestIntegerSettings:
+    @pytest.mark.parametrize("field, value", [
+        ("population_size", 2.5), ("population_size", True),
+        ("n_generations", 3.0), ("parallel_workers", 2.0),
+        ("parallel_workers", False),
+    ])
+    def test_non_integers_rejected(self, numeric_spec, field, value,
+                                   started_pools):
+        settings = dict(population_size=4, n_generations=1)
+        settings[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            run(numeric_spec, sphere_fitness, quiet(**settings))
+        assert started_pools == []
+
+    def test_numpy_integers_accepted(self, numeric_spec):
+        config = quiet(population_size=np.int64(4), n_generations=np.int32(2),
+                       parallel_workers=np.uint8(0))
+        record = run(numeric_spec, sphere_fitness, config)
+        assert record.evaluations == [4, 8, 12]
+
+
+class TestWorkerPoolLifetime:
+    """run starts one pool for all its generations and always shuts it."""
+
+    def test_one_pool_per_run(self, numeric_spec, started_pools):
+        config = quiet(population_size=6, n_generations=5, seed=3,
+                       parallel_workers=2)
+        record = run(numeric_spec, sphere_fitness, config)
+        assert len(record.populations) == 6
+        assert len(started_pools) == 1
+        assert started_pools[0].shutdowns == [{"cancel_futures": True}]
+
+    def test_no_pool_without_workers(self, numeric_spec, started_pools):
+        run(numeric_spec, sphere_fitness,
+            quiet(population_size=6, n_generations=5, seed=3))
+        assert started_pools == []
+
+    def test_pool_shut_down_when_fitness_raises(self, numeric_spec,
+                                                started_pools):
+        config = quiet(population_size=6, n_generations=3, seed=3,
+                       parallel_workers=2)
+        with pytest.raises(FitnessEvaluationError):
+            run(numeric_spec, exploding_fitness, config)
+        assert len(started_pools) == 1
+        assert started_pools[0].shutdowns == [{"cancel_futures": True}]
+
+    def test_dead_worker_is_a_fitness_error(self, numeric_spec,
+                                            started_pools):
+        """A worker that exits mid-chunk breaks the pool; the run raises
+        FitnessEvaluationError at or before the row that killed it, with
+        the partial record, instead of hanging (a hang ends the test
+        process after 120 s)."""
+        rows = np.full((6, 3), -0.5)
+        rows[4, 0] = 0.5
+        config = quiet(population_size=6, n_generations=2, seed=3,
+                       parallel_workers=2)
+        faulthandler.dump_traceback_later(120, exit=True)
+        try:
+            with pytest.raises(FitnessEvaluationError) as excinfo:
+                run(numeric_spec, exits_on_half, config, init_genes=rows)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert 0 <= excinfo.value.index <= 4
+        partial = excinfo.value.partial_record
+        assert isinstance(partial, RunRecord)
+        assert partial.termination == "aborted"
+        assert partial.populations == []
+        assert started_pools[0].shutdowns == [{"cancel_futures": True}]
 
 
 class TestRunBasics:

@@ -191,6 +191,17 @@ class TestSelectDiverse:
         assert len(from_codes) == 3
         assert from_codes.tolist() == from_labels.tolist()
 
+    @pytest.mark.parametrize("dtype", [object, str])
+    def test_label_genes_default_to_hamming(self, dtype):
+        """With no measure, label genes are compared by Hamming distance,
+        the kind default, not by subtracting strings."""
+        labels = np.array([["E", "K"], ["E", "K"], ["K", "E"]], dtype=dtype)
+        fitness = [1.0, 0.9, 0.5]
+        default = select_diverse(labels, fitness, 2, DiversityEnhanced(r0=1.0))
+        hamming = select_diverse(labels, fitness, 2,
+                                 DiversityEnhanced(r0=1.0, measure="hamming"))
+        assert default.tolist() == hamming.tolist() == [0, 2]
+
 
 class TestSelectTopN:
     def test_sorted_by_fitness(self):
