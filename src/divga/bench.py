@@ -44,13 +44,16 @@ def circle_fitness(x: float, y: float, amplitude: float = 5.0,
 
 
 def _charge_vector(sequence) -> np.ndarray:
-    charges = np.empty(len(sequence))
-    for k, label in enumerate(sequence):
-        try:
-            charges[k] = CHARGES[label]
-        except (KeyError, TypeError):
-            raise ConfigError(f"no charge defined for label {label!r}")
-    return charges
+    try:
+        return np.fromiter(map(CHARGES.__getitem__, sequence), float,
+                           len(sequence))
+    except (KeyError, TypeError):
+        for label in sequence:
+            try:
+                CHARGES[label]
+            except (KeyError, TypeError):
+                raise ConfigError(f"no charge defined for label {label!r}")
+        raise
 
 
 def calculate_scd(sequence) -> float:

@@ -43,7 +43,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .distance import CustomMeasure, HammingSq, default_r0, get_measure
+from .distance import (
+    CustomMeasure,
+    DynamicSq,
+    EuclideanSq,
+    HammingSq,
+    default_r0,
+    get_measure,
+)
 from .errors import ConfigError, FitnessEvaluationError
 from .genome import GeneSpec, seed_population, validate_spec
 from .selection import select_diverse, select_top_n
@@ -90,9 +97,14 @@ class DiversityEnhanced:
 
         Warns when a callable measure is asymmetric on a sampled pair,
         and when r0 must come from an initial population with no spread
-        (r0 falls back to 1).
+        (r0 falls back to 1). Raises ConfigError for a numeric measure
+        (Euclidean or dynamic) on a categorical genome.
         """
         measure = get_measure(self.measure, spec)
+        if not spec.is_numeric and isinstance(measure, (EuclideanSq,
+                                                        DynamicSq)):
+            raise ConfigError(f"the {measure.name} measure needs numeric "
+                              f"genes; use hamming or a callable on labels")
         if isinstance(measure, CustomMeasure):
             _warn_if_asymmetric(measure, spec.decode(genes[:3]))
         r0 = self.r0
@@ -272,11 +284,14 @@ def evaluate_population(genes, fitness, values: np.ndarray,
     """Evaluate fitness on every row of genes into values, in index order.
 
     Returns the number of evaluations, len(genes). With a WorkerPool the
-    rows go to its workers in chunks of max(1, n // (4 * workers)), and
-    a chunk that fails as a whole (a worker died) is reported at the
-    first uncommitted index. Results are committed in index order either
-    way, so the outcome, and the index a FitnessEvaluationError reports,
-    do not depend on the worker count.
+    rows go out as one contiguous chunk per worker, ceil(n / workers)
+    rows each, so a generation costs one round trip per worker. The
+    rows are children of random parent pairs, so their cost does not
+    follow their index, and with n well above the worker count the
+    chunks take about equally long. A chunk that fails as a whole (a
+    worker died) is reported at the first uncommitted index. Results are
+    committed in index order either way, so the outcome, and the index a
+    FitnessEvaluationError reports, do not depend on the worker count.
     """
     n = len(genes)
     committed = 0
@@ -295,7 +310,7 @@ def evaluate_population(genes, fitness, values: np.ndarray,
     if pool is None:
         commit(*_evaluate_rows(fitness, 0, genes))
         return n
-    size = max(1, n // (4 * pool.workers))
+    size = max(1, -(-n // pool.workers))
     chunks = [pool.executor.submit(_evaluate_rows, fitness, start,
                                    genes[start:start + size])
               for start in range(0, n, size)]

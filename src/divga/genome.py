@@ -5,11 +5,13 @@ range) or categorical (every gene is a label from one shared category
 set). Mixed genomes are rejected up front.
 
 A population is a gene matrix, one row per individual. Numeric genes
-are float64. Categorical genes are integer codes into spec.categories;
-GeneSpec.decode turns codes into the label arrays that fitness
-functions, custom distance measures, CSV rows and the run history
-(divga.engine.RunRecord) see, and GeneSpec.encode turns user-given
-label vectors into codes.
+are float64. Categorical genes are integer codes into spec.categories,
+stored in the smallest signed integer type that holds every code
+(GeneSpec.gene_dtype): int8 up to 128 categories, then int16, and so
+on. Variation keeps the dtype of the matrix it is given. GeneSpec.decode
+turns codes into the label arrays that fitness functions, custom
+distance measures, CSV rows and the run history (divga.engine.RunRecord)
+see, and GeneSpec.encode turns user-given label vectors into codes.
 """
 
 from __future__ import annotations
@@ -71,6 +73,14 @@ class GeneSpec:
         """Per-gene range widths (numeric genomes only)."""
         return np.array([hi - lo for lo, hi in self.numeric_ranges])
 
+    @property
+    def gene_dtype(self) -> np.dtype:
+        """dtype of a gene matrix: float64 for numeric genomes, else the
+        smallest signed integer type that holds every category code."""
+        if self.is_numeric:
+            return np.dtype(float)
+        return np.min_scalar_type(-len(self.categories))
+
     def encode(self, rows) -> np.ndarray:
         """Gene matrix of the given gene vectors, one row each.
 
@@ -79,12 +89,10 @@ class GeneSpec:
         wrong length, or holds a non-number or an unknown label.
         """
         try:
-            if self.is_numeric:
-                genes = np.array(rows, dtype=float)
-            else:
+            if not self.is_numeric:
                 code = {label: k for k, label in enumerate(self.categories)}
-                genes = np.array([[code[label] for label in row]
-                                  for row in rows], dtype=np.intp)
+                rows = [[code[label] for label in row] for row in rows]
+            genes = np.array(rows, dtype=self.gene_dtype)
             return genes.reshape(len(rows), self.number_of_genes)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
@@ -145,7 +153,9 @@ def seed_population(spec: GeneSpec, size: int,
     Provided init_genes vectors are used first (validated against the
     spec), then the remaining rows are drawn in one batch: numeric genes
     uniform over their ranges, categorical genes uniform over the
-    category codes. Extra vectors beyond size are dropped with a warning.
+    category codes. Codes are drawn as intp, then cast to the spec's
+    gene_dtype, so the random stream does not depend on that dtype.
+    Extra vectors beyond size are dropped with a warning.
     """
     validate_spec(spec)
     if size < 1:
@@ -163,5 +173,5 @@ def seed_population(spec: GeneSpec, size: int,
         drawn = rng.uniform(lows, highs, size=shape)
     else:
         drawn = rng.integers(0, len(spec.categories), size=shape,
-                             dtype=np.intp)
+                             dtype=np.intp).astype(spec.gene_dtype)
     return np.concatenate([fixed, drawn])

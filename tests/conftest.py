@@ -47,6 +47,13 @@ def fails_on_13(genes):
     return 0.0
 
 
+def fails_on_33(genes):
+    """Raises on the row whose first gene is 33, a row's own index below."""
+    if genes[0] == 33:
+        raise ValueError("individual 33")
+    return 0.0
+
+
 def exits_on_half(genes):
     """Kills the worker process that evaluates a row starting with 0.5."""
     if genes[0] == 0.5:
@@ -57,14 +64,22 @@ def exits_on_half(genes):
 @pytest.fixture
 def started_pools(monkeypatch):
     """Every executor divga.engine builds, in order; each records the
-    keyword arguments of its shutdown calls."""
+    keyword arguments of its shutdown calls and, per submitted chunk of
+    rows, its (start, row count)."""
     pools = []
 
     class CountingPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.shutdowns = []
+            self.chunks = []
             pools.append(self)
+
+        def submit(self, fn, /, *args, **kwargs):
+            # evaluate_population submits (fitness, start, rows).
+            _, start, rows = args
+            self.chunks.append((start, len(rows)))
+            return super().submit(fn, *args, **kwargs)
 
         def shutdown(self, *args, **kwargs):
             self.shutdowns.append(kwargs)

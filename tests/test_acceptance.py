@@ -23,7 +23,7 @@ from divga import (
     select_diverse,
     seed_population,
 )
-from divga.bench import landscape_from_genes
+from divga.bench import landscape_from_genes, scd_from_genes
 from divga.distance import EuclideanSq
 from divga.variation import produce_offspring, resolve_mutation
 
@@ -180,25 +180,35 @@ class TestAcceptance:
                f"default_r0 oracle max rel err {r0_worst:.2e} (< 1e-12)")
 
     def test_criterion_8_reproducibility(self, tmp_path):
-        """Same seed gives byte-identical survivors CSVs, any workers."""
-        spec = GeneSpec.numeric([(-1.5, 1.5)] * 2)
+        """Same seed gives byte-identical survivors CSVs, any workers,
+        for a numeric and for a categorical genome."""
+        # (spec, fitness, fitness_args, crossover) of each genome kind.
+        landscape = (GeneSpec.numeric([(-1.5, 1.5)] * 2),
+                     landscape_from_genes, (), "none")
+        sequences = (GeneSpec.categorical(("E", "K"), 30),
+                     scd_from_genes, (-10.0,), "eitheror")
 
-        def one_run(directory, workers):
+        def one_run(directory, workers, problem=landscape):
+            spec, fitness, fitness_args, crossover = problem
             config = EngineConfig(population_size=30, n_generations=15,
-                                  crossover="none", seed=123,
+                                  crossover=crossover, seed=123,
                                   parallel_workers=workers,
                                   output_directory=directory, verbosity=0)
-            record = run(spec, landscape_from_genes, config)
+            record = run(spec, fitness, config, fitness_args=fitness_args)
             return record.output_files["survivors"].read_bytes()
 
         first = one_run(tmp_path / "a", 0)
         second = one_run(tmp_path / "b", 0)
         fourth = one_run(tmp_path / "c", 4)
-        ok = first == second == fourth
+        labels = one_run(tmp_path / "d", 0, sequences)
+        labels_two = one_run(tmp_path / "e", 2, sequences)
+        ok = first == second == fourth and labels == labels_two
         report(8, ok,
                f"survivors CSV bytes identical across reruns: "
                f"{first == second}, and for 4 workers vs sequential: "
-               f"{first == fourth} ({len(first)} bytes)")
+               f"{first == fourth} ({len(first)} bytes); E/K sequences "
+               f"for 2 workers vs sequential: {labels == labels_two} "
+               f"({len(labels)} bytes)")
 
     def test_criterion_9_offspring_accounting(self):
         """n=350: all pairs 61075 offspring, random pairs and none 350."""

@@ -16,7 +16,7 @@ from divga import (
     scd_fitness,
     spread,
 )
-from divga.bench import _scd_pairs, hamming_spread
+from divga.bench import CHARGES, _charge_vector, _scd_pairs, hamming_spread
 from divga.errors import ConfigError
 
 
@@ -110,6 +110,48 @@ class TestCalculateSCD:
     def test_accepts_object_arrays(self):
         genes = np.array(list("EKKE"), dtype=object)
         assert calculate_scd(genes) == pytest.approx(brute_force_scd("EKKE"))
+
+
+def per_label_charges(sequence):
+    """The per-label loop _charge_vector replaced, kept as its oracle."""
+    charges = np.empty(len(sequence))
+    for k, label in enumerate(sequence):
+        try:
+            charges[k] = CHARGES[label]
+        except (KeyError, TypeError):
+            raise ConfigError(f"no charge defined for label {label!r}")
+    return charges
+
+
+def outcome(fn, sequence):
+    try:
+        return fn(sequence).tolist()
+    except ConfigError as exc:
+        return str(exc)
+
+
+class TestChargeVector:
+    def test_matches_per_label_loop(self, rng):
+        """Same charges, bit for bit, on strings, lists and object arrays
+        of every length up to 60."""
+        for n in range(61):
+            codes = rng.integers(0, 2, size=n)
+            labels = np.array(["E", "K"], dtype=object)[codes]
+            for sequence in (labels, labels.tolist(), "".join(labels)):
+                assert _charge_vector(sequence).tolist() == \
+                    per_label_charges(sequence).tolist()
+
+    @pytest.mark.parametrize("sequence", [
+        "EKX", "XEK", ["E", "K", "e"], ["K", None, "Z"], ["E", ["K"]],
+        np.array(["E", "K", {}], dtype=object), ["E", 1.0],
+    ], ids=["last", "first", "lowercase", "none", "unhashable", "dict",
+            "number"])
+    def test_bad_label_same_error(self, sequence):
+        """The first label with no charge is named, as the loop named it,
+        unhashable labels included."""
+        expected = outcome(per_label_charges, sequence)
+        assert expected.startswith("no charge defined for label")
+        assert outcome(_charge_vector, sequence) == expected
 
 
 class TestSCDFitness:

@@ -141,6 +141,36 @@ class TestToPoint:
                                       measure.to_point(labels[1:], labels[0]))
 
 
+@st.composite
+def code_pools(draw):
+    """(codes, labels): a category code matrix in its spec's gene dtype,
+    with 2 to 200 categories (int8 or int16 codes), and its labels."""
+    n_categories = draw(st.integers(2, 200))
+    n = draw(st.integers(1, 12))
+    g = draw(st.integers(1, 60))
+    spec = GeneSpec.categorical([f"c{k}" for k in range(n_categories)], g)
+    flat = draw(st.lists(st.integers(0, n_categories - 1),
+                         min_size=n * g, max_size=n * g))
+    codes = np.array(flat, dtype=spec.gene_dtype).reshape(n, g)
+    return codes, spec.decode(codes)
+
+
+class TestHammingKernel:
+    @given(code_pools(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_counts_equal_codes_labels_and_python(self, pool, data):
+        """to_point on codes and on labels equals a pure-Python
+        mismatch count over g, float for float."""
+        codes, labels = pool
+        k = data.draw(st.integers(0, len(codes) - 1))
+        g = codes.shape[1]
+        expected = [sum(a != b for a, b in zip(row, codes[k])) / g
+                    for row in codes.tolist()]
+        measure = HammingSq()
+        assert measure.to_point(codes, codes[k]).tolist() == expected
+        assert measure.to_point(labels, labels[k]).tolist() == expected
+
+
 class TestDefaultR0:
     def test_hand_example(self):
         """Three points with mutual squared distances 1, 4, 4."""

@@ -12,7 +12,9 @@ import pytest
 from divga import (
     ConfigError,
     DiversityEnhanced,
+    DynamicSq,
     EngineConfig,
+    EuclideanSq,
     FitnessEvaluationError,
     GeneSpec,
     RunRecord,
@@ -28,6 +30,7 @@ from conftest import (
     exits_on_half,
     exploding_fitness,
     fails_on_13,
+    fails_on_33,
     label_count_fitness,
     non_numeric_fitness,
     sphere_fitness,
@@ -87,16 +90,38 @@ class TestEvaluatePopulation:
                                 np.empty(2))
         assert excinfo.value.index == 1
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_failure_reports_the_failing_individual(self, workers):
-        """Chunked parallel evaluation reports row 13, not its chunk start."""
+    @pytest.mark.parametrize("workers, fitness, failing", [
+        pytest.param(0, fails_on_13, 13, id="0"),
+        pytest.param(2, fails_on_13, 13, id="2"),
+        pytest.param(2, fails_on_33, 33, id="2-second-chunk"),
+    ])
+    def test_failure_reports_the_failing_individual(self, workers, fitness,
+                                                    failing):
+        """Chunked parallel evaluation reports the failing row, not its
+        chunk start: of 40 rows on 2 workers, row 13 sits in the first
+        chunk and row 33 in the second."""
         genes = np.arange(40.0).reshape(40, 1)
-        with (WorkerPool(workers, fails_on_13) if workers
+        with (WorkerPool(workers, fitness) if workers
               else contextlib.nullcontext()) as pool:
             with pytest.raises(FitnessEvaluationError) as excinfo:
-                evaluate_population(genes, fails_on_13, np.empty(40), pool)
-        assert excinfo.value.index == 13
-        assert "individual 13" in str(excinfo.value)
+                evaluate_population(genes, fitness, np.empty(40), pool)
+        assert excinfo.value.index == failing
+        assert f"individual {failing}" in str(excinfo.value)
+
+    @pytest.mark.parametrize("rows, workers, chunks", [
+        (100, 2, [(0, 50), (50, 50)]),
+        (3, 4, [(0, 1), (1, 1), (2, 1)]),
+    ])
+    def test_one_chunk_per_worker(self, rows, workers, chunks, started_pools):
+        """The rows go out as one contiguous chunk of ceil(rows / workers)
+        rows per worker, and come back in index order."""
+        genes = np.arange(float(rows)).reshape(rows, 1)
+        values = np.empty(rows)
+        with WorkerPool(workers, sum_fitness) as pool:
+            assert evaluate_population(genes, sum_fitness, values,
+                                       pool) == rows
+        assert started_pools[0].chunks == chunks
+        assert values.tolist() == genes[:, 0].tolist()
 
     def test_non_numeric_result_rejected(self):
         with pytest.raises(FitnessEvaluationError, match="non-numeric"):
@@ -419,6 +444,25 @@ class TestRunValidation:
                           selection=DiversityEnhanced(d0=d0,
                                                       measure="manhattan"),
                           output_directory=out))
+        assert fitness.calls == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("measure", ["euclidean", "dynamic",
+                                         EuclideanSq(), DynamicSq()])
+    @pytest.mark.parametrize("d0", [1.0, 0.0])
+    def test_numeric_measure_on_categorical_genome(self, cat_spec, measure,
+                                                   d0, tmp_path):
+        """A measure that subtracts genes cannot compare labels: a
+        ConfigError before any fitness call or output file, not a
+        TypeError from numpy in generation 1."""
+        fitness = CountingFitness()
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="needs numeric genes"):
+            run(cat_spec, fitness,
+                quiet(population_size=6, n_generations=1,
+                      selection=DiversityEnhanced(d0=d0, r0=1.0,
+                                                  measure=measure),
+                      output_directory=out))
         assert fitness.calls == 0
         assert not out.exists()
 

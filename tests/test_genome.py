@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from divga import ConfigError, GeneSpec, seed_population
+from divga import (
+    ConfigError,
+    GeneSpec,
+    MutationConfig,
+    mutate,
+    produce_offspring,
+    seed_population,
+)
 from divga.genome import validate_spec
 
 
@@ -156,3 +163,45 @@ class TestSeedPopulation:
     def test_gene_matrix_shape(self, numeric_spec, rng):
         pop = seed_population(numeric_spec, 4, rng)
         assert pop.shape == (4, 3)
+
+
+class TestCodeDtype:
+    """Codes use the smallest signed integer type that holds them, from
+    every function that makes or changes a code matrix."""
+
+    @pytest.mark.parametrize("n_categories, dtype", [
+        (2, np.int8), (128, np.int8), (129, np.int16), (200, np.int16)])
+    def test_smallest_signed_type(self, n_categories, dtype, rng):
+        spec = GeneSpec.categorical(range(n_categories), 6)
+        assert spec.gene_dtype == dtype
+        pop = seed_population(spec, 8, rng, init_genes=[[1] * 6])
+        rate = MutationConfig(rate=0.5)
+        for genes in (spec.encode([[0] * 6]), pop,
+                      mutate(pop, spec, rate, rng),
+                      produce_offspring(pop, spec, None, "random", rate, rng)):
+            assert genes.dtype == dtype
+
+    def test_numeric_genes_are_float(self, numeric_spec):
+        assert numeric_spec.gene_dtype == np.float64
+
+    def test_seeding_stream_does_not_depend_on_the_dtype(self):
+        """The codes are drawn as intp and then cast."""
+        spec = GeneSpec.categorical(range(200), 50)
+        codes = seed_population(spec, 40, np.random.default_rng(9))
+        drawn = np.random.default_rng(9).integers(0, 200, size=(40, 50),
+                                                  dtype=np.intp)
+        assert codes.tolist() == drawn.tolist()
+
+    def test_codes_above_int8_decode(self, rng):
+        """With 200 categories, mutated codes of 128 and above stay in
+        range and decode to their own label."""
+        labels = [f"c{k}" for k in range(200)]
+        spec = GeneSpec.categorical(labels, 50)
+        codes = mutate(seed_population(spec, 40, rng), spec,
+                       MutationConfig(rate=1.0), rng)
+        assert (codes >= 128).any()
+        assert codes.min() >= 0 and codes.max() < 200
+        decoded = spec.decode(codes)
+        assert decoded.tolist() == [[labels[int(c)] for c in row]
+                                    for row in codes]
+        assert spec.encode(decoded.tolist()).tolist() == codes.tolist()

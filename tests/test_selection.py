@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from divga import (
     ConfigError,
     DiversityEnhanced,
+    GeneSpec,
     HammingSq,
+    seed_population,
     select_diverse,
     select_top_n,
 )
@@ -270,6 +272,27 @@ class TestSelectionProperties:
         shuffled = select_diverse(genes[order], fitness[order], count,
                                   selection)
         assert order[shuffled].tolist() == plain.tolist()
+
+    @given(st.integers(2, 200), st.integers(1, 40), st.integers(1, 50),
+           st.floats(0.0, 3.0), radii, st.randoms())
+    @settings(max_examples=50, deadline=None)
+    def test_hamming_codes_and_labels_pick_alike(self, n_categories, n, g,
+                                                 d0, r0, random):
+        """Category codes in the spec's gene dtype and their labels give
+        the same picks and the same working fitness."""
+        spec = GeneSpec.categorical([f"c{k}" for k in range(n_categories)], g)
+        rng = np.random.default_rng(random.getrandbits(32))
+        codes = seed_population(spec, n, rng)
+        fitness = rng.uniform(-1.0, 1.0, size=n)
+        count = random.randint(1, n)
+        selection = DiversityEnhanced(d0=d0, r0=r0, measure=HammingSq())
+        working = np.empty((2, count))
+        from_codes = select_diverse(codes, fitness, count, selection,
+                                    working[0])
+        from_labels = select_diverse(spec.decode(codes), fitness, count,
+                                     selection, working[1])
+        assert from_codes.tolist() == from_labels.tolist()
+        assert working[0].tolist() == working[1].tolist()
 
     @given(pools(infinite=True), st.floats(0.0, 3.0), radii)
     @settings(max_examples=100, deadline=None)
