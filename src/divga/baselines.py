@@ -8,18 +8,25 @@ from heapq import heappush, heappushpop
 
 import numpy as np
 
-from .engine import WorkerPool, _check_ints, _mean_fitness, evaluate_population
+from .engine import (
+    WorkerPool,
+    _check_run_settings,
+    _mean_fitness,
+    evaluate_population,
+)
 from .errors import ConfigError, FitnessEvaluationError
 from .genome import GeneSpec, seed_population
 
 
-@dataclass
+@dataclass(frozen=True)
 class DEConfig:
     """Settings for differential evolution (rand/1 with binomial crossover).
 
     differential_weight is the mutation scale factor applied to the
     difference vector, crossover_probability the per-gene chance of
-    taking the mutant's value.
+    taking the mutant's value. Frozen, and checked when built
+    (ConfigError): integer settings as in EngineConfig, at least four
+    individuals, F in [0, 2) and CR in [0, 1].
     """
 
     population_size: int
@@ -28,6 +35,14 @@ class DEConfig:
     crossover_probability: float = 0.9
     seed: int = 0
     parallel_workers: int = 0
+
+    def __post_init__(self):
+        _check_run_settings(self, 4,
+                            "rand/1 mutation needs at least four individuals")
+        if not 0.0 <= self.differential_weight < 2.0:
+            raise ConfigError("differential_weight must lie in [0, 2)")
+        if not 0.0 <= self.crossover_probability <= 1.0:
+            raise ConfigError("crossover_probability must lie in [0, 1]")
 
 
 @dataclass
@@ -82,17 +97,6 @@ def run_de(spec: GeneSpec, fitness, config: DEConfig) -> DEResult:
     """
     if not spec.is_numeric:
         raise ConfigError("differential evolution needs a numeric genome")
-    _check_ints(config, "population_size", "n_generations", "parallel_workers")
-    if config.population_size < 4:
-        raise ConfigError("rand/1 mutation needs at least four individuals")
-    if config.n_generations < 1:
-        raise ConfigError("n_generations must be positive")
-    if config.parallel_workers < 0:
-        raise ConfigError("parallel_workers cannot be negative")
-    if not 0.0 <= config.differential_weight < 2.0:
-        raise ConfigError("differential_weight must lie in [0, 2)")
-    if not 0.0 <= config.crossover_probability <= 1.0:
-        raise ConfigError("crossover_probability must lie in [0, 1]")
 
     n = config.population_size
     rng = np.random.default_rng(config.seed)

@@ -132,14 +132,6 @@ def scd_from_genes(genes, target_scd: float) -> float:
     return scd_fitness(genes, target_scd)
 
 
-EXPERIMENTS = (
-    "landscape-compare",
-    "circle",
-    "scd",
-    "crossover-sweep",
-    "random-compare",
-)
-
 _OVERRIDE_KEYS = ("population", "generations", "repetitions", "crossover",
                   "pairing", "d0", "r0", "workers")
 
@@ -395,9 +387,15 @@ _EXPERIMENT_FNS = {
     "crossover-sweep": _crossover_sweep,
     "random-compare": _random_compare,
 }
+EXPERIMENTS = tuple(_EXPERIMENT_FNS)
 
 
 def _apply_overrides(settings: dict, overrides: dict | None) -> dict:
+    """settings with the given overrides applied, as ints and floats.
+
+    Only repetitions, which no settings object holds, is range-checked
+    here; the run settings check the other values when built.
+    """
     if not overrides:
         return settings
     for key, value in overrides.items():
@@ -407,10 +405,8 @@ def _apply_overrides(settings: dict, overrides: dict | None) -> dict:
             continue
         if key in ("population", "generations", "repetitions", "workers"):
             value = int(value)
-            if key != "workers" and value < 1:
-                raise ConfigError(f"{key} must be positive")
-            if key == "workers" and value < 0:
-                raise ConfigError("workers cannot be negative")
+            if key == "repetitions" and value < 1:
+                raise ConfigError("repetitions must be positive")
         elif key in ("d0", "r0"):
             value = float(value)
         settings[key] = value

@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from .bench import _OVERRIDE_KEYS, EXPERIMENTS, run_experiment
+from .variation import CROSSOVER_METHODS, PAIRING_STRATEGIES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,10 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed; repetition r uses seed + r")
     parser.add_argument("--crossover", default=None,
-                        choices=("midpoint", "eitheror", "between", "none"),
+                        choices=CROSSOVER_METHODS,
                         help="crossover method")
     parser.add_argument("--pairing", default=None,
-                        choices=("all", "random"),
+                        choices=PAIRING_STRATEGIES,
                         help="parent pairing strategy")
     parser.add_argument("--d0", type=float, default=None,
                         help="diversity penalty amplitude; 0 selects the "

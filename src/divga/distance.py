@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .genome import CATEGORICAL, GeneSpec
 
 
 def _check_lengths(a, b):
@@ -111,26 +110,29 @@ _NAMED = {
 }
 
 
-def get_measure(measure, spec: GeneSpec | None = None) -> DistanceMeasure:
-    """Resolve a measure name, callable or instance to a DistanceMeasure.
+def get_measure(measure, labels: bool = False) -> DistanceMeasure:
+    """Resolve a measure name, callable or instance to a DistanceMeasure
+    for label genes (labels true) or numeric genes.
 
-    None picks the default for the genome kind: Euclidean for numeric,
-    Hamming for categorical.
+    None picks the default: Hamming for labels, Euclidean otherwise. A
+    Euclidean or dynamic measure subtracts genes, so it raises
+    ConfigError on labels.
     """
     if measure is None:
-        if spec is not None and spec.kind == CATEGORICAL:
-            return HammingSq()
-        return EuclideanSq()
-    if isinstance(measure, DistanceMeasure):
-        return measure
-    if callable(measure):
-        return CustomMeasure(measure)
-    name = str(measure).lower()
-    if name not in _NAMED:
-        raise ConfigError(
-            f"unknown distance measure {measure!r}; "
-            f"choose from {sorted(_NAMED)} or pass a callable")
-    return _NAMED[name]()
+        measure = HammingSq() if labels else EuclideanSq()
+    elif callable(measure) and not isinstance(measure, DistanceMeasure):
+        measure = CustomMeasure(measure)
+    elif not isinstance(measure, DistanceMeasure):
+        name = str(measure).lower()
+        if name not in _NAMED:
+            raise ConfigError(
+                f"unknown distance measure {measure!r}; "
+                f"choose from {sorted(_NAMED)} or pass a callable")
+        measure = _NAMED[name]()
+    if labels and isinstance(measure, (EuclideanSq, DynamicSq)):
+        raise ConfigError(f"the {measure.name} measure needs numeric genes; "
+                          f"use hamming or a callable on labels")
+    return measure
 
 
 def default_r0(genes: np.ndarray, measure: DistanceMeasure) -> float:

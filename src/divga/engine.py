@@ -13,8 +13,9 @@ for the whole generation). Fitness evaluation and selection consume no
 randomness, so results are identical whether fitness is computed
 sequentially or on worker processes.
 
-With parallel_workers > 0, run starts one WorkerPool after validating
-its settings and checking that the fitness pickles, evaluates every
+With parallel_workers > 0, run starts one WorkerPool after resolving
+its genome-dependent settings and checking that the fitness pickles
+(EngineConfig checked the rest when it was built), evaluates every
 generation on it, and shuts it down when it returns or raises.
 
 A run writes three files into its output directory when one is given:
@@ -43,16 +44,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .distance import (
-    CustomMeasure,
-    DynamicSq,
-    EuclideanSq,
-    HammingSq,
-    default_r0,
-    get_measure,
-)
+from .distance import CustomMeasure, HammingSq, default_r0, get_measure
 from .errors import ConfigError, FitnessEvaluationError
-from .genome import GeneSpec, seed_population, validate_spec
+from .genome import GeneSpec, seed_population
 from .selection import select_diverse, select_top_n
 from .variation import (
     PAIRING_STRATEGIES,
@@ -98,13 +92,9 @@ class DiversityEnhanced:
         Warns when a callable measure is asymmetric on a sampled pair,
         and when r0 must come from an initial population with no spread
         (r0 falls back to 1). Raises ConfigError for a numeric measure
-        (Euclidean or dynamic) on a categorical genome.
+        (Euclidean or dynamic) on a categorical genome (see get_measure).
         """
-        measure = get_measure(self.measure, spec)
-        if not spec.is_numeric and isinstance(measure, (EuclideanSq,
-                                                        DynamicSq)):
-            raise ConfigError(f"the {measure.name} measure needs numeric "
-                              f"genes; use hamming or a callable on labels")
+        measure = get_measure(self.measure, labels=not spec.is_numeric)
         if isinstance(measure, CustomMeasure):
             _warn_if_asymmetric(measure, spec.decode(genes[:3]))
         r0 = self.r0
@@ -127,9 +117,13 @@ def _warn_if_asymmetric(measure, rows):
             return
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     """Everything a run needs besides the genome spec and the fitness.
+
+    Frozen, and checked when built (ConfigError): the integer settings
+    and their ranges, pairing, verbosity and the selection type. run
+    checks only the choices that depend on the genome.
 
     Attributes:
         population_size: survivors kept each generation, at least 2.
@@ -166,6 +160,33 @@ class EngineConfig:
     parallel_workers: int = 0
     output_directory: str | Path | None = None
     verbosity: int = 1
+
+    def __post_init__(self):
+        _check_run_settings(self, 2, "population_size must be at least 2")
+        if self.pairing not in PAIRING_STRATEGIES:
+            raise ConfigError(f"unknown pairing strategy {self.pairing!r}")
+        if self.verbosity not in (0, 1, 2):
+            raise ConfigError("verbosity must be 0, 1 or 2")
+        if not isinstance(self.selection, DiversityEnhanced):
+            raise ConfigError(f"selection must be a DiversityEnhanced, not "
+                              f"{self.selection!r}")
+
+
+def _check_run_settings(config, smallest: int, too_small: str):
+    """ConfigError unless population_size, n_generations and
+    parallel_workers are Python or numpy integers (bool is not one),
+    population_size >= smallest (too_small is the message otherwise),
+    n_generations >= 1 and parallel_workers >= 0."""
+    for name in ("population_size", "n_generations", "parallel_workers"):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, not {value!r}")
+    if config.population_size < smallest:
+        raise ConfigError(too_small)
+    if config.n_generations < 1:
+        raise ConfigError("n_generations must be positive")
+    if config.parallel_workers < 0:
+        raise ConfigError("parallel_workers cannot be negative")
 
 
 @dataclass
@@ -217,18 +238,6 @@ class _BoundFitness:
         return self.fn(genes, *self.args)
 
 
-def _checked(value, index):
-    try:
-        result = float(value)
-    except (TypeError, ValueError):
-        raise FitnessEvaluationError(
-            f"fitness returned non-numeric value {value!r}", index=index)
-    if math.isnan(result):
-        raise FitnessEvaluationError(
-            f"fitness returned NaN for individual {index}", index=index)
-    return result
-
-
 def _mean_fitness(values: np.ndarray) -> float:
     """Mean fitness; NaN, without a warning, when both infinities occur."""
     with np.errstate(invalid="ignore"):
@@ -236,18 +245,31 @@ def _mean_fitness(values: np.ndarray) -> float:
 
 
 def _evaluate_rows(fitness, start: int, rows):
-    """Raw fitness of each row, stopping at the first row that raises.
+    """Fitness of each row as a float array, stopping at the first bad row.
 
-    Returns (values, failure); failure is None, or the batch index
-    start + offset of the row that raised together with its exception.
-    Module level, so that worker processes can run it on a chunk.
+    Returns (values, failure). failure is None, or (message, index,
+    exception or None) for the first row whose fitness raised, returned
+    a non-number or returned NaN; index is its batch index start +
+    offset, and values holds the rows before it. Module level, so that
+    worker processes can run it on a chunk.
     """
-    values = []
+    values = np.empty(len(rows))
     for offset, row in enumerate(rows):
+        index = start + offset
         try:
-            values.append(fitness(row))
+            result = fitness(row)
         except Exception as exc:
-            return values, (start + offset, exc)
+            return values[:offset], (
+                f"fitness raised {exc!r} for individual {index}", index, exc)
+        try:
+            value = float(result)
+        except (TypeError, ValueError):
+            return values[:offset], (
+                f"fitness returned non-numeric value {result!r}", index, None)
+        if math.isnan(value):
+            return values[:offset], (
+                f"fitness returned NaN for individual {index}", index, None)
+        values[offset] = value
     return values, None
 
 
@@ -283,45 +305,44 @@ def evaluate_population(genes, fitness, values: np.ndarray,
                         pool: WorkerPool | None = None) -> int:
     """Evaluate fitness on every row of genes into values, in index order.
 
-    Returns the number of evaluations, len(genes). With a WorkerPool the
-    rows go out as one contiguous chunk per worker, ceil(n / workers)
-    rows each, so a generation costs one round trip per worker. The
-    rows are children of random parent pairs, so their cost does not
-    follow their index, and with n well above the worker count the
-    chunks take about equally long. A chunk that fails as a whole (a
-    worker died) is reported at the first uncommitted index. Results are
-    committed in index order either way, so the outcome, and the index a
+    Returns the number of evaluations, len(genes). Each value is checked
+    as it is computed: the first row whose fitness raises, returns a
+    non-number or returns NaN stops its chunk and raises
+    FitnessEvaluationError with that row's index, once the rows before
+    it are committed. Sequentially the whole batch is one chunk, so no
+    row after the bad one is evaluated. With a WorkerPool the rows go
+    out as one contiguous chunk per worker, ceil(n / workers) rows
+    each, so a generation costs one round trip per worker. The rows are
+    children of random parent pairs, so their cost does not follow
+    their index, and with n well above the worker count the chunks take
+    about equally long. A chunk that fails as a whole (a worker died)
+    is reported at the first uncommitted index. Chunks are committed in
+    index order either way, so the outcome, and the index a
     FitnessEvaluationError reports, do not depend on the worker count.
     """
     n = len(genes)
-    committed = 0
-
-    def commit(raw, failure):
-        nonlocal committed
-        for value in raw:
-            values[committed] = _checked(value, committed)
-            committed += 1
-        if failure is not None:
-            index, exc = failure
-            raise FitnessEvaluationError(
-                f"fitness raised {exc!r} for individual {index}",
-                index=index) from exc
-
     if pool is None:
-        commit(*_evaluate_rows(fitness, 0, genes))
-        return n
-    size = max(1, -(-n // pool.workers))
-    chunks = [pool.executor.submit(_evaluate_rows, fitness, start,
-                                   genes[start:start + size])
-              for start in range(0, n, size)]
+        chunks = [_evaluate_rows(fitness, 0, genes)]
+    else:
+        size = max(1, -(-n // pool.workers))
+        chunks = [pool.executor.submit(_evaluate_rows, fitness, start,
+                                       genes[start:start + size])
+                  for start in range(0, n, size)]
+    committed = 0
     for chunk in chunks:
-        try:
-            raw, failure = chunk.result()
-        except Exception as exc:
-            raise FitnessEvaluationError(
-                f"fitness evaluation failed: {exc!r}",
-                index=committed) from exc
-        commit(raw, failure)
+        if pool is not None:
+            try:
+                chunk = chunk.result()
+            except Exception as exc:
+                raise FitnessEvaluationError(
+                    f"fitness evaluation failed: {exc!r}",
+                    index=committed) from exc
+        chunk_values, failure = chunk
+        values[committed:committed + len(chunk_values)] = chunk_values
+        committed += len(chunk_values)
+        if failure is not None:
+            message, index, exc = failure
+            raise FitnessEvaluationError(message, index=index) from exc
     return n
 
 
@@ -420,40 +441,16 @@ def persist(record: RunRecord, directory: str | Path) -> dict:
             "log": log_path}
 
 
-def _check_ints(config, *names):
-    """ConfigError unless each named setting is a Python or numpy
-    integer; bool is not one."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"{name} must be an integer, not {value!r}")
-
-
-def _validate_config(config: EngineConfig, spec: GeneSpec):
-    _check_ints(config, "population_size", "n_generations", "parallel_workers")
-    if config.population_size < 2:
-        raise ConfigError("population_size must be at least 2")
-    if config.n_generations < 1:
-        raise ConfigError("n_generations must be positive")
-    if config.pairing not in PAIRING_STRATEGIES:
-        raise ConfigError(f"unknown pairing strategy {config.pairing!r}")
-    if config.parallel_workers < 0:
-        raise ConfigError("parallel_workers cannot be negative")
-    if config.verbosity not in (0, 1, 2):
-        raise ConfigError("verbosity must be 0, 1 or 2")
-    if not isinstance(config.selection, DiversityEnhanced):
-        raise ConfigError(f"selection must be a DiversityEnhanced, not "
-                          f"{config.selection!r}")
-
-
 def run(spec: GeneSpec, fitness, config: EngineConfig, *,
         init_genes=None, fitness_args=()) -> RunRecord:
     """Run the genetic algorithm and return its full history.
 
     fitness maps one gene vector (a label array for categorical genomes)
     to a real number; extra fixed arguments can be bound through
-    fitness_args. init_genes seeds part of the initial population. The
-    selection is resolved against the initial genes before any fitness
+    fitness_args. init_genes seeds part of the initial population. spec
+    and config checked themselves when built; run checks only the
+    choices that depend on the genome (crossover, mutation and the
+    selection, resolved against the initial genes) before any fitness
     call or output file, so a bad configuration costs neither. A
     fitness of NaN, a non-number or a raised exception aborts the run
     and raises FitnessEvaluationError with the partial record attached.
@@ -467,8 +464,6 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
     guarantee) RuntimeError. Any exception that ends the run is logged
     as "run aborted" before it propagates.
     """
-    validate_spec(spec)
-    _validate_config(config, spec)
     crossover = resolve_crossover(config.crossover, spec)
     mutation = resolve_mutation(config.mutation, spec)
     bound = _BoundFitness(fitness, fitness_args) if fitness_args else fitness

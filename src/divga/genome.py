@@ -2,7 +2,9 @@
 
 A genome is either numeric (every gene is a float drawn from a bounded
 range) or categorical (every gene is a label from one shared category
-set). Mixed genomes are rejected up front.
+set). A GeneSpec checks itself when it is built, whichever constructor
+builds it, and is frozen, so every spec in use is valid and nothing
+downstream checks it again. Mixed genomes are rejected.
 
 A population is a gene matrix, one row per individual. Numeric genes
 are float64. Categorical genes are integer codes into spec.categories,
@@ -32,8 +34,8 @@ CATEGORICAL = "categorical"
 class GeneSpec:
     """Declares the shape and admissible values of a genome.
 
-    Build instances through :meth:`numeric` or :meth:`categorical`; the
-    raw constructor does not validate.
+    Build instances through :meth:`numeric` or :meth:`categorical`. Every
+    instance is checked when built, by the raw constructor as well.
 
     Attributes:
         kind: "numeric" or "categorical".
@@ -47,12 +49,42 @@ class GeneSpec:
     categories: tuple = None
     number_of_genes: int = 0
 
+    def __post_init__(self):
+        """Raises ConfigError: both ranges and categories given, or kind
+        inconsistent with the populated fields; no genes declared; a
+        numeric range not finite or with lower >= upper; fewer than two
+        distinct labels."""
+        if self.numeric_ranges is not None and self.categories is not None:
+            raise ConfigError("genome cannot be both numeric and categorical")
+        if self.kind == NUMERIC:
+            if self.numeric_ranges is None:
+                raise ConfigError("numeric genome needs numeric_ranges")
+            if self.number_of_genes < 1 or len(self.numeric_ranges) < 1:
+                raise ConfigError("genome must have at least one gene")
+            if len(self.numeric_ranges) != self.number_of_genes:
+                raise ConfigError(
+                    "number_of_genes does not match the number of ranges")
+            for lo, hi in self.numeric_ranges:
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    raise ConfigError(f"gene range ({lo}, {hi}) is not finite")
+                if not lo < hi:
+                    raise ConfigError(f"empty gene range ({lo}, {hi})")
+        elif self.kind == CATEGORICAL:
+            if self.categories is None:
+                raise ConfigError("categorical genome needs categories")
+            if self.number_of_genes < 1:
+                raise ConfigError("genome must have at least one gene")
+            if len(set(self.categories)) < 2:
+                raise ConfigError(
+                    "categorical genome needs at least two distinct labels")
+        else:
+            raise ConfigError(f"unknown genome kind {self.kind!r}")
+
     @classmethod
     def numeric(cls, ranges) -> "GeneSpec":
         """Numeric genome with one (lower, upper) range per gene."""
         ranges = tuple((float(lo), float(hi)) for lo, hi in ranges)
-        return validate_spec(cls(NUMERIC, numeric_ranges=ranges,
-                                 number_of_genes=len(ranges)))
+        return cls(NUMERIC, numeric_ranges=ranges, number_of_genes=len(ranges))
 
     @classmethod
     def categorical(cls, categories, number_of_genes: int) -> "GeneSpec":
@@ -61,9 +93,8 @@ class GeneSpec:
         Repeated labels are kept once, in order of first appearance, so
         that each label has exactly one code.
         """
-        return validate_spec(cls(CATEGORICAL,
-                                 categories=tuple(dict.fromkeys(categories)),
-                                 number_of_genes=int(number_of_genes)))
+        return cls(CATEGORICAL, categories=tuple(dict.fromkeys(categories)),
+                   number_of_genes=int(number_of_genes))
 
     @property
     def is_numeric(self) -> bool:
@@ -108,43 +139,6 @@ class GeneSpec:
         return labels[genes]
 
 
-def validate_spec(spec: GeneSpec) -> GeneSpec:
-    """Check a GeneSpec and return it unchanged, or raise.
-
-    Raises:
-        ConfigError: both ranges and categories given, or kind
-            inconsistent with the populated fields; no genes declared;
-            a numeric range not finite or with lower >= upper; fewer
-            than two distinct labels.
-    """
-    if spec.numeric_ranges is not None and spec.categories is not None:
-        raise ConfigError("genome cannot be both numeric and categorical")
-    if spec.kind == NUMERIC:
-        if spec.numeric_ranges is None:
-            raise ConfigError("numeric genome needs numeric_ranges")
-        if spec.number_of_genes < 1 or len(spec.numeric_ranges) < 1:
-            raise ConfigError("genome must have at least one gene")
-        if len(spec.numeric_ranges) != spec.number_of_genes:
-            raise ConfigError(
-                "number_of_genes does not match the number of ranges")
-        for lo, hi in spec.numeric_ranges:
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ConfigError(f"gene range ({lo}, {hi}) is not finite")
-            if not lo < hi:
-                raise ConfigError(f"empty gene range ({lo}, {hi})")
-    elif spec.kind == CATEGORICAL:
-        if spec.categories is None:
-            raise ConfigError("categorical genome needs categories")
-        if spec.number_of_genes < 1:
-            raise ConfigError("genome must have at least one gene")
-        if len(set(spec.categories)) < 2:
-            raise ConfigError(
-                "categorical genome needs at least two distinct labels")
-    else:
-        raise ConfigError(f"unknown genome kind {spec.kind!r}")
-    return spec
-
-
 def seed_population(spec: GeneSpec, size: int,
                     rng: np.random.Generator,
                     init_genes=None) -> np.ndarray:
@@ -157,7 +151,6 @@ def seed_population(spec: GeneSpec, size: int,
     gene_dtype, so the random stream does not depend on that dtype.
     Extra vectors beyond size are dropped with a warning.
     """
-    validate_spec(spec)
     if size < 1:
         raise ConfigError("population size must be positive")
     given = list(init_genes) if init_genes is not None else []

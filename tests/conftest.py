@@ -54,6 +54,16 @@ def fails_on_33(genes):
     return 0.0
 
 
+def nan_on_33(genes):
+    """NaN on the row whose first gene is 33, a row's own index below."""
+    return float("nan") if genes[0] == 33 else 0.0
+
+
+def text_on_33(genes):
+    """A non-number on the row whose first gene is 33."""
+    return "not a number" if genes[0] == 33 else 0.0
+
+
 def exits_on_half(genes):
     """Kills the worker process that evaluates a row starting with 0.5."""
     if genes[0] == 0.5:

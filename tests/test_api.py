@@ -1,13 +1,25 @@
-"""Package surface: everything advertised in __all__ resolves, and every
-error the library raises is one of its own three classes."""
+"""Package surface: everything advertised in __all__ resolves, every
+error the library raises is one of its own three classes, and settings
+objects check themselves when built."""
 
 import ast
 import builtins
+import dataclasses
 import inspect
 from pathlib import Path
 
+import pytest
+
 import divga
-from divga import ConfigError, DivgaError, FitnessEvaluationError
+from divga import (
+    ConfigError,
+    DEConfig,
+    DiversityEnhanced,
+    DivgaError,
+    EngineConfig,
+    FitnessEvaluationError,
+    GeneSpec,
+)
 
 SOURCE = Path(divga.__file__).parent
 
@@ -99,3 +111,79 @@ def test_no_builtin_exceptions_raised():
                  for line, name in _raised_builtins(path)
                  if (path.name, name) not in ALLOWED_BUILTIN_RAISES]
     assert offenders == []
+
+
+SELF_CHECKING = (GeneSpec, EngineConfig, DEConfig, DiversityEnhanced)
+
+
+def test_settings_types_check_themselves():
+    """Each settings type is a frozen dataclass with its own
+    __post_init__, so its rules are checked once, when a value is made,
+    and no later assignment can bypass them."""
+    for cls in SELF_CHECKING:
+        assert dataclasses.is_dataclass(cls), cls.__name__
+        assert cls.__dataclass_params__.frozen, cls.__name__
+        assert "__post_init__" in vars(cls), cls.__name__
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: GeneSpec("numeric", numeric_ranges=((1.0, 0.0),),
+                      number_of_genes=1), "empty gene range"),
+    (lambda: GeneSpec("numeric", numeric_ranges=((0.0, 1.0),),
+                      categories=("E", "K"), number_of_genes=1),
+     "both numeric and categorical"),
+    (lambda: GeneSpec("categorical", categories=("E",), number_of_genes=3),
+     "at least two distinct labels"),
+    (lambda: GeneSpec("binary", number_of_genes=2), "unknown genome kind"),
+    (lambda: EngineConfig(population_size=1, n_generations=1),
+     "population_size must be at least 2"),
+    (lambda: EngineConfig(population_size=4.0, n_generations=1),
+     "population_size must be an integer"),
+    (lambda: EngineConfig(population_size=4, n_generations=0),
+     "n_generations must be positive"),
+    (lambda: EngineConfig(population_size=4, n_generations=1,
+                          parallel_workers=-1),
+     "parallel_workers cannot be negative"),
+    (lambda: EngineConfig(population_size=4, n_generations=1,
+                          pairing="ring"), "unknown pairing strategy"),
+    (lambda: EngineConfig(population_size=4, n_generations=1, verbosity=7),
+     "verbosity must be 0, 1 or 2"),
+    (lambda: EngineConfig(population_size=4, n_generations=1,
+                          selection="roulette"),
+     "selection must be a DiversityEnhanced"),
+    (lambda: DEConfig(population_size=3, n_generations=1),
+     "needs at least four individuals"),
+    (lambda: DEConfig(population_size=8, n_generations=True),
+     "n_generations must be an integer"),
+    (lambda: DEConfig(population_size=8, n_generations=0),
+     "n_generations must be positive"),
+    (lambda: DEConfig(population_size=8, n_generations=1,
+                      parallel_workers=-2),
+     "parallel_workers cannot be negative"),
+    (lambda: DEConfig(population_size=8, n_generations=1,
+                      differential_weight=2.0),
+     r"differential_weight must lie in \[0, 2\)"),
+    (lambda: DEConfig(population_size=8, n_generations=1,
+                      crossover_probability=1.5),
+     r"crossover_probability must lie in \[0, 1\]"),
+])
+def test_bad_settings_rejected_when_built(build, match):
+    """A bad raw value is a ConfigError at construction, with no run."""
+    with pytest.raises(ConfigError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("good, change", [
+    (EngineConfig(population_size=4, n_generations=1),
+     {"n_generations": 0}),
+    (DEConfig(population_size=8, n_generations=1),
+     {"differential_weight": -1.0}),
+    (GeneSpec.numeric([(0, 1)]), {"numeric_ranges": ((1.0, 0.0),)}),
+], ids=["EngineConfig", "DEConfig", "GeneSpec"])
+def test_settings_frozen_and_rechecked_by_replace(good, change):
+    """Assigning a field raises; dataclasses.replace checks again."""
+    (name, value), = change.items()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(good, name, value)
+    with pytest.raises(ConfigError):
+        dataclasses.replace(good, **change)

@@ -104,10 +104,8 @@ class TestGetMeasure:
         assert isinstance(get_measure("hamming"), HammingSq)
 
     def test_default_by_kind(self):
-        numeric = GeneSpec.numeric([(-1, 1)])
-        categorical = GeneSpec.categorical("EK", 3)
-        assert isinstance(get_measure(None, numeric), EuclideanSq)
-        assert isinstance(get_measure(None, categorical), HammingSq)
+        assert isinstance(get_measure(None, labels=False), EuclideanSq)
+        assert isinstance(get_measure(None, labels=True), HammingSq)
 
     def test_callable_wrapped(self):
         measure = get_measure(lambda a, b: 7.0)

@@ -32,9 +32,11 @@ from conftest import (
     fails_on_13,
     fails_on_33,
     label_count_fitness,
+    nan_on_33,
     non_numeric_fitness,
     sphere_fitness,
     sum_fitness,
+    text_on_33,
 )
 
 
@@ -90,13 +92,19 @@ class TestEvaluatePopulation:
                                 np.empty(2))
         assert excinfo.value.index == 1
 
-    @pytest.mark.parametrize("workers, fitness, failing", [
-        pytest.param(0, fails_on_13, 13, id="0"),
-        pytest.param(2, fails_on_13, 13, id="2"),
-        pytest.param(2, fails_on_33, 33, id="2-second-chunk"),
+    @pytest.mark.parametrize("workers, fitness, failing, message", [
+        pytest.param(0, fails_on_13, 13, "for individual 13", id="0"),
+        pytest.param(2, fails_on_13, 13, "for individual 13", id="2"),
+        pytest.param(2, fails_on_33, 33, "for individual 33",
+                     id="2-second-chunk"),
+        pytest.param(2, nan_on_33, 33, "fitness returned NaN for individual 33",
+                     id="2-second-chunk-nan"),
+        pytest.param(2, text_on_33, 33,
+                     "fitness returned non-numeric value 'not a number'",
+                     id="2-second-chunk-non-number"),
     ])
     def test_failure_reports_the_failing_individual(self, workers, fitness,
-                                                    failing):
+                                                    failing, message):
         """Chunked parallel evaluation reports the failing row, not its
         chunk start: of 40 rows on 2 workers, row 13 sits in the first
         chunk and row 33 in the second."""
@@ -106,7 +114,25 @@ class TestEvaluatePopulation:
             with pytest.raises(FitnessEvaluationError) as excinfo:
                 evaluate_population(genes, fitness, np.empty(40), pool)
         assert excinfo.value.index == failing
-        assert f"individual {failing}" in str(excinfo.value)
+        assert message in str(excinfo.value)
+
+    def test_sequential_stops_at_first_bad_value(self):
+        """Each value is checked as it is computed: NaN on row 3 of 10
+        costs 4 fitness calls, and the 3 rows before it are committed."""
+        calls = []
+
+        def nan_on_3(genes):
+            calls.append(int(genes[0]))
+            return float("nan") if genes[0] == 3 else 1.0
+
+        values = np.full(10, -1.0)
+        with pytest.raises(FitnessEvaluationError,
+                           match="NaN for individual 3") as excinfo:
+            evaluate_population(np.arange(10.0).reshape(10, 1), nan_on_3,
+                                values)
+        assert excinfo.value.index == 3
+        assert calls == [0, 1, 2, 3]
+        assert values.tolist() == [1.0] * 3 + [-1.0] * 7
 
     @pytest.mark.parametrize("rows, workers, chunks", [
         (100, 2, [(0, 50), (50, 50)]),

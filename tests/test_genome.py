@@ -11,7 +11,6 @@ from divga import (
     produce_offspring,
     seed_population,
 )
-from divga.genome import validate_spec
 
 
 class TestGeneSpec:
@@ -56,10 +55,9 @@ class TestGeneSpec:
             GeneSpec.categorical(["E", "E"], 5)
 
     def test_mixed_kinds_rejected(self):
-        mixed = GeneSpec("numeric", numeric_ranges=((0.0, 1.0),),
-                         categories=("E", "K"), number_of_genes=1)
         with pytest.raises(ConfigError, match="both numeric and categorical"):
-            validate_spec(mixed)
+            GeneSpec("numeric", numeric_ranges=((0.0, 1.0),),
+                     categories=("E", "K"), number_of_genes=1)
 
     def test_range_widths(self):
         spec = GeneSpec.numeric([(0, 10), (-2, 2)])

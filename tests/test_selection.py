@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from divga import (
     ConfigError,
     DiversityEnhanced,
+    DynamicSq,
+    EuclideanSq,
     GeneSpec,
     HammingSq,
     seed_population,
@@ -203,6 +205,18 @@ class TestSelectDiverse:
         hamming = select_diverse(labels, fitness, 2,
                                  DiversityEnhanced(r0=1.0, measure="hamming"))
         assert default.tolist() == hamming.tolist() == [0, 2]
+
+    @pytest.mark.parametrize("measure", ["euclidean", "dynamic",
+                                         EuclideanSq(), DynamicSq()],
+                             ids=["euclidean", "dynamic", "EuclideanSq",
+                                  "DynamicSq"])
+    def test_numeric_measure_on_labels_rejected(self, measure):
+        """A measure that subtracts genes cannot compare labels: the
+        ConfigError of get_measure, not a TypeError from numpy."""
+        labels = np.array([["E", "K"], ["E", "K"], ["K", "E"]], dtype=object)
+        with pytest.raises(ConfigError, match="needs numeric genes"):
+            select_diverse(labels, [1.0, 0.9, 0.5], 2,
+                           DiversityEnhanced(r0=1.0, measure=measure))
 
 
 class TestSelectTopN:
