@@ -11,12 +11,9 @@ from .bench import (
     EXPERIMENTS,
     angular_bin_occupancy,
     calculate_scd,
-    circle_fitness,
     hamming_spread,
-    landscape_fitness,
     net_charge,
     run_experiment,
-    scd_fitness,
     spread,
 )
 from .distance import (
@@ -33,7 +30,6 @@ from .engine import (
     RunRecord,
     WorkerPool,
     evaluate_population,
-    persist,
     run,
 )
 from .errors import ConfigError, DivgaError, FitnessEvaluationError
@@ -64,23 +60,19 @@ __all__ = [
     "WorkerPool",
     "angular_bin_occupancy",
     "calculate_scd",
-    "circle_fitness",
     "crossover",
     "default_r0",
     "evaluate_population",
     "get_measure",
     "hamming_spread",
-    "landscape_fitness",
     "make_pairs",
     "mutate",
     "net_charge",
-    "persist",
     "produce_offspring",
     "random_scan",
     "run",
     "run_de",
     "run_experiment",
-    "scd_fitness",
     "seed_population",
     "select_diverse",
     "select_top_n",

@@ -19,28 +19,31 @@ from .baselines import DEConfig, random_scan, run_de
 from .distance import HammingSq, mean_pairwise
 from .engine import DiversityEnhanced, EngineConfig, _format_real, run
 from .errors import ConfigError
-from .genome import GeneSpec
+from .genome import GeneSpec, _check_integer
 
 CHARGES = {"K": 1.0, "E": -1.0}
+CIRCLE_AMPLITUDE = 5.0
+CIRCLE_RADIUS = 5.0
 
 
-def landscape_fitness(x1: float, x2: float) -> float:
-    """Oscillatory plateau inside a hard box.
+def landscape_from_genes(genes) -> float:
+    """Oscillatory plateau inside a hard box, of genes (x1, x2).
 
     Returns -1000 outside |x1|, |x2| <= 1.5 and 10 cos(20 x1 x2)
     inside, a landscape whose ridges of near-maximal fitness are thin
     hyperbola-shaped bands.
     """
+    x1, x2 = genes[0], genes[1]
     if abs(x1) > 1.5 or abs(x2) > 1.5:
         return -1000.0
     return 10.0 * float(np.cos(20.0 * x1 * x2))
 
 
-def circle_fitness(x: float, y: float, amplitude: float = 5.0,
-                   radius: float = 5.0) -> float:
-    """Zero on the circle of given radius, quadratic falloff elsewhere."""
-    r = float(np.hypot(x, y))
-    return -amplitude * (r - radius) ** 2
+def circle_from_genes(genes) -> float:
+    """Zero on the circle of radius CIRCLE_RADIUS, quadratic falloff
+    elsewhere."""
+    r = float(np.hypot(genes[0], genes[1]))
+    return -CIRCLE_AMPLITUDE * (r - CIRCLE_RADIUS) ** 2
 
 
 def _charge_vector(sequence) -> np.ndarray:
@@ -82,9 +85,9 @@ def _scd_pairs(n: int):
     return pairs
 
 
-def scd_fitness(sequence, target_scd: float) -> float:
+def scd_from_genes(genes, target_scd: float) -> float:
     """Negative squared deviation of the sequence's SCD from a target."""
-    return -(calculate_scd(sequence) - target_scd) ** 2
+    return -(calculate_scd(genes) - target_scd) ** 2
 
 
 def net_charge(sequence) -> int:
@@ -119,41 +122,8 @@ def angular_bin_occupancy(points, n_bins: int = 12) -> np.ndarray:
     return np.bincount(bins, minlength=n_bins)
 
 
-def landscape_from_genes(genes) -> float:
-    return landscape_fitness(genes[0], genes[1])
-
-
-def circle_from_genes(genes, amplitude: float = 5.0,
-                      radius: float = 5.0) -> float:
-    return circle_fitness(genes[0], genes[1], amplitude, radius)
-
-
-def scd_from_genes(genes, target_scd: float) -> float:
-    return scd_fitness(genes, target_scd)
-
-
 _OVERRIDE_KEYS = ("population", "generations", "repetitions", "crossover",
                   "pairing", "d0", "r0", "workers")
-
-_DEFAULTS = {
-    "landscape-compare": dict(population=200, generations=100, repetitions=10,
-                              crossover="none", pairing="random",
-                              ranges=((-1.5, 1.5), (-1.5, 1.5))),
-    "random-compare": dict(population=200, generations=100, repetitions=10,
-                           crossover="none", pairing="random",
-                           ranges=((-10.0, 10.0), (-10.0, 10.0))),
-    "circle": dict(population=100, generations=20, repetitions=10,
-                   crossover="between", pairing="random",
-                   ranges=((-10.0, 10.0), (-10.0, 10.0)),
-                   amplitude=5.0, radius=5.0),
-    "scd": dict(population=100, generations=50, repetitions=10,
-                crossover="eitheror", pairing="random",
-                sequence_length=50, target_scd=-10.0),
-    "crossover-sweep": dict(population=200, generations=100, repetitions=3,
-                            pairing="random",
-                            ranges=((-1.5, 1.5), (-1.5, 1.5))),
-}
-
 
 @dataclass
 class BenchmarkReport:
@@ -250,15 +220,14 @@ def _landscape_compare(settings, seed):
 
 def _circle(settings, seed):
     spec = GeneSpec.numeric(settings["ranges"])
-    args = (settings["amplitude"], settings["radius"])
     rows = []
     for rep in range(settings["repetitions"]):
         row, record = _ga_row(spec, circle_from_genes, settings,
-                              seed + rep, rep, fitness_args=args)
+                              seed + rep, rep)
         genes = record.final_population.genes
         radii = np.hypot(genes[:, 0], genes[:, 1])
         occupancy = angular_bin_occupancy(genes)
-        row["radial_error_mean"] = float(np.abs(radii - settings["radius"]).mean())
+        row["radial_error_mean"] = float(np.abs(radii - CIRCLE_RADIUS).mean())
         row["bins_occupied"] = int((occupancy > 0).sum())
         rows.append(row)
     err_mean, err_sd = _mean_sd(r["radial_error_mean"] for r in rows)
@@ -272,7 +241,7 @@ def _circle(settings, seed):
     lines = [
         f"repetitions: {settings['repetitions']}",
         f"mean radial error {err_mean:.4f} +/- {err_sd:.4f} "
-        f"(target circle radius {settings['radius']:g})",
+        f"(target circle radius {CIRCLE_RADIUS:g})",
         f"all 12 angular bins occupied in {full}/{settings['repetitions']} "
         f"repetitions (minimum occupied: {aggregates['min_bins_occupied']})",
     ]
@@ -380,21 +349,33 @@ def _random_compare(settings, seed):
     return rows, aggregates, lines
 
 
-_EXPERIMENT_FNS = {
-    "landscape-compare": _landscape_compare,
-    "circle": _circle,
-    "scd": _scd,
-    "crossover-sweep": _crossover_sweep,
-    "random-compare": _random_compare,
+# name: (function, default settings), in the order EXPERIMENTS lists them.
+_EXPERIMENTS = {
+    "landscape-compare": (_landscape_compare, dict(
+        population=200, generations=100, repetitions=10, crossover="none",
+        pairing="random", ranges=((-1.5, 1.5), (-1.5, 1.5)))),
+    "circle": (_circle, dict(
+        population=100, generations=20, repetitions=10, crossover="between",
+        pairing="random", ranges=((-10.0, 10.0), (-10.0, 10.0)))),
+    "scd": (_scd, dict(
+        population=100, generations=50, repetitions=10, crossover="eitheror",
+        pairing="random", sequence_length=50, target_scd=-10.0)),
+    "crossover-sweep": (_crossover_sweep, dict(
+        population=200, generations=100, repetitions=3, pairing="random",
+        ranges=((-1.5, 1.5), (-1.5, 1.5)))),
+    "random-compare": (_random_compare, dict(
+        population=200, generations=100, repetitions=10, crossover="none",
+        pairing="random", ranges=((-10.0, 10.0), (-10.0, 10.0)))),
 }
-EXPERIMENTS = tuple(_EXPERIMENT_FNS)
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def _apply_overrides(settings: dict, overrides: dict | None) -> dict:
-    """settings with the given overrides applied, as ints and floats.
+    """settings with the given overrides applied; d0 and r0 as floats.
 
-    Only repetitions, which no settings object holds, is range-checked
-    here; the run settings check the other values when built.
+    Counts are never truncated. Only repetitions, which no settings
+    object holds, is checked here, as a positive integer; the run
+    settings check the other counts when built.
     """
     if not overrides:
         return settings
@@ -403,9 +384,9 @@ def _apply_overrides(settings: dict, overrides: dict | None) -> dict:
             raise ConfigError(f"unknown experiment option {key!r}")
         if value is None:
             continue
-        if key in ("population", "generations", "repetitions", "workers"):
-            value = int(value)
-            if key == "repetitions" and value < 1:
+        if key == "repetitions":
+            _check_integer("repetitions", value)
+            if value < 1:
                 raise ConfigError("repetitions must be positive")
         elif key in ("d0", "r0"):
             value = float(value)
@@ -446,11 +427,12 @@ def run_experiment(name: str, overrides: dict | None = None, seed: int = 0,
     Repetition r of an experiment uses seed + r, so a master seed pins
     the whole experiment.
     """
-    if name not in _EXPERIMENT_FNS:
+    if name not in _EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}")
-    settings = _apply_overrides(dict(_DEFAULTS[name]), overrides)
-    rows, aggregates, lines = _EXPERIMENT_FNS[name](settings, seed)
+    experiment, defaults = _EXPERIMENTS[name]
+    settings = _apply_overrides(dict(defaults), overrides)
+    rows, aggregates, lines = experiment(settings, seed)
     header = [f"experiment: {name}", f"master seed: {seed}"]
     report = BenchmarkReport(experiment=name, rows=rows, aggregates=aggregates,
                              summary="\n".join(header + lines))

@@ -46,7 +46,7 @@ import numpy as np
 
 from .distance import CustomMeasure, HammingSq, default_r0, get_measure
 from .errors import ConfigError, FitnessEvaluationError
-from .genome import GeneSpec, seed_population
+from .genome import GeneSpec, _check_integer, seed_population
 from .selection import select_diverse, select_top_n
 from .variation import (
     PAIRING_STRATEGIES,
@@ -174,13 +174,11 @@ class EngineConfig:
 
 def _check_run_settings(config, smallest: int, too_small: str):
     """ConfigError unless population_size, n_generations and
-    parallel_workers are Python or numpy integers (bool is not one),
+    parallel_workers are integers (see genome._check_integer),
     population_size >= smallest (too_small is the message otherwise),
     n_generations >= 1 and parallel_workers >= 0."""
     for name in ("population_size", "n_generations", "parallel_workers"):
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"{name} must be an integer, not {value!r}")
+        _check_integer(name, getattr(config, name))
     if config.population_size < smallest:
         raise ConfigError(too_small)
     if config.n_generations < 1:
@@ -203,7 +201,6 @@ class RunRecord:
     snapshots.
     """
 
-    spec: GeneSpec
     populations: list = field(default_factory=list)
     evaluations: list = field(default_factory=list)
     termination: str = ABORTED
@@ -249,9 +246,10 @@ def _evaluate_rows(fitness, start: int, rows):
 
     Returns (values, failure). failure is None, or (message, index,
     exception or None) for the first row whose fitness raised, returned
-    a non-number or returned NaN; index is its batch index start +
-    offset, and values holds the rows before it. Module level, so that
-    worker processes can run it on a chunk.
+    a non-number (a value float() rejects, also an int too large for a
+    float) or returned NaN; index is its batch index start + offset,
+    and values holds the rows before it. Module level, so that worker
+    processes can run it on a chunk.
     """
     values = np.empty(len(rows))
     for offset, row in enumerate(rows):
@@ -263,9 +261,10 @@ def _evaluate_rows(fitness, start: int, rows):
                 f"fitness raised {exc!r} for individual {index}", index, exc)
         try:
             value = float(result)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return values[:offset], (
-                f"fitness returned non-numeric value {result!r}", index, None)
+                f"fitness returned non-numeric value {result!r} for "
+                f"individual {index}", index, None)
         if math.isnan(value):
             return values[:offset], (
                 f"fitness returned NaN for individual {index}", index, None)
@@ -307,9 +306,9 @@ def evaluate_population(genes, fitness, values: np.ndarray,
 
     Returns the number of evaluations, len(genes). Each value is checked
     as it is computed: the first row whose fitness raises, returns a
-    non-number or returns NaN stops its chunk and raises
-    FitnessEvaluationError with that row's index, once the rows before
-    it are committed. Sequentially the whole batch is one chunk, so no
+    non-number (an int too large for a float counts as one) or returns
+    NaN stops its chunk and raises FitnessEvaluationError with that
+    row's index, once the rows before it are committed. Sequentially the whole batch is one chunk, so no
     row after the bad one is evaluated. With a WorkerPool the rows go
     out as one contiguous chunk per worker, ceil(n / workers) rows
     each, so a generation costs one round trip per worker. The rows are
@@ -383,11 +382,11 @@ class _RunLog:
 
 
 class RunWriter:
-    """Incrementally writes the survivors and fitness CSVs of a run."""
+    """Incrementally writes the survivors and fitness CSVs of a run into
+    an existing directory."""
 
     def __init__(self, directory: str | Path, spec: GeneSpec):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         stamp = time.strftime("%Y%m%d-%H%M%S")
         candidate, k = stamp, 2
         while (self.directory / f"{candidate}_survivors.csv").exists():
@@ -423,22 +422,6 @@ class RunWriter:
     def close(self):
         self._survivors.close()
         self._fitness.close()
-
-
-def persist(record: RunRecord, directory: str | Path) -> dict:
-    """Write a finished record's files into directory, return the paths."""
-    writer = RunWriter(directory, record.spec)
-    for g, population in enumerate(record.populations):
-        writer.append(g, population, record.evaluations[g])
-    writer.close()
-    log_path = Path(directory) / "log.txt"
-    with open(log_path, "a", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"persisted record: {len(record.populations)} snapshots, "
-                 f"{record.total_evaluations} evaluations, "
-                 f"termination {record.termination}\n")
-    return {"survivors": writer.survivors_path,
-            "fitness": writer.fitness_path,
-            "log": log_path}
 
 
 def run(spec: GeneSpec, fitness, config: EngineConfig, *,
@@ -479,7 +462,7 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
         out_dir.mkdir(parents=True, exist_ok=True)
     log = _RunLog(out_dir, config.verbosity)
     writer = workers = None
-    record = RunRecord(spec=spec, termination=ABORTED)
+    record = RunRecord()
 
     def snapshot(generation, genes, values, cumulative):
         decoded = spec.decode(genes)

@@ -30,6 +30,13 @@ NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
 
+def _check_integer(name: str, value):
+    """ConfigError unless value is a Python or numpy integer; bool is
+    not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class GeneSpec:
     """Declares the shape and admissible values of a genome.
@@ -51,11 +58,13 @@ class GeneSpec:
 
     def __post_init__(self):
         """Raises ConfigError: both ranges and categories given, or kind
-        inconsistent with the populated fields; no genes declared; a
+        inconsistent with the populated fields; number_of_genes not an
+        integer (bool is not one, numpy integers are) or below 1; a
         numeric range not finite or with lower >= upper; fewer than two
         distinct labels."""
         if self.numeric_ranges is not None and self.categories is not None:
             raise ConfigError("genome cannot be both numeric and categorical")
+        _check_integer("number_of_genes", self.number_of_genes)
         if self.kind == NUMERIC:
             if self.numeric_ranges is None:
                 raise ConfigError("numeric genome needs numeric_ranges")
@@ -94,7 +103,7 @@ class GeneSpec:
         that each label has exactly one code.
         """
         return cls(CATEGORICAL, categories=tuple(dict.fromkeys(categories)),
-                   number_of_genes=int(number_of_genes))
+                   number_of_genes=number_of_genes)
 
     @property
     def is_numeric(self) -> bool:

@@ -64,6 +64,11 @@ def text_on_33(genes):
     return "not a number" if genes[0] == 33 else 0.0
 
 
+def overflow_on_33(genes):
+    """An int too large for a float on the row whose first gene is 33."""
+    return 10**400 if genes[0] == 33 else 0.0
+
+
 def exits_on_half(genes):
     """Kills the worker process that evaluates a row starting with 0.5."""
     if genes[0] == 0.5:

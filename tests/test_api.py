@@ -40,6 +40,22 @@ def test_all_is_sorted_and_unique():
     assert list(divga.__all__) == sorted(set(divga.__all__))
 
 
+def test_public_surface():
+    """The exported names, spelled out so that any change shows up."""
+    assert divga.__all__ == [
+        "BenchmarkReport", "ConfigError", "DEConfig", "DEResult",
+        "DistanceMeasure", "DiversityEnhanced", "DivgaError", "DynamicSq",
+        "EXPERIMENTS", "EngineConfig", "EuclideanSq",
+        "FitnessEvaluationError", "GeneSpec", "HammingSq", "MutationConfig",
+        "RandomScanTrace", "RunRecord", "WorkerPool",
+        "angular_bin_occupancy", "calculate_scd", "crossover", "default_r0",
+        "evaluate_population", "get_measure", "hamming_spread",
+        "make_pairs", "mutate", "net_charge", "produce_offspring",
+        "random_scan", "run", "run_de", "run_experiment", "seed_population",
+        "select_diverse", "select_top_n", "spread",
+    ]
+
+
 def test_version_string():
     parts = divga.__version__.split(".")
     assert len(parts) == 3
@@ -166,6 +182,17 @@ def test_settings_types_check_themselves():
     (lambda: DEConfig(population_size=8, n_generations=1,
                       crossover_probability=1.5),
      r"crossover_probability must lie in \[0, 1\]"),
+    (lambda: GeneSpec("categorical", categories=("E", "K"),
+                      number_of_genes=2.5),
+     "number_of_genes must be an integer, not 2.5"),
+    (lambda: GeneSpec("categorical", categories=("E", "K"),
+                      number_of_genes=True),
+     "number_of_genes must be an integer, not True"),
+    (lambda: GeneSpec("categorical", categories=("E", "K"),
+                      number_of_genes="3"),
+     "number_of_genes must be an integer, not '3'"),
+    (lambda: GeneSpec.categorical(("E", "K"), 2.9),
+     "number_of_genes must be an integer, not 2.9"),
 ])
 def test_bad_settings_rejected_when_built(build, match):
     """A bad raw value is a ConfigError at construction, with no run."""

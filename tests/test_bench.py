@@ -9,14 +9,19 @@ import pytest
 from divga import (
     angular_bin_occupancy,
     calculate_scd,
-    circle_fitness,
-    landscape_fitness,
     net_charge,
     run_experiment,
-    scd_fitness,
     spread,
 )
-from divga.bench import CHARGES, _charge_vector, _scd_pairs, hamming_spread
+from divga.bench import (
+    CHARGES,
+    _charge_vector,
+    _scd_pairs,
+    circle_from_genes,
+    hamming_spread,
+    landscape_from_genes,
+    scd_from_genes,
+)
 from divga.errors import ConfigError
 
 
@@ -32,33 +37,33 @@ def brute_force_scd(sequence):
 
 class TestLandscapeFitness:
     def test_origin_is_maximal(self):
-        assert landscape_fitness(0.0, 0.0) == 10.0
+        assert landscape_from_genes((0.0, 0.0)) == 10.0
 
     def test_outside_box_penalized(self):
-        assert landscape_fitness(2.0, 0.0) == -1000.0
-        assert landscape_fitness(0.0, -1.6) == -1000.0
+        assert landscape_from_genes((2.0, 0.0)) == -1000.0
+        assert landscape_from_genes((0.0, -1.6)) == -1000.0
 
     def test_box_edge_still_inside(self):
-        assert landscape_fitness(1.5, 0.0) == 10.0
+        assert landscape_from_genes((1.5, 0.0)) == 10.0
 
     def test_cosine_trough(self):
         x = math.sqrt(math.pi / 20)
-        assert landscape_fitness(x, x) == pytest.approx(-10.0)
+        assert landscape_from_genes((x, x)) == pytest.approx(-10.0)
 
     def test_bounded_above_by_ten(self, rng):
         points = rng.uniform(-2, 2, size=(2000, 2))
-        assert all(landscape_fitness(x, y) <= 10.0 for x, y in points)
+        assert all(landscape_from_genes((x, y)) <= 10.0 for x, y in points)
 
 
 class TestCircleFitness:
     def test_on_circle(self):
-        assert circle_fitness(3.0, 4.0) == 0.0
+        assert circle_from_genes((3.0, 4.0)) == 0.0
 
     def test_at_origin(self):
-        assert circle_fitness(0.0, 0.0) == -125.0
+        assert circle_from_genes((0.0, 0.0)) == -125.0
 
     def test_off_circle(self):
-        assert circle_fitness(6.0, 0.0) == -5.0
+        assert circle_from_genes((6.0, 0.0)) == -5.0
 
 
 class TestCalculateSCD:
@@ -157,11 +162,11 @@ class TestChargeVector:
 class TestSCDFitness:
     def test_at_target(self):
         seq = "EK" * 10
-        assert scd_fitness(seq, calculate_scd(seq)) == 0.0
+        assert scd_from_genes(seq, calculate_scd(seq)) == 0.0
 
     def test_known_offset(self):
-        assert scd_fitness("EK", -0.5) == 0.0
-        assert scd_fitness("EK", -10.0) == pytest.approx(-90.25)
+        assert scd_from_genes("EK", -0.5) == 0.0
+        assert scd_from_genes("EK", -10.0) == pytest.approx(-90.25)
 
 
 class TestNetCharge:
@@ -236,6 +241,17 @@ class TestRunExperiment:
     def test_unknown_override(self):
         with pytest.raises(ConfigError):
             run_experiment("circle", overrides={"colour": "red"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("population", 12.9), ("generations", 2.2), ("repetitions", 1.7),
+        ("repetitions", 0), ("repetitions", True), ("population", True),
+        ("workers", 1.5),
+    ])
+    def test_counts_are_not_truncated(self, key, value):
+        overrides = dict({"population": 8, "generations": 2,
+                          "repetitions": 1}, **{key: value})
+        with pytest.raises(ConfigError, match="integer|positive"):
+            run_experiment("circle", overrides=overrides)
 
     def test_circle_small(self, tmp_path):
         report = run_experiment(

@@ -20,7 +20,6 @@ from divga import (
     RunRecord,
     WorkerPool,
     evaluate_population,
-    persist,
     run,
     seed_population,
 )
@@ -34,6 +33,7 @@ from conftest import (
     label_count_fitness,
     nan_on_33,
     non_numeric_fitness,
+    overflow_on_33,
     sphere_fitness,
     sum_fitness,
     text_on_33,
@@ -100,8 +100,15 @@ class TestEvaluatePopulation:
         pytest.param(2, nan_on_33, 33, "fitness returned NaN for individual 33",
                      id="2-second-chunk-nan"),
         pytest.param(2, text_on_33, 33,
-                     "fitness returned non-numeric value 'not a number'",
+                     "fitness returned non-numeric value 'not a number' "
+                     "for individual 33",
                      id="2-second-chunk-non-number"),
+        pytest.param(0, overflow_on_33, 33,
+                     f"non-numeric value {10**400!r} for individual 33",
+                     id="0-overflow"),
+        pytest.param(2, overflow_on_33, 33,
+                     f"non-numeric value {10**400!r} for individual 33",
+                     id="2-second-chunk-overflow"),
     ])
     def test_failure_reports_the_failing_individual(self, workers, fitness,
                                                     failing, message):
@@ -667,8 +674,7 @@ class TestHistory:
 
     def test_history_fields(self):
         assert [f.name for f in dataclasses.fields(RunRecord)] == [
-            "spec", "populations", "evaluations", "termination",
-            "output_files"]
+            "populations", "evaluations", "termination", "output_files"]
 
 
 class TestLogFile:
@@ -763,17 +769,6 @@ class TestPersistence:
         self.run_with_output(numeric_spec, tmp_path, seed=1)
         self.run_with_output(numeric_spec, tmp_path, seed=2)
         assert len(list(tmp_path.glob("*_survivors.csv"))) == 2
-
-    @both_kinds
-    def test_standalone_persist_matches_run_output(self, spec_name, fitness,
-                                                   request, tmp_path):
-        spec = request.getfixturevalue(spec_name)
-        record = self.run_with_output(spec, tmp_path / "live",
-                                      fitness=fitness)
-        files = persist(record, tmp_path / "replay")
-        for key in ("survivors", "fitness"):
-            assert (files[key].read_bytes()
-                    == record.output_files[key].read_bytes())
 
     def test_verbosity_zero_is_silent(self, numeric_spec, capsys):
         config = quiet(population_size=4, n_generations=2, seed=0)

@@ -26,6 +26,11 @@ class TestGeneSpec:
         assert spec.categories == ("E", "K")
         assert spec.number_of_genes == 5
 
+    def test_numpy_integer_length_accepted(self, rng):
+        spec = GeneSpec.categorical("EK", np.int64(5))
+        assert spec.number_of_genes == 5
+        assert seed_population(spec, 3, rng).shape == (3, 5)
+
     def test_empty_range_rejected(self):
         with pytest.raises(ConfigError, match="empty gene range"):
             GeneSpec.numeric([(-1, 1), (2, 2)])
