@@ -15,7 +15,7 @@ from .engine import (
     evaluate_population,
 )
 from .errors import ConfigError, FitnessEvaluationError
-from .genome import GeneSpec, seed_population
+from .genome import GeneSpec, _check_integer, seed_population
 
 
 @dataclass(frozen=True)
@@ -165,6 +165,8 @@ def random_scan(spec: GeneSpec, fitness, total_evaluations: int,
     """
     if not spec.is_numeric:
         raise ConfigError("random scan needs a numeric genome")
+    _check_integer("total_evaluations", total_evaluations)
+    _check_integer("keep_best", keep_best)
     if not 1 <= keep_best <= total_evaluations:
         raise ConfigError("need 1 <= keep_best <= total_evaluations")
 

@@ -389,7 +389,11 @@ def _apply_overrides(settings: dict, overrides: dict | None) -> dict:
             if value < 1:
                 raise ConfigError("repetitions must be positive")
         elif key in ("d0", "r0"):
-            value = float(value)
+            try:
+                value = float(value)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{key} must be a number, not {value!r}") from None
         settings[key] = value
     return settings
 

@@ -4,6 +4,12 @@ All measures return squared distances: the diversity penalty consumes
 r^2 directly, so no square root is ever taken. Measures are symmetric,
 non-negative and zero on identical vectors; user-supplied measures are
 expected to satisfy the same contract and are spot-checked for symmetry.
+
+The one-vs-many form to_point(matrix, point, out=None) fills out when
+it is given, so selection reuses one buffer for every pick. The numeric
+measures sum the per-gene terms in gene order, left to right, so each
+distance equals its scalar formula evaluated in Python bit for bit,
+whatever the number of genes and the memory order of the matrix.
 """
 
 from __future__ import annotations
@@ -34,9 +40,26 @@ class DistanceMeasure:
         a, b = (np.array(list(v), dtype=self.dtype) for v in (a, b))
         return float(self.to_point(a[None, :], b)[0])
 
-    def to_point(self, matrix: np.ndarray, point: np.ndarray) -> np.ndarray:
-        """Squared distances from every row of matrix to point."""
+    def to_point(self, matrix: np.ndarray, point: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Squared distances from every row of matrix to point, written
+        into out (a float vector, one entry per row) when it is given.
+        Returns out, or a new array when out is None."""
         raise NotImplementedError
+
+
+def _sum_genes(terms: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Row sums of the column-major (n, g) terms, each added gene by
+    gene from the left.
+
+    Reducing the gene axis of a column-major matrix adds one whole
+    column at a time, so every row is summed in gene order. A single
+    row is one contiguous run, which numpy would sum pairwise; it is
+    accumulated in order instead.
+    """
+    if len(terms) == 1:
+        terms = np.add.accumulate(terms, axis=1)[:, -1:]
+    return np.add.reduce(terms, axis=1, out=out)
 
 
 class EuclideanSq(DistanceMeasure):
@@ -44,9 +67,10 @@ class EuclideanSq(DistanceMeasure):
 
     name = "euclidean"
 
-    def to_point(self, matrix, point):
-        d = matrix - point
-        return np.einsum("ij,ij->i", d, d)
+    def to_point(self, matrix, point, out=None):
+        d = np.subtract(matrix, point, order="F", dtype=float)
+        d *= d
+        return _sum_genes(d, out)
 
 
 class DynamicSq(DistanceMeasure):
@@ -60,10 +84,14 @@ class DynamicSq(DistanceMeasure):
     name = "dynamic"
     epsilon = 1e-15
 
-    def to_point(self, matrix, point):
-        scale = np.abs(matrix) + np.abs(point) + self.epsilon
-        d = (matrix - point) / scale
-        return np.einsum("ij,ij->i", d, d)
+    def to_point(self, matrix, point, out=None):
+        scale = np.abs(matrix, order="F", dtype=float)
+        scale += np.abs(point)
+        scale += self.epsilon
+        d = np.subtract(matrix, point, order="F", dtype=float)
+        d /= scale
+        d *= d
+        return _sum_genes(d, out)
 
 
 class HammingSq(DistanceMeasure):
@@ -73,7 +101,8 @@ class HammingSq(DistanceMeasure):
     to_point counts the mismatches of each row with a matrix-vector
     product. A count is an exact integer in float64 whatever order the
     product sums in, so the result equals the mean of the mismatch
-    matrix bit for bit.
+    matrix bit for bit. The mismatch matrix keeps the memory order of
+    the codes: a column-major copy makes the product slower.
     """
 
     name = "hamming"
@@ -84,9 +113,11 @@ class HammingSq(DistanceMeasure):
             raise ConfigError("empty gene vectors")
         return super().__call__(a, b)
 
-    def to_point(self, matrix, point):
+    def to_point(self, matrix, point, out=None):
         g = matrix.shape[1]
-        return (matrix != point) @ np.ones(g) / g
+        counts = np.matmul(matrix != point, np.ones(g), out=out)
+        counts /= g
+        return counts
 
 
 class CustomMeasure(DistanceMeasure):
@@ -99,8 +130,12 @@ class CustomMeasure(DistanceMeasure):
     def __call__(self, a, b) -> float:
         return float(self.fn(a, b))
 
-    def to_point(self, matrix, point):
-        return np.array([self(row, point) for row in matrix])
+    def to_point(self, matrix, point, out=None):
+        values = np.array([self(row, point) for row in matrix])
+        if out is None:
+            return values
+        out[:] = values
+        return out
 
 
 _NAMED = {

@@ -401,17 +401,24 @@ class RunWriter:
         gene_names = ",".join(f"g{k + 1}" for k in range(spec.number_of_genes))
         self._survivors.write(f"generation,index,fitness,{gene_names}\n")
         self._fitness.write("generation,evaluations,mean_fitness,best_fitness\n")
-        self._cell = (_format_real if spec.is_numeric else
+        # One %-template per survivor row: "%.17g" formats every float,
+        # inf, nan and -0.0 included, as _format_real does. Label rows
+        # fill one "%s" with their joined cell texts.
+        genes_format = (",%.17g" * spec.number_of_genes if spec.is_numeric
+                        else ",%s")
+        self._row = "%d,%d,%.17g" + genes_format + "\n"
+        self._text = (None if spec.is_numeric else
                       {c: _csv_text(c) for c in spec.categories}.__getitem__)
 
     def append(self, generation: int, population, evaluations: int):
         """Write one RunRecord snapshot and its fitness row."""
         fitness = population.fitness
+        rows = population.genes.tolist()
+        if self._text is not None:
+            rows = [(",".join(map(self._text, genes)),) for genes in rows]
         self._survivors.write("".join(
-            f"{generation},{index},{_format_real(value)},"
-            f"{','.join(map(self._cell, genes))}\n"
-            for index, (value, genes) in enumerate(
-                zip(fitness.tolist(), population.genes.tolist()))))
+            self._row % (generation, index, value, *genes)
+            for index, (value, genes) in enumerate(zip(fitness.tolist(), rows))))
         self._fitness.write(
             f"{generation},{evaluations},"
             f"{_format_real(_mean_fitness(fitness))},"

@@ -160,6 +160,7 @@ def seed_population(spec: GeneSpec, size: int,
     gene_dtype, so the random stream does not depend on that dtype.
     Extra vectors beyond size are dropped with a warning.
     """
+    _check_integer("size", size)
     if size < 1:
         raise ConfigError("population size must be positive")
     given = list(init_genes) if init_genes is not None else []

@@ -14,6 +14,12 @@ the procedure degenerates to plain truncation selection (top-N), and
 the engine runs DiversityEnhanced(d0=0) as select_top_n: the same
 picks from one stable argsort.
 
+Each pick of diversity-enhanced selection writes r^2 into one buffer
+allocated per call, through the measure's to_point, and turns it into
+the penalty in place: r^2 * (-1 / r0^2), exp, times d0, subtracted
+from the working fitness. These are the IEEE operations of the formula
+above, with the negation carried by the constant.
+
 Both selectors take the whole candidate pool as arrays (a gene matrix
 and a fitness vector, one row per candidate) and return the indices of
 the survivors in selection order. A fitness of +inf ranks first and
@@ -63,7 +69,8 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
         raise ConfigError("r0 is not set; give it or resolve the selection "
                           "against a population first")
     measure = get_measure(diversity.measure, labels=genes.dtype.kind in "OSU")
-    inv_r0_sq = 1.0 / diversity.r0 ** 2
+    scale = -1.0 / diversity.r0 ** 2
+    penalty = np.empty(len(work))
     alive = np.ones(len(work), dtype=bool)
     picks = np.empty(count, dtype=np.intp)
     for k in range(count):
@@ -77,8 +84,11 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
         alive[pick] = False
         work[pick] = -np.inf
         if diversity.d0 != 0.0 and k + 1 < count:
-            r_sq = measure.to_point(genes, genes[pick])
-            work -= diversity.d0 * np.exp(-np.asarray(r_sq) * inv_r0_sq)
+            r_sq = measure.to_point(genes, genes[pick], penalty)
+            np.multiply(r_sq, scale, out=penalty)
+            np.exp(penalty, out=penalty)
+            penalty *= diversity.d0
+            work -= penalty
     return picks
 
 

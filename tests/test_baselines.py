@@ -295,6 +295,15 @@ class TestRandomScan:
         assert len(trace.kept_fitness) == 40
         np.testing.assert_array_equal(trace.evaluations, np.arange(1, 301))
 
+    @pytest.mark.parametrize("total, keep", [(10, 3.5), (10.5, 3),
+                                             (True, 1), (10, True)])
+    def test_counts_not_integers(self, total, keep):
+        calls = []
+        with pytest.raises(ConfigError, match="must be an integer"):
+            random_scan(self.spec(), lambda genes: calls.append(1) or 0.0,
+                        total, keep, np.random.default_rng(0))
+        assert calls == []
+
     def test_constant_fitness_gives_flat_trace(self):
         trace = random_scan(self.spec(), lambda genes: 4.5, 50, 10,
                             np.random.default_rng(3))

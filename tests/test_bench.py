@@ -253,6 +253,17 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="integer|positive"):
             run_experiment("circle", overrides=overrides)
 
+    @pytest.mark.parametrize("key", ["d0", "r0"])
+    @pytest.mark.parametrize("value", ["x", [1]])
+    def test_radius_and_penalty_must_be_numbers(self, key, value, tmp_path):
+        overrides = {"population": 8, "generations": 2, "repetitions": 1,
+                     key: value}
+        with pytest.raises(ConfigError,
+                           match=f"{key} must be a number, not "):
+            run_experiment("circle", overrides=overrides,
+                           output_directory=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_circle_small(self, tmp_path):
         report = run_experiment(
             "circle",

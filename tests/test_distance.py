@@ -125,7 +125,7 @@ class TestToPoint:
         for measure in (EuclideanSq(), DynamicSq()):
             batch = measure.to_point(matrix, point)
             expected = [measure(row, point) for row in matrix]
-            np.testing.assert_allclose(batch, expected, rtol=1e-12)
+            assert batch.tolist() == expected
 
     def test_hamming(self, rng):
         """Labels and their category codes give the same distances."""
@@ -137,6 +137,85 @@ class TestToPoint:
                                    expected)
         np.testing.assert_array_equal(measure.to_point(codes[1:], codes[0]),
                                       measure.to_point(labels[1:], labels[0]))
+
+    def test_integer_matrix(self, rng):
+        """Integer genes are measured as the same values in float."""
+        ints = rng.integers(-50, 50, size=(6, 4))
+        for measure in (EuclideanSq(), DynamicSq()):
+            assert measure.to_point(ints, ints[1]).tolist() == \
+                measure.to_point(ints.astype(float), ints[1] * 1.0).tolist()
+
+    def test_hamming_fills_out(self, rng):
+        codes = rng.integers(0, 3, size=(9, 7))
+        measure = HammingSq()
+        out = np.full(9, np.nan)
+        assert measure.to_point(codes, codes[2], out) is out
+        assert out.tolist() == measure.to_point(codes, codes[2]).tolist()
+
+    def test_custom_fills_out(self, rng):
+        matrix = rng.uniform(-1, 1, size=(5, 2))
+        measure = get_measure(lambda a, b: float(np.sum(np.abs(a - b))))
+        out = np.full(5, np.nan)
+        assert measure.to_point(matrix, matrix[0], out) is out
+        assert out.tolist() == [measure(row, matrix[0]) for row in matrix]
+
+
+def _in_gene_order(terms) -> float:
+    """Sum of terms added one at a time from the left."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def _euclidean_scalar(row, point) -> float:
+    return _in_gene_order((x - y) * (x - y) for x, y in zip(row, point))
+
+
+def _dynamic_scalar(row, point) -> float:
+    terms = ((x - y) / (abs(x) + abs(y) + DynamicSq.epsilon)
+             for x, y in zip(row, point))
+    return _in_gene_order(t * t for t in terms)
+
+
+@st.composite
+def numeric_pools(draw):
+    """(matrix, point): a C- or F-ordered (n, g) float matrix, g up to
+    60, with values spread over many magnitudes, and a point that is
+    one of its rows or a fresh vector."""
+    n = draw(st.integers(1, 8))
+    g = draw(st.integers(1, 60))
+    values = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    flat = draw(st.lists(values, min_size=n * g, max_size=n * g))
+    matrix = np.array(flat, dtype=float).reshape(n, g)
+    matrix = np.asarray(matrix, order=draw(st.sampled_from("CF")))
+    if draw(st.booleans()):
+        point = matrix[draw(st.integers(0, n - 1))].copy()
+    else:
+        point = np.array(draw(st.lists(values, min_size=g, max_size=g)))
+    return matrix, point
+
+
+class TestNumericKernel:
+    """to_point of the numeric measures sums the genes in order, so it
+    equals the scalar formula float for float at any g."""
+
+    @pytest.mark.parametrize("measure, scalar", [
+        (EuclideanSq(), _euclidean_scalar), (DynamicSq(), _dynamic_scalar)],
+        ids=["euclidean", "dynamic"])
+    @given(pool=numeric_pools())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_equals_scalar_formula(self, measure, scalar, pool):
+        matrix, point = pool
+        before = matrix.copy(), point.copy()
+        expected = [scalar(row, point.tolist()) for row in matrix.tolist()]
+        assert measure.to_point(matrix, point).tolist() == expected
+        out = np.full(len(matrix), np.nan)
+        assert measure.to_point(matrix, point, out) is out
+        assert out.tolist() == expected
+        assert measure(matrix[0], point) == expected[0]
+        np.testing.assert_array_equal(matrix, before[0])
+        np.testing.assert_array_equal(point, before[1])
 
 
 @st.composite

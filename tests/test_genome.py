@@ -152,6 +152,11 @@ class TestSeedPopulation:
                            match="population size must be positive"):
             seed_population(numeric_spec, size, rng)
 
+    @pytest.mark.parametrize("size", [2.5, True])
+    def test_size_not_an_integer(self, numeric_spec, rng, size):
+        with pytest.raises(ConfigError, match="size must be an integer"):
+            seed_population(numeric_spec, size, rng)
+
     def test_extra_init_genes_truncated_with_warning(self, numeric_spec, rng):
         vectors = [[0.0, 0.0, 0.0], [0.1, 0.1, 0.1], [0.2, 0.2, 0.2]]
         with pytest.warns(UserWarning, match="ignored"):

@@ -219,6 +219,110 @@ class TestSelectDiverse:
                            DiversityEnhanced(r0=1.0, measure=measure))
 
 
+def einsum_r_sq(matrix, point, measure):
+    """r^2 as select_diverse computed it before its kernel summed the
+    genes in order: an einsum over the differences."""
+    if isinstance(measure, HammingSq):
+        return (matrix != point) @ np.ones(matrix.shape[1]) / matrix.shape[1]
+    if isinstance(measure, DynamicSq):
+        scale = np.abs(matrix) + np.abs(point) + measure.epsilon
+        d = (matrix - point) / scale
+    else:
+        d = matrix - point
+    return np.einsum("ij,ij->i", d, d)
+
+
+def einsum_select(genes, fitness, count, d0, r0, measure):
+    """(picks, working) of the selection loop before the in-place
+    kernel: a fresh r^2 and a fresh penalty for every pick."""
+    work = np.array(fitness, dtype=float)
+    inv_r0_sq = 1.0 / r0 ** 2
+    alive = np.ones(len(work), dtype=bool)
+    picks, working = [], np.empty(count)
+    for k in range(count):
+        pick = int(np.argmax(work))
+        if not alive[pick]:
+            pick = int(np.argmax(alive))
+        picks.append(pick)
+        working[k] = work[pick]
+        alive[pick] = False
+        work[pick] = -np.inf
+        if d0 != 0.0 and k + 1 < count:
+            r_sq = einsum_r_sq(genes, genes[pick], measure)
+            work -= d0 * np.exp(-r_sq * inv_r0_sq)
+    return picks, working
+
+
+def seeded_pool(seed, g, ties):
+    """A 60-row pool with g genes. With ties, fitness takes five values
+    and a sixth of the rows are +-inf, and some rows repeat."""
+    rng = np.random.default_rng(seed)
+    n = 60
+    genes = rng.uniform(-3, 3, size=(n, g))
+    if ties:
+        genes[::7] = genes[0]
+        fitness = rng.integers(0, 5, size=n) / 4.0
+        fitness[rng.random(n) < 0.1] = -np.inf
+        fitness[rng.random(n) < 0.07] = np.inf
+    else:
+        fitness = rng.uniform(-1, 1, size=n)
+    return genes, fitness
+
+
+class TestKernelAgainstEinsum:
+    """The in-place kernel against the einsum loop it replaced."""
+
+    @pytest.mark.parametrize("measure", [EuclideanSq(), DynamicSq()],
+                             ids=["euclidean", "dynamic"])
+    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_identical_up_to_two_genes(self, measure, g, seed):
+        genes, fitness = seeded_pool(seed, g, ties=True)
+        for count, d0, r0 in ((40, 1.0, 0.7), (60, 2.5, 3.0), (25, 0.3, 0.05)):
+            working = np.empty(count)
+            got = select_diverse(genes, fitness, count,
+                                 DiversityEnhanced(d0=d0, r0=r0,
+                                                   measure=measure), working)
+            want, want_working = einsum_select(genes, fitness, count, d0, r0,
+                                               measure)
+            assert got.tolist() == want
+            assert working.tobytes() == want_working.tobytes()
+
+    @pytest.mark.parametrize("g", [3, 8, 50])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hamming_bit_identical(self, g, seed):
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, 2, size=(60, g)).astype(np.int8)
+        fitness = rng.integers(0, 5, size=60) / 4.0
+        fitness[rng.random(60) < 0.1] = -np.inf
+        measure = HammingSq()
+        working = np.empty(30)
+        got = select_diverse(codes, fitness, 30,
+                             DiversityEnhanced(d0=1.0, r0=0.4,
+                                               measure=measure), working)
+        want, want_working = einsum_select(codes, fitness, 30, 1.0, 0.4,
+                                           measure)
+        assert got.tolist() == want
+        assert working.tobytes() == want_working.tobytes()
+
+    @pytest.mark.parametrize("measure", [EuclideanSq(), DynamicSq()],
+                             ids=["euclidean", "dynamic"])
+    @pytest.mark.parametrize("g", range(3, 9))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_picks_from_three_genes(self, measure, g, seed):
+        """From 3 genes r^2 may move in the last bits; on these pools
+        the picks stay and working moves by at most 1e-12 relative."""
+        genes, fitness = seeded_pool(seed, g, ties=False)
+        working = np.empty(40)
+        got = select_diverse(genes, fitness, 40,
+                             DiversityEnhanced(d0=1.0, r0=1.5,
+                                               measure=measure), working)
+        want, want_working = einsum_select(genes, fitness, 40, 1.0, 1.5,
+                                           measure)
+        assert got.tolist() == want
+        np.testing.assert_allclose(working, want_working, rtol=1e-12)
+
+
 class TestSelectTopN:
     def test_sorted_by_fitness(self):
         fitness = np.array([1.0, 4.0, 2.0, 3.0])
