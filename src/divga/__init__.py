@@ -11,10 +11,8 @@ from .bench import (
     EXPERIMENTS,
     angular_bin_occupancy,
     calculate_scd,
-    hamming_spread,
     net_charge,
     run_experiment,
-    spread,
 )
 from .distance import (
     DistanceMeasure,
@@ -23,6 +21,8 @@ from .distance import (
     HammingSq,
     default_r0,
     get_measure,
+    hamming_spread,
+    spread,
 )
 from .engine import (
     DiversityEnhanced,

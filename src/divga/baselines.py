@@ -3,6 +3,7 @@ on its own layers: seed_population draws, evaluate_population calls."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from heapq import heappush, heappushpop
 
@@ -141,7 +142,9 @@ class RandomScanTrace:
     """Running best-k record of a uniform random scan.
 
     kept_mean[e] is the mean fitness of the kept set after evaluation
-    e + 1; the kept set holds min(e + 1, keep_best) points.
+    e + 1; the kept set holds min(e + 1, keep_best) points. The mean
+    is +-inf while the kept set holds one infinity, NaN while it holds
+    both.
     """
 
     evaluations: np.ndarray
@@ -181,7 +184,11 @@ def random_scan(spec: GeneSpec, fitness, total_evaluations: int,
             running_sum += value
         else:
             running_sum += value - heappushpop(heap, (value, e))[0]
-        trace[e] = running_sum / len(heap)
+        if math.isfinite(running_sum):
+            trace[e] = running_sum / len(heap)
+        else:  # an infinity joined or left the kept set, or the sum overflowed
+            running_sum = sum(v for v, _ in heap)
+            trace[e] = sum(v / len(heap) for v, _ in heap)
     kept = [e for _, e in sorted(heap, key=lambda item: -item[0])]
     return RandomScanTrace(np.arange(1, total_evaluations + 1), trace,
                            list(points[kept]), values[kept])

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import DEConfig, random_scan, run_de
-from .distance import HammingSq, mean_pairwise
-from .engine import DiversityEnhanced, EngineConfig, _format_real, run
+from .distance import hamming_spread, spread
+from .engine import DiversityEnhanced, EngineConfig, run
 from .errors import ConfigError
 from .genome import GeneSpec, _check_integer
 
@@ -95,24 +95,6 @@ def net_charge(sequence) -> int:
     return int(round(_charge_vector(sequence).sum()))
 
 
-def spread(points) -> float:
-    """Mean Euclidean distance over all unordered pairs of points."""
-    pts = np.asarray(list(points), dtype=float)
-    n = len(pts)
-    if n < 2:
-        raise ConfigError("spread needs at least two points")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dists = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    iu = np.triu_indices(n, k=1)
-    return float(dists[iu].mean())
-
-
-def hamming_spread(sequences) -> float:
-    """Mean pairwise fraction of differing positions (labels or strings)."""
-    rows = np.array([list(row) for row in sequences], dtype=object)
-    return mean_pairwise(rows, HammingSq())
-
-
 def angular_bin_occupancy(points, n_bins: int = 12) -> np.ndarray:
     """Counts of points per equal-width angular bin around the origin."""
     pts = np.asarray(list(points), dtype=float)
@@ -142,8 +124,24 @@ def _mean_sd(values) -> tuple[float, float]:
     return float(arr.mean()), sd
 
 
-def _ga_config(settings, seed: int) -> EngineConfig:
-    return EngineConfig(
+def _row(algorithm, repetition, seed, genes, mean_fitness, best_fitness,
+         evaluations) -> dict:
+    """One runs.csv row; the spread is Hamming for label genes."""
+    genes = np.asarray(genes)
+    return {
+        "algorithm": algorithm,
+        "repetition": repetition,
+        "seed": seed,
+        "final_mean_fitness": float(mean_fitness),
+        "best_fitness": float(best_fitness),
+        "spread": (hamming_spread(genes) if genes.dtype == object
+                   else spread(genes)),
+        "evaluations": int(evaluations),
+    }
+
+
+def _ga_row(spec, fitness, settings, seed, repetition):
+    record = run(spec, fitness, EngineConfig(
         population_size=settings["population"],
         n_generations=settings["generations"],
         crossover=settings.get("crossover"),
@@ -153,24 +151,10 @@ def _ga_config(settings, seed: int) -> EngineConfig:
         seed=seed,
         parallel_workers=settings.get("workers", 0),
         verbosity=0,
-    )
-
-
-def _ga_row(spec, fitness, settings, seed, repetition, *, fitness_args=()):
-    record = run(spec, fitness, _ga_config(settings, seed),
-                 fitness_args=fitness_args)
-    genes = record.final_population.genes
-    pop_spread = spread(genes) if spec.is_numeric else hamming_spread(genes)
-    row = {
-        "algorithm": "ga",
-        "repetition": repetition,
-        "seed": seed,
-        "final_mean_fitness": record.mean_fitness[-1],
-        "best_fitness": record.best_fitness[-1],
-        "spread": pop_spread,
-        "evaluations": record.total_evaluations,
-    }
-    return row, record
+    ))
+    return _row("ga", repetition, seed, record.final_population.genes,
+                record.mean_fitness[-1], record.best_fitness[-1],
+                record.total_evaluations), record
 
 
 def _landscape_compare(settings, seed):
@@ -186,17 +170,9 @@ def _landscape_compare(settings, seed):
                              n_generations=settings["generations"],
                              seed=rep_seed,
                              parallel_workers=settings.get("workers", 0)))
-        rows.append({
-            "algorithm": "de",
-            "repetition": rep,
-            "seed": rep_seed,
-            "final_mean_fitness": float(de.fitness.mean()),
-            "best_fitness": float(de.fitness.max()),
-            "spread": spread(de.genes),
-            "evaluations": de.total_evaluations,
-        })
-    ga_rows = [r for r in rows if r["algorithm"] == "ga"]
-    de_rows = [r for r in rows if r["algorithm"] == "de"]
+        rows.append(_row("de", rep, rep_seed, de.genes, de.mean_fitness[-1],
+                         de.best_fitness[-1], de.total_evaluations))
+    ga_rows, de_rows = rows[::2], rows[1::2]
     aggregates = {}
     lines = [f"repetitions: {settings['repetitions']}"]
     for label, group in (("ga", ga_rows), ("de", de_rows)):
@@ -251,10 +227,10 @@ def _circle(settings, seed):
 def _scd(settings, seed):
     spec = GeneSpec.categorical(("E", "K"), settings["sequence_length"])
     target = settings["target_scd"]
+    fitness = functools.partial(scd_from_genes, target_scd=target)
     rows = []
     for rep in range(settings["repetitions"]):
-        row, record = _ga_row(spec, scd_from_genes, settings,
-                              seed + rep, rep, fitness_args=(target,))
+        row, record = _ga_row(spec, fitness, settings, seed + rep, rep)
         finals = record.final_population.genes
         scds = np.array([calculate_scd(g) for g in finals])
         charges = np.array([net_charge(g) for g in finals])
@@ -319,17 +295,10 @@ def _random_compare(settings, seed):
                             record.total_evaluations,
                             settings["population"],
                             np.random.default_rng(rep_seed))
-        rows.append({
-            "algorithm": "random",
-            "repetition": rep,
-            "seed": rep_seed,
-            "final_mean_fitness": trace.final_mean,
-            "best_fitness": float(trace.kept_fitness.max()),
-            "spread": spread(trace.kept_genes),
-            "evaluations": int(trace.evaluations[-1]),
-        })
-    ga_rows = [r for r in rows if r["algorithm"] == "ga"]
-    rnd_rows = [r for r in rows if r["algorithm"] == "random"]
+        rows.append(_row("random", rep, rep_seed, trace.kept_genes,
+                         trace.final_mean, trace.kept_fitness.max(),
+                         trace.evaluations[-1]))
+    ga_rows, rnd_rows = rows[::2], rows[1::2]
     wins = sum(1 for g, r in zip(ga_rows, rnd_rows)
                if g["final_mean_fitness"] > r["final_mean_fitness"])
     ga_mean, _ = _mean_sd(r["final_mean_fitness"] for r in ga_rows)
@@ -399,11 +368,7 @@ def _apply_overrides(settings: dict, overrides: dict | None) -> dict:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool) or isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_real(value)
-    return str(value)
+    return "%.17g" % value if isinstance(value, float) else str(value)
 
 
 def _write_files(report: BenchmarkReport, directory) -> None:

@@ -19,12 +19,6 @@ import numpy as np
 from .errors import ConfigError
 
 
-def _check_lengths(a, b):
-    if len(a) != len(b):
-        raise ConfigError(
-            f"gene vectors differ in length: {len(a)} vs {len(b)}")
-
-
 class DistanceMeasure:
     """Squared distance, written once in the one-vs-many form to_point.
 
@@ -36,7 +30,9 @@ class DistanceMeasure:
     dtype = float
 
     def __call__(self, a, b) -> float:
-        _check_lengths(a, b)
+        if len(a) != len(b):
+            raise ConfigError(
+                f"gene vectors differ in length: {len(a)} vs {len(b)}")
         a, b = (np.array(list(v), dtype=self.dtype) for v in (a, b))
         return float(self.to_point(a[None, :], b)[0])
 
@@ -180,12 +176,31 @@ def default_r0(genes: np.ndarray, measure: DistanceMeasure) -> float:
     return float(np.sqrt(mean_pairwise(genes, measure))) / 10.0
 
 
+def _to_later_rows(rows: np.ndarray, measure: DistanceMeasure):
+    """measure from each row to every row after it, one array per row."""
+    return (measure.to_point(rows[i + 1:], rows[i])
+            for i in range(len(rows) - 1))
+
+
 def mean_pairwise(rows: np.ndarray, measure: DistanceMeasure) -> float:
     """Mean of measure over all unordered pairs of distinct rows."""
     n = len(rows)
     if n < 2:
         raise ConfigError("need at least two rows to pair")
-    total = 0.0
-    for i in range(n - 1):
-        total += float(np.sum(measure.to_point(rows[i + 1:], rows[i])))
+    total = sum(float(np.sum(r_sq)) for r_sq in _to_later_rows(rows, measure))
     return total / (n * (n - 1) / 2)
+
+
+def spread(points) -> float:
+    """Mean Euclidean distance over all unordered pairs of points."""
+    pts = np.asarray(list(points), dtype=float)
+    if len(pts) < 2:
+        raise ConfigError("spread needs at least two points")
+    r_sq = np.concatenate(tuple(_to_later_rows(pts, EuclideanSq())))
+    return float(np.sqrt(r_sq).mean())
+
+
+def hamming_spread(sequences) -> float:
+    """Mean pairwise fraction of differing positions (labels or strings)."""
+    rows = np.array([list(row) for row in sequences], dtype=object)
+    return mean_pairwise(rows, HammingSq())

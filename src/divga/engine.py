@@ -122,8 +122,8 @@ class EngineConfig:
     """Everything a run needs besides the genome spec and the fitness.
 
     Frozen, and checked when built (ConfigError): the integer settings
-    and their ranges, pairing, verbosity and the selection type. run
-    checks only the choices that depend on the genome.
+    and their ranges, pairing, verbosity and the mutation and selection
+    types. run checks only the choices that depend on the genome.
 
     Attributes:
         population_size: survivors kept each generation, at least 2.
@@ -170,6 +170,9 @@ class EngineConfig:
         if not isinstance(self.selection, DiversityEnhanced):
             raise ConfigError(f"selection must be a DiversityEnhanced, not "
                               f"{self.selection!r}")
+        if not isinstance(self.mutation, (MutationConfig, type(None))):
+            raise ConfigError(f"mutation must be a MutationConfig, not "
+                              f"{self.mutation!r}")
 
 
 def _check_run_settings(config, smallest: int, too_small: str):
@@ -345,10 +348,6 @@ def evaluate_population(genes, fitness, values: np.ndarray,
     return n
 
 
-def _format_real(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _csv_text(label) -> str:
     """str(label), quoted as csv's minimal quoting does when it holds a
     comma, a double quote or a line break."""
@@ -401,9 +400,9 @@ class RunWriter:
         gene_names = ",".join(f"g{k + 1}" for k in range(spec.number_of_genes))
         self._survivors.write(f"generation,index,fitness,{gene_names}\n")
         self._fitness.write("generation,evaluations,mean_fitness,best_fitness\n")
-        # One %-template per survivor row: "%.17g" formats every float,
-        # inf, nan and -0.0 included, as _format_real does. Label rows
-        # fill one "%s" with their joined cell texts.
+        # One %-template per survivor row; "%.17g" formats every real,
+        # inf, nan and -0.0 included. Label rows fill one "%s" with
+        # their joined cell texts.
         genes_format = (",%.17g" * spec.number_of_genes if spec.is_numeric
                         else ",%s")
         self._row = "%d,%d,%.17g" + genes_format + "\n"
@@ -419,10 +418,8 @@ class RunWriter:
         self._survivors.write("".join(
             self._row % (generation, index, value, *genes)
             for index, (value, genes) in enumerate(zip(fitness.tolist(), rows))))
-        self._fitness.write(
-            f"{generation},{evaluations},"
-            f"{_format_real(_mean_fitness(fitness))},"
-            f"{_format_real(fitness.max())}\n")
+        self._fitness.write("%d,%d,%.17g,%.17g\n" % (
+            generation, evaluations, _mean_fitness(fitness), fitness.max()))
         self._survivors.flush()
         self._fitness.flush()
 

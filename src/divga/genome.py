@@ -92,7 +92,11 @@ class GeneSpec:
     @classmethod
     def numeric(cls, ranges) -> "GeneSpec":
         """Numeric genome with one (lower, upper) range per gene."""
-        ranges = tuple((float(lo), float(hi)) for lo, hi in ranges)
+        try:
+            ranges = tuple((float(lo), float(hi)) for lo, hi in ranges)
+        except (TypeError, ValueError):
+            raise ConfigError(f"ranges must be (lower, upper) number pairs, "
+                              f"not {ranges!r}") from None
         return cls(NUMERIC, numeric_ranges=ranges, number_of_genes=len(ranges))
 
     @classmethod
@@ -102,7 +106,12 @@ class GeneSpec:
         Repeated labels are kept once, in order of first appearance, so
         that each label has exactly one code.
         """
-        return cls(CATEGORICAL, categories=tuple(dict.fromkeys(categories)),
+        try:
+            categories = tuple(dict.fromkeys(categories))
+        except TypeError:
+            raise ConfigError(f"categories must be hashable labels, not "
+                              f"{categories!r}") from None
+        return cls(CATEGORICAL, categories=categories,
                    number_of_genes=number_of_genes)
 
     @property

@@ -14,13 +14,14 @@ children of g genes the draw order is fixed:
 3. mutation: a (k, g) matrix deciding which genes fire; then, for
    "categorical" mode, one code per fired gene; for "random" mode a
    (k, g) matrix choosing additive or multiplicative per gene, then one
-   normal per fired additive gene and one per fired multiplicative gene;
-   for "additive" and "multiplicative" modes one normal per fired gene.
-   Fired genes are visited in row-major order.
+   normal per fired additive gene, then one per fired multiplicative
+   gene; for "additive" and "multiplicative" modes one normal per fired
+   gene. Fired genes are visited in row-major order.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,36 +46,39 @@ CATEGORICAL_MODE = "categorical"
 MUTATION_MODES = (ADDITIVE, MULTIPLICATIVE, RANDOM_MODE, CATEGORICAL_MODE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MutationConfig:
     """Per-gene mutation settings.
 
     rate None resolves to 1 / number_of_genes, mode None to "additive"
     for numeric genomes and "categorical" for categorical ones. Mutated
     numeric genes may leave their initial ranges unless clip_to_ranges
-    is set.
+    is set. Frozen, and checked when built (ConfigError): rate None or
+    a number in [0, 1], mode None or one of MUTATION_MODES.
     """
 
     rate: float | None = None
     mode: str | None = None
     clip_to_ranges: bool = False
 
+    def __post_init__(self):
+        rate = self.rate
+        if rate is not None and (isinstance(rate, bool)
+                                 or not isinstance(rate, numbers.Real)):
+            raise ConfigError(f"mutation rate must be a number, not {rate!r}")
+        if rate is not None and not 0.0 <= rate <= 1.0:
+            raise ConfigError(f"mutation rate {rate} outside [0, 1]")
+        if self.mode is not None and self.mode not in MUTATION_MODES:
+            raise ConfigError(f"unknown mutation mode {self.mode!r}")
+
 
 def resolve_mutation(config: MutationConfig | None,
                      spec: GeneSpec) -> MutationConfig:
-    """Fill in defaults and validate against the genome kind."""
+    """Fill in the genome's defaults and check the mode fits its kind."""
     if config is None:
         config = MutationConfig()
-    rate = config.rate
-    if rate is None:
-        rate = 1.0 / spec.number_of_genes
-    if not 0.0 <= rate <= 1.0:
-        raise ConfigError(f"mutation rate {rate} outside [0, 1]")
-    mode = config.mode
-    if mode is None:
-        mode = ADDITIVE if spec.is_numeric else CATEGORICAL_MODE
-    if mode not in MUTATION_MODES:
-        raise ConfigError(f"unknown mutation mode {mode!r}")
+    rate = 1.0 / spec.number_of_genes if config.rate is None else config.rate
+    mode = config.mode or (ADDITIVE if spec.is_numeric else CATEGORICAL_MODE)
     if spec.is_numeric and mode == CATEGORICAL_MODE:
         raise ConfigError("categorical mutation needs a categorical genome")
     if not spec.is_numeric and mode != CATEGORICAL_MODE:
@@ -140,20 +144,17 @@ def mutate(genes: np.ndarray, spec: GeneSpec, config: MutationConfig | None,
         genes[fires] = rng.integers(0, len(spec.categories),
                                     size=int(fires.sum()))
         return genes
-    if config.mode == ADDITIVE:
-        additive, multiplicative = fires, None
-    elif config.mode == MULTIPLICATIVE:
-        additive, multiplicative = None, fires
-    else:
+    if config.mode == RANDOM_MODE:
         go_additive = rng.random(genes.shape) < 0.5
-        additive = fires & go_additive
-        multiplicative = fires & ~go_additive
-    if additive is not None:
-        sigma = np.broadcast_to(spec.range_widths() / 10.0, genes.shape)
-        genes[additive] += rng.normal(0.0, sigma[additive])
-    if multiplicative is not None:
-        genes[multiplicative] *= rng.normal(
-            1.0, 0.5, size=int(multiplicative.sum()))
+    else:
+        go_additive = np.bool_(config.mode == ADDITIVE)
+    # Outside "random" mode one mask is empty, and an empty normal draw
+    # takes nothing from the stream.
+    additive, multiplicative = fires & go_additive, fires & ~go_additive
+    sigma = np.broadcast_to(spec.range_widths() / 10.0, genes.shape)
+    genes[additive] += rng.normal(0.0, sigma[additive])
+    genes[multiplicative] *= rng.normal(1.0, 0.5,
+                                        size=int(multiplicative.sum()))
     if config.clip_to_ranges:
         lows, highs = np.array(spec.numeric_ranges).T
         np.clip(genes, lows, highs, out=genes)

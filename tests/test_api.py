@@ -19,6 +19,7 @@ from divga import (
     EngineConfig,
     FitnessEvaluationError,
     GeneSpec,
+    MutationConfig,
 )
 
 SOURCE = Path(divga.__file__).parent
@@ -129,7 +130,8 @@ def test_no_builtin_exceptions_raised():
     assert offenders == []
 
 
-SELF_CHECKING = (GeneSpec, EngineConfig, DEConfig, DiversityEnhanced)
+SELF_CHECKING = (GeneSpec, EngineConfig, DEConfig, DiversityEnhanced,
+                 MutationConfig)
 
 
 def test_settings_types_check_themselves():
@@ -193,6 +195,22 @@ def test_settings_types_check_themselves():
      "number_of_genes must be an integer, not '3'"),
     (lambda: GeneSpec.categorical(("E", "K"), 2.9),
      "number_of_genes must be an integer, not 2.9"),
+    (lambda: GeneSpec.numeric([("a", 1)]), r"ranges must be \(lower, upper\)"),
+    (lambda: GeneSpec.numeric([(0, 1, 2)]), r"ranges must be \(lower, upper\)"),
+    (lambda: GeneSpec.numeric([1, 2]), r"ranges must be \(lower, upper\)"),
+    (lambda: GeneSpec.numeric(None), r"ranges must be \(lower, upper\)"),
+    (lambda: GeneSpec.categorical([["a"], ["b"]], 3),
+     "categories must be hashable labels"),
+    (lambda: GeneSpec.categorical(5, 3), "categories must be hashable labels"),
+    (lambda: MutationConfig(rate="a"), "mutation rate must be a number, not 'a'"),
+    (lambda: MutationConfig(rate=True), "mutation rate must be a number"),
+    (lambda: MutationConfig(rate=1.5), r"mutation rate 1.5 outside \[0, 1\]"),
+    (lambda: MutationConfig(rate=float("nan")), "mutation rate nan outside"),
+    (lambda: MutationConfig(mode="gaussian"),
+     "unknown mutation mode 'gaussian'"),
+    (lambda: EngineConfig(population_size=4, n_generations=1,
+                          mutation="additive"),
+     "mutation must be a MutationConfig, not 'additive'"),
 ])
 def test_bad_settings_rejected_when_built(build, match):
     """A bad raw value is a ConfigError at construction, with no run."""
@@ -206,7 +224,8 @@ def test_bad_settings_rejected_when_built(build, match):
     (DEConfig(population_size=8, n_generations=1),
      {"differential_weight": -1.0}),
     (GeneSpec.numeric([(0, 1)]), {"numeric_ranges": ((1.0, 0.0),)}),
-], ids=["EngineConfig", "DEConfig", "GeneSpec"])
+    (MutationConfig(rate=0.5), {"rate": 2.0}),
+], ids=["EngineConfig", "DEConfig", "GeneSpec", "MutationConfig"])
 def test_settings_frozen_and_rechecked_by_replace(good, change):
     """Assigning a field raises; dataclasses.replace checks again."""
     (name, value), = change.items()

@@ -1,9 +1,14 @@
 """Differential evolution and random scan baselines."""
 
+import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divga import (
     ConfigError,
@@ -341,6 +346,47 @@ class TestRandomScan:
                             np.random.default_rng(1))
         assert trace.final_mean == pytest.approx(trace.kept_fitness.mean())
         assert len(trace.kept_fitness) == 50
+
+    def scan_of(self, values, keep):
+        """random_scan whose i-th evaluation returns values[i]."""
+        draws = iter(values)
+        return random_scan(GeneSpec.numeric([(0.0, 1.0)]),
+                           lambda genes: next(draws), len(values), keep,
+                           np.random.default_rng(0))
+
+    def test_infinity_leaving_kept_set(self):
+        """Once the -inf points are displaced the mean is finite again,
+        and huge finite values do not overflow it."""
+        fitness = lambda genes: -math.inf if genes[0] < 0.3 else genes[0]
+        trace = random_scan(GeneSpec.numeric([(0, 1)]), fitness, 40, 3,
+                            np.random.default_rng(0))
+        assert trace.final_mean == pytest.approx(trace.kept_fitness.mean())
+        assert math.isfinite(trace.final_mean)
+        trace = self.scan_of([1e308] * 10, 3)
+        assert trace.final_mean == 1e308
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from([math.inf, -math.inf]),
+                    min_size=1, max_size=25),
+           st.integers(1, 25))
+    def test_kept_mean_against_sorting(self, values, keep):
+        """kept_mean[e] is the mean of the top min(e + 1, keep) of
+        values[:e + 1]: exactly where that is +-inf or NaN, otherwise
+        within the rounding of a running sum of values up to M in size,
+        (e + 1) (keep + 2) eps M."""
+        keep = min(keep, len(values))
+        trace = self.scan_of(values, keep)
+        for e, got in enumerate(trace.kept_mean.tolist()):
+            top = sorted(values[:e + 1], reverse=True)[:keep]
+            if math.inf in top or -math.inf in top:
+                want = sum(x for x in top if math.isinf(x))
+                assert got == want or math.isnan(got) and math.isnan(want)
+                continue
+            want = float(sum(map(Fraction, top)) / len(top))
+            size = max(abs(x) for x in values[:e + 1] if math.isfinite(x))
+            bound = (e + 1) * (keep + 2) * sys.float_info.epsilon * size
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=bound)
 
     @pytest.mark.parametrize("bad", [float("nan"), "not a number", None])
     def test_bad_fitness_reports_first_bad_draw(self, bad):

@@ -195,6 +195,17 @@ class TestSpread:
                 pairs += 1
         assert spread(pts) == pytest.approx(total / pairs, rel=1e-12)
 
+    def test_two_genes_equal_full_matrix_form(self, rng):
+        """At two genes, the distance layer's row sums give the same
+        bits as the mean over the upper triangle of the full (n, n)
+        distance matrix, the form earlier runs.csv files were written
+        with."""
+        for n in (2, 7, 40):
+            pts = rng.uniform(-10, 10, size=(n, 2))
+            diff = pts[:, None, :] - pts[None, :, :]
+            dists = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            assert spread(pts) == float(dists[np.triu_indices(n, 1)].mean())
+
     def test_too_few(self):
         with pytest.raises(ConfigError,
                            match="spread needs at least two points"):

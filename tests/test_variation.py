@@ -204,6 +204,39 @@ class TestMutate:
         out = mutate(np.full((200, 1), 0.99), spec, cfg, rng)
         assert ((0.0 <= out) & (out <= 1.0)).all()
 
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative", "random"])
+    def test_documented_draw_order(self, mode):
+        """mutate equals, bit for bit, a gene-by-gene loop that draws
+        from the same seeded generator in the documented order: which
+        genes fire, for "random" mode which are additive, then one
+        normal per fired additive gene, then one per fired
+        multiplicative gene, each in row-major order. Both leave the
+        generator at the same point."""
+        spec = GeneSpec.numeric([(0.0, 1.0), (-5.0, 5.0), (2.0, 3.0)])
+        genes = seed_population(spec, 8, np.random.default_rng(1))
+        config = MutationConfig(rate=0.5, mode=mode)
+        stream = np.random.default_rng(11)
+        got = mutate(genes, spec, config, stream)
+
+        rng = np.random.default_rng(11)
+        fires = rng.random(genes.shape) < 0.5
+        if mode == "random":
+            additive = rng.random(genes.shape) < 0.5
+        else:
+            additive = np.full(genes.shape, mode == "additive")
+        expected = genes.copy()
+        cells = list(np.ndindex(genes.shape))
+        for i, k in cells:
+            if fires[i, k] and additive[i, k]:
+                width = spec.numeric_ranges[k][1] - spec.numeric_ranges[k][0]
+                expected[i, k] += rng.normal(0.0, width / 10.0)
+        for i, k in cells:
+            if fires[i, k] and not additive[i, k]:
+                expected[i, k] *= rng.normal(1.0, 0.5)
+        assert 0 < fires.sum() < fires.size
+        np.testing.assert_array_equal(got, expected)
+        assert stream.random() == rng.random()
+
     def test_partial_rate_leaves_some_genes(self, rng):
         spec = GeneSpec.numeric([(0.0, 10.0)] * 50)
         cfg = resolve_mutation(MutationConfig(rate=0.1, mode="additive"), spec)
