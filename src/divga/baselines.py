@@ -16,7 +16,7 @@ from .engine import (
     evaluate_population,
 )
 from .errors import ConfigError, FitnessEvaluationError
-from .genome import GeneSpec, _check_integer, seed_population
+from .genome import GeneSpec, _check_integer, _check_real, seed_population
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class DEConfig:
     difference vector, crossover_probability the per-gene chance of
     taking the mutant's value. Frozen, and checked when built
     (ConfigError): integer settings as in EngineConfig, at least four
-    individuals, F in [0, 2) and CR in [0, 1].
+    individuals, F a number in [0, 2) and CR a number in [0, 1].
     """
 
     population_size: int
@@ -40,6 +40,8 @@ class DEConfig:
     def __post_init__(self):
         _check_run_settings(self, 4,
                             "rand/1 mutation needs at least four individuals")
+        _check_real("differential_weight", self.differential_weight)
+        _check_real("crossover_probability", self.crossover_probability)
         if not 0.0 <= self.differential_weight < 2.0:
             raise ConfigError("differential_weight must lie in [0, 2)")
         if not 0.0 <= self.crossover_probability <= 1.0:
@@ -71,10 +73,21 @@ def _reflect_into(ranges, genes: np.ndarray) -> np.ndarray:
 
 
 def _pick_donors(n: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, 3) donors, row i three distinct random indices other than i:
-    argsort of an (n, n - 1) uniform matrix, shifted up by one from i."""
-    donors = np.argsort(rng.random((n, n - 1)), axis=1)[:, :3]
-    return donors + (donors >= np.arange(n)[:, None])
+    """(n, 3) donors, row i three distinct random indices other than i.
+
+    Draws an (n, n - 1) uniform matrix; the donors of row i are the
+    columns of its three smallest draws in increasing order, found by
+    three argmin passes (each found minimum is set to inf), and shifted
+    up by one from i. On an exactly tied draw, which has a probability
+    of about n^2 2^-53 per call, the lower column wins.
+    """
+    draws = rng.random((n, n - 1))
+    rows = np.arange(n)
+    donors = np.empty((n, 3), dtype=np.intp)
+    for j in range(3):
+        donors[:, j] = draws.argmin(axis=1)
+        draws[rows, donors[:, j]] = np.inf
+    return donors + (donors >= rows[:, None])
 
 
 def run_de(spec: GeneSpec, fitness, config: DEConfig) -> DEResult:
@@ -144,7 +157,9 @@ class RandomScanTrace:
     kept_mean[e] is the mean fitness of the kept set after evaluation
     e + 1; the kept set holds min(e + 1, keep_best) points. The mean
     is +-inf while the kept set holds one infinity, NaN while it holds
-    both.
+    both. It comes from a running sum, added up again from the kept
+    values whenever a value leaves that is more than 2^26 times the
+    sum left, so its digits do not cancel.
     """
 
     evaluations: np.ndarray
@@ -183,7 +198,11 @@ def random_scan(spec: GeneSpec, fitness, total_evaluations: int,
             heappush(heap, (value, e))
             running_sum += value
         else:
-            running_sum += value - heappushpop(heap, (value, e))[0]
+            popped = heappushpop(heap, (value, e))[0]
+            running_sum += value - popped
+            if abs(popped) > 2.0 ** 26 * abs(running_sum):
+                # The popped value dwarfed the sum, whose digits cancelled.
+                running_sum = sum(v for v, _ in heap)
         if math.isfinite(running_sum):
             trace[e] = running_sum / len(heap)
         else:  # an infinity joined or left the kept set, or the sum overflowed

@@ -46,7 +46,7 @@ import numpy as np
 
 from .distance import CustomMeasure, HammingSq, default_r0, get_measure
 from .errors import ConfigError, FitnessEvaluationError
-from .genome import GeneSpec, _check_integer, seed_population
+from .genome import GeneSpec, _check_integer, _check_real, seed_population
 from .selection import select_diverse, select_top_n
 from .variation import (
     PAIRING_STRATEGIES,
@@ -74,6 +74,8 @@ class DiversityEnhanced:
     and selection is top-N by raw fitness). measure is a name, a
     DistanceMeasure, a callable (a, b) -> squared distance on the genes
     the fitness sees, or None for the kind default, Euclidean or Hamming.
+    A d0 or r0 that is not a number (bool is not one) or out of range is
+    a ConfigError when built.
     """
 
     d0: float = 1.0
@@ -81,6 +83,9 @@ class DiversityEnhanced:
     measure: object = None
 
     def __post_init__(self):
+        _check_real("d0", self.d0)
+        if self.r0 is not None:
+            _check_real("r0", self.r0)
         if not 0.0 <= self.d0 < math.inf:
             raise ConfigError("d0 must be finite and non-negative")
         if self.r0 is not None and not self.r0 > 0:

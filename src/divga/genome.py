@@ -19,6 +19,7 @@ see, and GeneSpec.encode turns user-given label vectors into codes.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +36,13 @@ def _check_integer(name: str, value):
     not one."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{name} must be an integer, not {value!r}")
+
+
+def _check_real(name: str, value):
+    """ConfigError unless value is a real number (numbers.Real, numpy
+    floats and integers included); bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, not {value!r}")
 
 
 @dataclass(frozen=True)

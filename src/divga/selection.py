@@ -18,7 +18,12 @@ Each pick of diversity-enhanced selection writes r^2 into one buffer
 allocated per call, through the measure's to_point, and turns it into
 the penalty in place: r^2 * (-1 / r0^2), exp, times d0, subtracted
 from the working fitness. These are the IEEE operations of the formula
-above, with the negation carried by the constant.
+above, with the negation carried by the constant. A numeric pool
+(Euclidean or dynamic measure) is copied column-major once per call,
+so each pick's gene-order subtraction reads whole columns instead of
+transposing the pool; a Hamming pool keeps its row-major codes, whose
+mismatch count is faster that way, and a custom measure gets the
+caller's array as it is.
 
 Both selectors take the whole candidate pool as arrays (a gene matrix
 and a fitness vector, one row per candidate) and return the indices of
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distance import get_measure
+from .distance import DynamicSq, EuclideanSq, get_measure
 from .errors import ConfigError
 
 
@@ -69,15 +74,17 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
         raise ConfigError("r0 is not set; give it or resolve the selection "
                           "against a population first")
     measure = get_measure(diversity.measure, labels=genes.dtype.kind in "OSU")
+    if isinstance(measure, (EuclideanSq, DynamicSq)):
+        genes = np.asfortranarray(genes, dtype=float)
     scale = -1.0 / diversity.r0 ** 2
     penalty = np.empty(len(work))
     alive = np.ones(len(work), dtype=bool)
     picks = np.empty(count, dtype=np.intp)
     for k in range(count):
-        pick = int(np.argmax(work))
+        pick = int(work.argmax())
         if not alive[pick]:
             # Only picked rows and -inf candidates are left at -inf.
-            pick = int(np.argmax(alive))
+            pick = int(alive.argmax())
         picks[k] = pick
         if working is not None:
             working[k] = work[pick]

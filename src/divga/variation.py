@@ -21,13 +21,12 @@ children of g genes the draw order is fixed:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .genome import GeneSpec
+from .genome import GeneSpec, _check_real
 
 MIDPOINT = "midpoint"
 EITHER_OR = "eitheror"
@@ -63,11 +62,10 @@ class MutationConfig:
 
     def __post_init__(self):
         rate = self.rate
-        if rate is not None and (isinstance(rate, bool)
-                                 or not isinstance(rate, numbers.Real)):
-            raise ConfigError(f"mutation rate must be a number, not {rate!r}")
-        if rate is not None and not 0.0 <= rate <= 1.0:
-            raise ConfigError(f"mutation rate {rate} outside [0, 1]")
+        if rate is not None:
+            _check_real("mutation rate", rate)
+            if not 0.0 <= rate <= 1.0:
+                raise ConfigError(f"mutation rate {rate} outside [0, 1]")
         if self.mode is not None and self.mode not in MUTATION_MODES:
             raise ConfigError(f"unknown mutation mode {self.mode!r}")
 

@@ -184,6 +184,14 @@ def test_settings_types_check_themselves():
     (lambda: DEConfig(population_size=8, n_generations=1,
                       crossover_probability=1.5),
      r"crossover_probability must lie in \[0, 1\]"),
+    (lambda: DEConfig(population_size=8, n_generations=1,
+                      differential_weight="a"),
+     "differential_weight must be a number, not 'a'"),
+    (lambda: DEConfig(population_size=8, n_generations=1,
+                      crossover_probability="a"),
+     "crossover_probability must be a number, not 'a'"),
+    (lambda: DiversityEnhanced(d0="a"), "d0 must be a number, not 'a'"),
+    (lambda: DiversityEnhanced(r0="a"), "r0 must be a number, not 'a'"),
     (lambda: GeneSpec("categorical", categories=("E", "K"),
                       number_of_genes=2.5),
      "number_of_genes must be an integer, not 2.5"),

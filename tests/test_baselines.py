@@ -48,7 +48,49 @@ class TestReflection:
             _reflect_into(((-5.0, 5.0), (-3.5, 3.5)), genes), genes)
 
 
+def argsort_donors(n, rng):
+    """The donors as first computed: an argsort of the whole (n, n - 1)
+    draw matrix, cut to its first three columns."""
+    donors = np.argsort(rng.random((n, n - 1)), axis=1)[:, :3]
+    return donors + (donors >= np.arange(n)[:, None])
+
+
+class TiedDraws:
+    """A generator stub whose uniform matrix has tied minima."""
+
+    rows = [[0.5, 0.5, 0.5, 0.5],
+            [0.3, 0.3, 0.7, 0.3],
+            [0.9, 0.1, 0.2, 0.1],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.6, 0.6, 0.4, 0.4]]
+
+    def random(self, shape):
+        assert shape == (5, 4)
+        return np.array(self.rows)
+
+
 class TestDonors:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(4, 80), st.integers(0, 2 ** 64 - 1))
+    def test_equals_argsort_form(self, n, seed):
+        """The three argmin passes pick the argsort's donors and take
+        the same draws from the generator."""
+        ours, theirs = (np.random.default_rng(seed) for _ in range(2))
+        assert _pick_donors(n, ours).tolist() == \
+            argsort_donors(n, theirs).tolist()
+        assert ours.random() == theirs.random()
+
+    def test_tie_goes_to_lower_index(self):
+        """Tied draws are taken from the lowest column up; each column
+        is then shifted past the target's own index."""
+        assert _pick_donors(5, TiedDraws()).tolist() == [
+            [1, 2, 3],
+            [0, 2, 4],
+            [1, 4, 3],
+            [0, 1, 2],
+            [2, 3, 0],
+        ]
+
     @pytest.mark.parametrize("n", [4, 5, 50])
     def test_distinct_and_uniform(self, n):
         """Row i draws three distinct donors other than i; every other
@@ -364,6 +406,15 @@ class TestRandomScan:
         assert math.isfinite(trace.final_mean)
         trace = self.scan_of([1e308] * 10, 3)
         assert trace.final_mean == 1e308
+
+    def test_huge_value_leaving_kept_set(self):
+        """A value that dwarfs the rest of the kept set leaves it without
+        cancelling their digits: the mean is that of the values kept."""
+        trace = self.scan_of([-1e300, 1.0, 2.0], 2)
+        assert trace.kept_mean.tolist() == [-1e300, -5e299, 1.5]
+        assert trace.final_mean == 1.5
+        trace = self.scan_of([-1e20, -1e20, 0.1, 0.2], 2)
+        assert trace.final_mean == (0.1 + 0.2) / 2
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)

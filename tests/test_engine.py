@@ -4,10 +4,13 @@ import contextlib
 import csv
 import dataclasses
 import faulthandler
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divga import (
     ConfigError,
@@ -50,6 +53,15 @@ both_kinds = pytest.mark.parametrize("spec_name, fitness", [
     ("numeric_spec", sphere_fitness),
     ("cat_spec", label_count_fitness),
 ], ids=["numeric", "categorical"])
+
+
+# Ways a fitness call can fail, each a call made on the failing row.
+FAILURES = {
+    "raise": lambda: 1 / 0,
+    "nan": lambda: math.nan,
+    "non-number": lambda: "not a number",
+    "overflow": lambda: 10 ** 400,
+}
 
 
 class CountingFitness:
@@ -140,6 +152,31 @@ class TestEvaluatePopulation:
         assert excinfo.value.index == 3
         assert calls == [0, 1, 2, 3]
         assert values.tolist() == [1.0] * 3 + [-1.0] * 7
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 40).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+           st.sampled_from(sorted(FAILURES)))
+    def test_failing_index_property(self, rows_and_failing, kind):
+        """Sequentially, for any batch of n <= 40 rows, failing row f and
+        failure kind: the error reports index f, values[:f] is committed,
+        nothing after it is written and no row after f is called."""
+        n, failing = rows_and_failing
+        calls = []
+
+        def fitness(genes):
+            row = int(genes[0])
+            calls.append(row)
+            return FAILURES[kind]() if row == failing else row / 4
+
+        values = np.full(n, -1.0)
+        with pytest.raises(FitnessEvaluationError) as excinfo:
+            evaluate_population(np.arange(float(n)).reshape(n, 1), fitness,
+                                values)
+        assert excinfo.value.index == failing
+        assert calls == list(range(failing + 1))
+        assert values.tolist() == ([row / 4 for row in range(failing)]
+                                   + [-1.0] * (n - failing))
 
     @pytest.mark.parametrize("rows, workers, chunks", [
         (100, 2, [(0, 50), (50, 50)]),

@@ -232,9 +232,10 @@ def einsum_r_sq(matrix, point, measure):
     return np.einsum("ij,ij->i", d, d)
 
 
-def einsum_select(genes, fitness, count, d0, r0, measure):
+def einsum_select(genes, fitness, count, d0, r0, measure, r_sq=einsum_r_sq):
     """(picks, working) of the selection loop before the in-place
-    kernel: a fresh r^2 and a fresh penalty for every pick."""
+    kernel: a fresh r^2 and a fresh penalty for every pick, r^2 from
+    r_sq(matrix, point, measure) on the caller's array."""
     work = np.array(fitness, dtype=float)
     inv_r0_sq = 1.0 / r0 ** 2
     alive = np.ones(len(work), dtype=bool)
@@ -248,8 +249,8 @@ def einsum_select(genes, fitness, count, d0, r0, measure):
         alive[pick] = False
         work[pick] = -np.inf
         if d0 != 0.0 and k + 1 < count:
-            r_sq = einsum_r_sq(genes, genes[pick], measure)
-            work -= d0 * np.exp(-r_sq * inv_r0_sq)
+            work -= d0 * np.exp(-r_sq(genes, genes[pick], measure)
+                                * inv_r0_sq)
     return picks, working
 
 
@@ -321,6 +322,89 @@ class TestKernelAgainstEinsum:
                                            measure)
         assert got.tolist() == want
         np.testing.assert_allclose(working, want_working, rtol=1e-12)
+
+
+def pool_layout(layout, seed, g):
+    """A 60-row pool with tied and +-inf fitness whose gene matrix is
+    row-major, column-major, int64, or a strided view of a wider pool."""
+    genes, fitness = seeded_pool(seed, g, ties=True)
+    rng = np.random.default_rng(seed + 100)
+    if layout == "F":
+        genes = np.asfortranarray(genes)
+    elif layout == "int64":
+        genes = rng.integers(-4, 5, size=(60, g))
+        genes[::7] = genes[0]
+    elif layout == "strided":
+        genes = rng.uniform(-3, 3, size=(120, g))[::2]
+    return genes, fitness
+
+
+def to_point_r_sq(matrix, point, measure):
+    return measure.to_point(matrix, point)
+
+
+def recording(measure_class):
+    """A measure_class instance that keeps the last matrix to_point got."""
+    class Recording(measure_class):
+        def to_point(self, matrix, point, out=None):
+            self.seen = matrix
+            return super().to_point(matrix, point, out)
+
+    return Recording()
+
+
+class TestColumnMajorPool:
+    """select_diverse copies a numeric pool column-major once per call."""
+
+    @pytest.mark.parametrize("measure", [EuclideanSq(), DynamicSq()],
+                             ids=["euclidean", "dynamic"])
+    @pytest.mark.parametrize("layout", ["C", "F", "int64", "strided"])
+    @pytest.mark.parametrize("g", [1, 2, 9, 50])
+    def test_bit_identical_to_row_major_loop(self, measure, layout, g):
+        """Picks and working equal those of the loop that gave to_point
+        the caller's array, whatever its memory order and dtype."""
+        for seed in range(2):
+            genes, fitness = pool_layout(layout, seed, g)
+            before = genes.copy()
+            for count, d0, r0 in ((40, 1.0, 0.7), (60, 2.5, 3.0 * g ** 0.5),
+                                  (25, 0.3, 0.05)):
+                working = np.empty(count)
+                got = select_diverse(genes, fitness, count,
+                                     DiversityEnhanced(d0=d0, r0=r0,
+                                                       measure=measure),
+                                     working)
+                want, want_working = einsum_select(genes, fitness, count,
+                                                   d0, r0, measure,
+                                                   to_point_r_sq)
+                assert got.tolist() == want
+                assert working.tobytes() == want_working.tobytes()
+            assert genes.tobytes() == before.tobytes()
+
+    def test_measures_see_their_layout(self, rng):
+        """Euclidean gets a column-major float copy; Hamming codes and a
+        custom measure's pool reach to_point as the caller's array."""
+        fitness = rng.uniform(0, 1, size=8)
+        genes = rng.integers(0, 3, size=(8, 4))
+        measure = recording(EuclideanSq)
+        select_diverse(genes, fitness, 3, DiversityEnhanced(r0=1.0,
+                                                            measure=measure))
+        assert measure.seen.flags.f_contiguous
+        assert measure.seen.dtype == float
+        assert measure.seen.tolist() == genes.tolist()
+        codes = genes.astype(np.int8)
+        measure = recording(HammingSq)
+        select_diverse(codes, fitness, 3, DiversityEnhanced(r0=1.0,
+                                                            measure=measure))
+        assert measure.seen is codes
+        seen = []
+
+        def custom(a, b):
+            seen.append(a.dtype)
+            return float(np.sum((a - b) ** 2))
+
+        select_diverse(genes, fitness, 3, DiversityEnhanced(r0=1.0,
+                                                            measure=custom))
+        assert seen and set(seen) == {genes.dtype}
 
 
 class TestSelectTopN:
