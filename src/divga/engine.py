@@ -84,12 +84,12 @@ class DiversityEnhanced:
 
     def __post_init__(self):
         _check_real("d0", self.d0)
-        if self.r0 is not None:
-            _check_real("r0", self.r0)
         if not 0.0 <= self.d0 < math.inf:
             raise ConfigError("d0 must be finite and non-negative")
-        if self.r0 is not None and not self.r0 > 0:
-            raise ConfigError("r0 must be positive")
+        if self.r0 is not None:
+            _check_real("r0", self.r0)
+            if not self.r0 > 0:
+                raise ConfigError("r0 must be positive")
 
     def resolve(self, spec: GeneSpec, genes: np.ndarray) -> "DiversityEnhanced":
         """Copy with measure and r0 filled in from the initial gene matrix.
