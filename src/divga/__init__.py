@@ -31,6 +31,7 @@ from .engine import (
     WorkerPool,
     evaluate_population,
     run,
+    vectorized,
 )
 from .errors import ConfigError, DivgaError, FitnessEvaluationError
 from .genome import GeneSpec, seed_population
@@ -77,4 +78,5 @@ __all__ = [
     "select_diverse",
     "select_top_n",
     "spread",
+    "vectorized",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import DEConfig, random_scan, run_de
 from .distance import hamming_spread, spread
-from .engine import DiversityEnhanced, EngineConfig, run
+from .engine import DiversityEnhanced, EngineConfig, run, vectorized
 from .errors import ConfigError
 from .genome import GeneSpec, _check_integer
 
@@ -26,24 +26,41 @@ CIRCLE_AMPLITUDE = 5.0
 CIRCLE_RADIUS = 5.0
 
 
-def landscape_from_genes(genes) -> float:
+@vectorized
+def landscape_from_genes(genes):
     """Oscillatory plateau inside a hard box, of genes (x1, x2).
 
     Returns -1000 outside |x1|, |x2| <= 1.5 and 10 cos(20 x1 x2)
     inside, a landscape whose ridges of near-maximal fitness are thin
-    hyperbola-shaped bands.
+    hyperbola-shaped bands. genes is one gene vector, for a float, or a
+    (k, 2) matrix, for (k,) values; each row gets the same bits either
+    way.
     """
-    x1, x2 = genes[0], genes[1]
-    if abs(x1) > 1.5 or abs(x2) > 1.5:
-        return -1000.0
-    return 10.0 * float(np.cos(20.0 * x1 * x2))
+    genes = np.asarray(genes, dtype=float)
+    x1, x2 = genes[..., 0], genes[..., 1]
+    outside = (np.abs(x1) > 1.5) | (np.abs(x2) > 1.5)
+    return _per_row(genes, np.where(outside, -1000.0,
+                                    10.0 * np.cos(20.0 * x1 * x2)))
 
 
-def circle_from_genes(genes) -> float:
+@vectorized
+def circle_from_genes(genes):
     """Zero on the circle of radius CIRCLE_RADIUS, quadratic falloff
-    elsewhere."""
-    r = float(np.hypot(genes[0], genes[1]))
-    return -CIRCLE_AMPLITUDE * (r - CIRCLE_RADIUS) ** 2
+    elsewhere: -CIRCLE_AMPLITUDE d^2 at distance d from the circle.
+
+    Takes one gene vector, for a float, or a (k, 2) matrix, for (k,)
+    values. d^2 is d * d, the correctly rounded square, in both forms;
+    a Python d ** 2 calls the C library's pow, which can miss it by one
+    unit in the last place.
+    """
+    genes = np.asarray(genes, dtype=float)
+    d = np.hypot(genes[..., 0], genes[..., 1]) - CIRCLE_RADIUS
+    return _per_row(genes, -CIRCLE_AMPLITUDE * (d * d))
+
+
+def _per_row(genes: np.ndarray, values):
+    """values as a float for one gene vector, as an array for a matrix."""
+    return values if genes.ndim > 1 else float(values)
 
 
 def _charge_vector(sequence) -> np.ndarray:

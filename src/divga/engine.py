@@ -13,6 +13,13 @@ for the whole generation). Fitness evaluation and selection consume no
 randomness, so results are identical whether fitness is computed
 sequentially or on worker processes.
 
+The fitness sees one decoded gene vector per call, or, when it is
+marked with vectorized, the decoded (k, g) matrix of a whole batch per
+call: the generation's children sequentially, one chunk per worker
+otherwise (see evaluate_population). The marker changes what a run
+costs, not its outcome, as long as the batch form gives each row the
+value the row form gives.
+
 With parallel_workers > 0, run starts one WorkerPool after resolving
 its genome-dependent settings and checking that the fitness pickles
 (EngineConfig checked the rest when it was built), evaluates every
@@ -232,12 +239,28 @@ class RunRecord:
         return self.populations[-1]
 
 
+def vectorized(fitness):
+    """Mark fitness as a batch fitness, and return it.
+
+    A marked fitness takes the decoded (k, g) gene matrix of a batch and
+    returns its (k,) values; evaluate_population then calls it once per
+    chunk instead of once per row (see there). The marker is the
+    attribute fitness.vectorized = True, so it pickles with the function
+    into worker processes. A wrapper that does not carry the attribute
+    over is evaluated row by row.
+    """
+    fitness.vectorized = True
+    return fitness
+
+
 class _BoundFitness:
-    """Binds fixed trailing arguments to a fitness function, picklable."""
+    """Binds fixed trailing arguments to a fitness function, picklable;
+    carries the function's vectorized marker."""
 
     def __init__(self, fn, args):
         self.fn = fn
         self.args = tuple(args)
+        self.vectorized = getattr(fn, "vectorized", False)
 
     def __call__(self, genes):
         return self.fn(genes, *self.args)
@@ -249,6 +272,37 @@ def _mean_fitness(values: np.ndarray) -> float:
         return float(values.mean())
 
 
+def _shape_failure(shape, rows: int, index: int):
+    """The failure of a vectorized fitness whose result for a batch of
+    rows starting at index is not (rows,) values."""
+    return (f"vectorized fitness returned shape {shape} for {rows} rows, "
+            f"not ({rows},), at individual {index}", index, None)
+
+
+def _evaluate_batch(fitness, start: int, rows):
+    """One call of a vectorized fitness on rows: (values, failure) as
+    _evaluate_rows returns them, or None, for the rows to be evaluated
+    one by one, when the call raised or returned values that are not
+    real numbers (bool, integer or floating point).
+    """
+    try:
+        result = np.asarray(fitness(rows))
+    except Exception:  # also a ragged result; the rows one by one tell
+        return None
+    if result.shape != (len(rows),):
+        return np.empty(0), _shape_failure(result.shape, len(rows), start)
+    if result.dtype.kind not in "biuf":
+        return None
+    values = result.astype(float, copy=False)
+    nan = np.isnan(values)
+    if not nan.any():
+        return values, None
+    offset = int(nan.argmax())
+    return values[:offset], (
+        f"fitness returned NaN for individual {start + offset}",
+        start + offset, None)
+
+
 def _evaluate_rows(fitness, start: int, rows):
     """Fitness of each row as a float array, stopping at the first bad row.
 
@@ -256,17 +310,30 @@ def _evaluate_rows(fitness, start: int, rows):
     exception or None) for the first row whose fitness raised, returned
     a non-number (a value float() rejects, also an int too large for a
     float) or returned NaN; index is its batch index start + offset,
-    and values holds the rows before it. Module level, so that worker
-    processes can run it on a chunk.
+    and values holds the rows before it. A vectorized fitness is called
+    once on all rows (see _evaluate_batch); when that call raises or
+    returns a non-number, it is called again on each row as a one-row
+    matrix, so that the failure names its row. Module level, so that
+    worker processes can run it on a chunk.
     """
+    marked = getattr(fitness, "vectorized", False)
+    if marked:
+        batch = _evaluate_batch(fitness, start, rows)
+        if batch is not None:
+            return batch
     values = np.empty(len(rows))
     for offset, row in enumerate(rows):
         index = start + offset
         try:
-            result = fitness(row)
+            result = fitness(rows[offset:offset + 1] if marked else row)
         except Exception as exc:
             return values[:offset], (
                 f"fitness raised {exc!r} for individual {index}", index, exc)
+        if marked:
+            cells = np.asarray(result, dtype=object)
+            if cells.shape != (1,):
+                return values[:offset], _shape_failure(cells.shape, 1, index)
+            result = cells[0]
         try:
             value = float(result)
         except (TypeError, ValueError, OverflowError):
@@ -316,16 +383,29 @@ def evaluate_population(genes, fitness, values: np.ndarray,
     as it is computed: the first row whose fitness raises, returns a
     non-number (an int too large for a float counts as one) or returns
     NaN stops its chunk and raises FitnessEvaluationError with that
-    row's index, once the rows before it are committed. Sequentially the whole batch is one chunk, so no
-    row after the bad one is evaluated. With a WorkerPool the rows go
-    out as one contiguous chunk per worker, ceil(n / workers) rows
-    each, so a generation costs one round trip per worker. The rows are
-    children of random parent pairs, so their cost does not follow
-    their index, and with n well above the worker count the chunks take
-    about equally long. A chunk that fails as a whole (a worker died)
-    is reported at the first uncommitted index. Chunks are committed in
-    index order either way, so the outcome, and the index a
-    FitnessEvaluationError reports, do not depend on the worker count.
+    row's index, once the rows before it are committed. Sequentially the
+    whole batch is one chunk, so a per-row fitness is called on no row
+    after the bad one.
+    With a WorkerPool the rows go out as one contiguous chunk per
+    worker, ceil(n / workers) rows each, so a generation costs one
+    round trip per worker. The rows are children of random parent
+    pairs, so their cost does not follow their index, and with n well
+    above the worker count the chunks take about equally long. A chunk
+    that fails as a whole (a worker died) is reported at the first
+    uncommitted index. Chunks are committed in index order either way,
+    so the outcome, and the index a FitnessEvaluationError reports, do
+    not depend on the worker count.
+
+    A fitness marked with vectorized is called once per chunk on the
+    chunk's (k, g) gene matrix and returns (k,) real values, checked as
+    one vector: a NaN at row f of the chunk commits the rows before it
+    and is reported at f. A result of another shape is a
+    FitnessEvaluationError at the chunk's first index. When the call
+    raises or returns values that are not real numbers (an object or
+    string array, say), the chunk is evaluated again row by row, each
+    row as a one-row matrix, so the error reports the failing row and
+    the message the per-row path gives; if every row then succeeds,
+    those values stand. Every other fitness is called once per row.
     """
     n = len(genes)
     if pool is None:
@@ -438,12 +518,14 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
     """Run the genetic algorithm and return its full history.
 
     fitness maps one gene vector (a label array for categorical genomes)
-    to a real number; extra fixed arguments can be bound through
-    fitness_args. init_genes seeds part of the initial population. spec
-    and config checked themselves when built; run checks only the
-    choices that depend on the genome (crossover, mutation and the
-    selection, resolved against the initial genes) before any fitness
-    call or output file, so a bad configuration costs neither. A
+    to a real number, or, when marked with vectorized, the (k, g) gene
+    matrix of a batch to (k,) values; extra fixed arguments can be
+    bound through fitness_args, and the bound fitness keeps the marker.
+    init_genes seeds part of the initial population. spec and config
+    checked themselves when built; run checks only the choices that
+    depend on the genome (crossover, mutation and the selection,
+    resolved against the initial genes) before any fitness call or
+    output file, so a bad configuration costs neither. A
     fitness of NaN, a non-number or a raised exception aborts the run
     and raises FitnessEvaluationError with the partial record attached.
     Infinite fitness is accepted: in selection -inf ranks last and +inf

@@ -4,6 +4,7 @@ Fitness functions live at module level so process pools can pickle
 them.
 """
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import divga.engine
-from divga import GeneSpec
+from divga import GeneSpec, WorkerPool
 
 
 def sphere_fitness(genes):
@@ -74,6 +75,79 @@ def exits_on_half(genes):
     if genes[0] == 0.5:
         os._exit(1)
     return 0.0
+
+
+# Ways a fitness call can fail, each a call made on the failing row.
+FAILURES = {
+    "raise": lambda: 1 / 0,
+    "nan": lambda: math.nan,
+    "non-number": lambda: "not a number",
+    "overflow": lambda: 10 ** 400,
+}
+
+
+class RowFailure:
+    """Per-row fitness: a row's first gene over 4, and the failure kind
+    (a FAILURES key) on the row whose first gene is failing. Picklable,
+    so it runs on worker processes."""
+
+    def __init__(self, kind, failing):
+        self.kind = kind
+        self.failing = failing
+
+    def __call__(self, genes):
+        row = int(genes[0])
+        return FAILURES[self.kind]() if row == self.failing else row / 4
+
+
+class BatchFailure(RowFailure):
+    """RowFailure as a vectorized fitness: the list of the row values of
+    a (k, g) batch, so one failing row fails the whole call."""
+
+    vectorized = True
+
+    def __call__(self, genes):
+        return [RowFailure.__call__(self, row) for row in genes]
+
+
+class ChunkStart:
+    """Vectorized fitness giving each row the first gene of the first row
+    of its call, so the values show how the rows were split into calls."""
+
+    vectorized = True
+
+    def __call__(self, genes):
+        return np.full(len(genes), genes[0, 0])
+
+
+class WrongShapeAt:
+    """Vectorized fitness returning first genes as a (k, 1) column for
+    the call whose first row starts with start, a (k,) vector otherwise."""
+
+    vectorized = True
+
+    def __init__(self, start):
+        self.start = start
+
+    def __call__(self, genes):
+        return genes[:, :1] if genes[0, 0] == self.start else genes[:, 0]
+
+
+class PerRow:
+    """An unmarked wrapper: the wrapped fitness, called one row at a time."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, genes):
+        return self.fn(genes)
+
+
+@pytest.fixture(scope="session")
+def two_workers():
+    """One 2-worker pool shared by the tests that evaluate on workers."""
+    with WorkerPool(2, sum_fitness) as pool:
+        yield pool
 
 
 @pytest.fixture

@@ -53,7 +53,7 @@ def test_public_surface():
         "evaluate_population", "get_measure", "hamming_spread",
         "make_pairs", "mutate", "net_charge", "produce_offspring",
         "random_scan", "run", "run_de", "run_experiment", "seed_population",
-        "select_diverse", "select_top_n", "spread",
+        "select_diverse", "select_top_n", "spread", "vectorized",
     ]
 
 

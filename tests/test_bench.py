@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 from divga import (
+    DEConfig,
+    EngineConfig,
+    GeneSpec,
     angular_bin_occupancy,
     calculate_scd,
+    evaluate_population,
     net_charge,
+    random_scan,
+    run,
+    run_de,
     run_experiment,
     spread,
 )
@@ -23,6 +30,8 @@ from divga.bench import (
     scd_from_genes,
 )
 from divga.errors import ConfigError
+
+from conftest import PerRow
 
 
 def brute_force_scd(sequence):
@@ -64,6 +73,128 @@ class TestCircleFitness:
 
     def test_off_circle(self):
         assert circle_from_genes((6.0, 0.0)) == -5.0
+
+
+def old_landscape(genes):
+    """The landscape's per-row formula as written before its array form."""
+    x1, x2 = genes[0], genes[1]
+    if abs(x1) > 1.5 or abs(x2) > 1.5:
+        return -1000.0
+    return 10.0 * float(np.cos(20.0 * x1 * x2))
+
+
+def scalar_circle(genes):
+    """The circle's per-row formula, squaring with d * d."""
+    d = float(np.hypot(genes[0], genes[1])) - 5.0
+    return -5.0 * (d * d)
+
+
+# Rows on the edges of the landscape's box and at signed zeros.
+EDGE_ROWS = [(1.5, 1.5), (-1.5, 1.5), (1.5, -1.5), (-1.5, -1.5), (1.5, 0.0),
+             (-1.5, -0.0), (0.0, 1.5), (-0.0, -1.5), (0.0, 0.0), (-0.0, 0.0),
+             (0.0, -0.0), (-0.0, -0.0), (np.nextafter(1.5, 2.0), 0.0),
+             (0.0, np.nextafter(-1.5, -2.0)), (2.0, 0.0), (0.0, -1.6),
+             (-3.0, 5.0), (3.0, 4.0), (-3.0, -4.0), (0.0, 5.0), (-0.0, -5.0)]
+
+
+def circle_pow_rows(rng, draws=20000):
+    """Uniform rows of [-10, 10]^2 whose distance d from the circle has
+    d ** 2 (the C library's pow) != d * d."""
+    genes = rng.uniform(-10.0, 10.0, size=(draws, 2))
+    d = [float(np.hypot(x, y)) - 5.0 for x, y in genes]
+    return genes[[x ** 2 != x * x for x in d]]
+
+
+class TestVectorizedBenchFitness:
+    """The numeric problems as array functions: one row still gives a
+    float, and a batch gives each row the bits the per-row path gives."""
+
+    def test_marked(self):
+        assert landscape_from_genes.vectorized is True
+        assert circle_from_genes.vectorized is True
+        assert not hasattr(scd_from_genes, "vectorized")
+
+    @pytest.mark.parametrize("fitness", [landscape_from_genes,
+                                         circle_from_genes])
+    def test_one_row_gives_a_float_a_matrix_an_array(self, fitness):
+        assert type(fitness((0.25, -0.5))) is float
+        values = fitness(np.array([[0.25, -0.5], [2.0, 0.0]]))
+        assert values.shape == (2,)
+        assert values.tolist() == [fitness((0.25, -0.5)), fitness((2.0, 0.0))]
+
+    @pytest.mark.parametrize("fitness, reference, low, high", [
+        (landscape_from_genes, old_landscape, -2.0, 2.0),
+        (circle_from_genes, scalar_circle, -10.0, 10.0),
+    ], ids=["landscape", "circle"])
+    def test_batch_equals_rows_bit_for_bit(self, rng, fitness, reference,
+                                           low, high):
+        """evaluate_population with the marked function, with an unmarked
+        per-row wrapper and with the scalar formula give the same bytes,
+        on uniform rows, box edges, signed zeros and the circle rows
+        where pow(d, 2) != d * d."""
+        genes = np.concatenate([rng.uniform(low, high, size=(2000, 2)),
+                                np.array(EDGE_ROWS),
+                                circle_pow_rows(rng)])
+        batch, rows = np.empty(len(genes)), np.empty(len(genes))
+        evaluate_population(genes, fitness, batch)
+        evaluate_population(genes, PerRow(fitness), rows)
+        expected = np.array([reference(row) for row in genes])
+        assert batch.tobytes() == rows.tobytes() == expected.tobytes()
+
+    def test_circle_squares_without_pow(self, rng):
+        """On the rows where pow(d, 2) != d * d, the circle uses d * d."""
+        genes = circle_pow_rows(rng)
+        d = np.hypot(genes[:, 0], genes[:, 1]) - 5.0
+        assert circle_from_genes(genes).tolist() == (-5.0 * (d * d)).tolist()
+
+    @pytest.mark.parametrize("fitness, pairing, crossover, workers", [
+        (landscape_from_genes, "random", "none", 0),
+        (circle_from_genes, "all", "between", 0),
+        (circle_from_genes, "random", "between", 2),
+    ], ids=["landscape", "circle-all-pairs", "circle-2-workers"])
+    def test_run_files_identical(self, tmp_path, fitness, pairing, crossover,
+                                 workers):
+        """run writes the same survivors and fitness CSV bytes with the
+        marked function as with an unmarked per-row wrapper run
+        sequentially."""
+        spec = GeneSpec.numeric([(-1.5, 1.5), (-1.5, 1.5)]
+                                if fitness is landscape_from_genes
+                                else [(-10.0, 10.0), (-10.0, 10.0)])
+        files = []
+        for fn, parallel, name in ((fitness, workers, "marked"),
+                                   (PerRow(fitness), 0, "rows")):
+            config = EngineConfig(population_size=12, n_generations=6,
+                                  crossover=crossover, pairing=pairing,
+                                  seed=17, parallel_workers=parallel,
+                                  output_directory=tmp_path / name,
+                                  verbosity=0)
+            record = run(spec, fn, config)
+            files.append([record.output_files[key].read_bytes()
+                          for key in ("survivors", "fitness")])
+        assert files[0] == files[1]
+
+    def test_run_de_identical(self):
+        spec = GeneSpec.numeric([(-1.5, 1.5), (-1.5, 1.5)])
+        config = DEConfig(population_size=20, n_generations=15, seed=23)
+        marked = run_de(spec, landscape_from_genes, config)
+        rows = run_de(spec, PerRow(landscape_from_genes), config)
+        assert marked.genes.tobytes() == rows.genes.tobytes()
+        assert marked.fitness.tobytes() == rows.fitness.tobytes()
+        assert (marked.mean_fitness, marked.best_fitness, marked.evaluations) \
+            == (rows.mean_fitness, rows.best_fitness, rows.evaluations)
+
+    @pytest.mark.parametrize("fitness", [landscape_from_genes,
+                                         circle_from_genes])
+    def test_random_scan_identical(self, fitness):
+        spec = GeneSpec.numeric([(-10.0, 10.0), (-10.0, 10.0)])
+        marked = random_scan(spec, fitness, 3000, 50,
+                             np.random.default_rng(29))
+        rows = random_scan(spec, PerRow(fitness), 3000, 50,
+                           np.random.default_rng(29))
+        assert marked.kept_mean.tobytes() == rows.kept_mean.tobytes()
+        assert marked.kept_fitness.tobytes() == rows.kept_fitness.tobytes()
+        assert np.array(marked.kept_genes).tobytes() \
+            == np.array(rows.kept_genes).tobytes()
 
 
 class TestCalculateSCD:

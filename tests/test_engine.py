@@ -4,7 +4,8 @@ import contextlib
 import csv
 import dataclasses
 import faulthandler
-import math
+import itertools
+import re
 import warnings
 
 import numpy as np
@@ -29,6 +30,11 @@ from divga import (
 import divga.engine
 
 from conftest import (
+    FAILURES,
+    BatchFailure,
+    ChunkStart,
+    RowFailure,
+    WrongShapeAt,
     exits_on_half,
     exploding_fitness,
     fails_on_13,
@@ -53,15 +59,6 @@ both_kinds = pytest.mark.parametrize("spec_name, fitness", [
     ("numeric_spec", sphere_fitness),
     ("cat_spec", label_count_fitness),
 ], ids=["numeric", "categorical"])
-
-
-# Ways a fitness call can fail, each a call made on the failing row.
-FAILURES = {
-    "raise": lambda: 1 / 0,
-    "nan": lambda: math.nan,
-    "non-number": lambda: "not a number",
-    "overflow": lambda: 10 ** 400,
-}
 
 
 class CountingFitness:
@@ -177,6 +174,124 @@ class TestEvaluatePopulation:
         assert calls == list(range(failing + 1))
         assert values.tolist() == ([row / 4 for row in range(failing)]
                                    + [-1.0] * (n - failing))
+
+    @pytest.mark.parametrize("workers", [0, 2], ids=["sequential", "2"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 40).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+           st.sampled_from(sorted(FAILURES)))
+    def test_vectorized_failing_index_property(
+            self, two_workers, workers, rows_and_failing, kind):
+        """A vectorized fitness and the same fitness per row, for any
+        batch of n <= 40 rows, failing row f and failure kind,
+        sequentially and on 2 workers: both report index f with the same
+        message, commit values[:f] and write nothing after f."""
+        n, failing = rows_and_failing
+        genes = np.arange(float(n)).reshape(n, 1)
+        pool = two_workers if workers else None
+        errors = []
+        for fitness in (BatchFailure(kind, failing), RowFailure(kind, failing)):
+            values = np.full(n, -1.0)
+            with pytest.raises(FitnessEvaluationError) as excinfo:
+                evaluate_population(genes, fitness, values, pool)
+            assert excinfo.value.index == failing
+            assert values.tolist() == ([row / 4 for row in range(failing)]
+                                       + [-1.0] * (n - failing))
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("kind, calls", [
+        ("nan", [10]),
+        ("raise", [10, 1, 1, 1, 1]),
+        ("non-number", [10, 1, 1, 1, 1]),
+        ("overflow", [10, 1, 1, 1, 1]),
+    ])
+    def test_vectorized_failure_calls(self, kind, calls):
+        """Sequentially, a NaN at row 3 of 10 is found in the one batch
+        call; a raise or a non-number makes the rows up to 3 be called
+        again, each as a one-row matrix."""
+        batch = BatchFailure(kind, 3)
+        seen = []
+
+        def fitness(genes):
+            seen.append(genes.shape)
+            return batch(genes)
+
+        fitness.vectorized = True
+        with pytest.raises(FitnessEvaluationError) as excinfo:
+            evaluate_population(np.arange(10.0).reshape(10, 1), fitness,
+                                np.empty(10))
+        assert excinfo.value.index == 3
+        assert seen == [(rows, 1) for rows in calls]
+
+    def test_vectorized_one_call_per_chunk(self, two_workers):
+        """Sequentially the batch is one call; on 2 workers each chunk
+        of ceil(n / 2) rows is one call."""
+        genes = np.arange(9.0).reshape(9, 1)
+        values = np.empty(9)
+        assert evaluate_population(genes, ChunkStart(), values) == 9
+        assert values.tolist() == [0.0] * 9
+        assert evaluate_population(genes, ChunkStart(), values,
+                                   two_workers) == 9
+        assert values.tolist() == [0.0] * 5 + [5.0] * 4
+
+    def test_vectorized_rows_that_succeed_alone_stand(self):
+        """A batch call that raises, on rows that each succeed as a
+        one-row matrix, gives their one-row values."""
+        @divga.vectorized
+        def fails_on_batches(genes):
+            if len(genes) > 1:
+                raise MemoryError("batch too large")
+            return genes[:, 0] * 2
+
+        values = np.empty(4)
+        evaluate_population(np.arange(4.0).reshape(4, 1), fails_on_batches,
+                            values)
+        assert values.tolist() == [0.0, 2.0, 4.0, 6.0]
+
+    @pytest.mark.parametrize("result, shape", [
+        (lambda genes: 1.0, "()"),
+        (lambda genes: genes[1:, 0], "(3,)"),
+        (lambda genes: genes, "(4, 1)"),
+    ], ids=["scalar", "short", "column"])
+    def test_vectorized_wrong_shape(self, result, shape):
+        message = f"shape {shape} for 4 rows, not (4,), at individual 0"
+        values = np.full(4, -1.0)
+        with pytest.raises(FitnessEvaluationError,
+                           match=re.escape(message)) as excinfo:
+            evaluate_population(np.arange(4.0).reshape(4, 1),
+                                divga.vectorized(result), values)
+        assert excinfo.value.index == 0
+        assert values.tolist() == [-1.0] * 4
+
+    def test_vectorized_wrong_shape_at_chunk_start(self, two_workers):
+        """On 2 workers a wrong shape from the second chunk, rows 20-39,
+        is reported at index 20 once rows 0-19 are committed."""
+        values = np.full(40, -1.0)
+        message = "shape (20, 1) for 20 rows"
+        with pytest.raises(FitnessEvaluationError,
+                           match=re.escape(message)) as excinfo:
+            evaluate_population(np.arange(40.0).reshape(40, 1),
+                                WrongShapeAt(20.0), values, two_workers)
+        assert excinfo.value.index == 20
+        assert values.tolist() == list(range(20)) + [-1.0] * 20
+
+    def test_vectorized_one_row_wrong_shape(self):
+        """Row by row, a one-row result that is not one value is reported
+        at its row."""
+        @divga.vectorized
+        def scalar_for_one_row(genes):
+            if len(genes) > 1:
+                raise ValueError("rows one by one, please")
+            return 7.0
+
+        values = np.full(4, -1.0)
+        message = "shape () for 1 rows"
+        with pytest.raises(FitnessEvaluationError,
+                           match=re.escape(message)) as excinfo:
+            evaluate_population(np.arange(4.0).reshape(4, 1),
+                                scalar_for_one_row, values)
+        assert excinfo.value.index == 0
 
     @pytest.mark.parametrize("rows, workers, chunks", [
         (100, 2, [(0, 50), (50, 50)]),
@@ -368,6 +483,65 @@ class TestRunBasics:
         config = quiet(population_size=4, n_generations=1, seed=0)
         record = run(numeric_spec, offset_sum, config, fitness_args=(100.0,))
         assert record.best_fitness[0] > 90.0
+
+    def test_fitness_args_keep_the_vectorized_marker(self, numeric_spec):
+        """A marked fitness bound through fitness_args is still called
+        once per generation, on the generation's whole batch."""
+        batches = []
+
+        @divga.vectorized
+        def offset_sum(genes, offset):
+            batches.append(len(genes))
+            return genes.sum(axis=1) + offset
+
+        assert divga.engine._BoundFitness(offset_sum, (1.0,)).vectorized
+        config = quiet(population_size=4, n_generations=3, crossover="none",
+                       seed=0)
+        record = run(numeric_spec, offset_sum, config, fitness_args=(100.0,))
+        assert batches == [4, 4, 4, 4]
+        assert record.best_fitness[0] > 90.0
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(population=st.integers(2, 7), generations=st.integers(1, 4),
+           pairing=st.sampled_from(["random", "all"]),
+           d0=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_elitism_and_exact_evaluations_property(
+            self, population, generations, pairing, d0, seed):
+        """For either pairing, with a marked and an unmarked fitness: the
+        best of parents and children survives, every generation
+        evaluates exactly its children, each once (one call per
+        generation when marked), and both fitnesses give the same
+        history."""
+        spec = GeneSpec.numeric([(-1.0, 1.0), (-1.0, 1.0)])
+        config = quiet(population_size=population, n_generations=generations,
+                       crossover="between", pairing=pairing, seed=seed,
+                       selection=DiversityEnhanced(d0=d0))
+        children = (population * (population - 1) // 2 if pairing == "all"
+                    else population)
+        expected = [population + k * children for k in range(generations + 1)]
+        rows, batches, batch_best = [], [], []
+
+        def per_row(genes):
+            rows.append(1)
+            return -float(genes[0] * genes[0] + genes[1] * genes[1])
+
+        @divga.vectorized
+        def per_batch(genes):
+            values = -(genes[:, 0] * genes[:, 0] + genes[:, 1] * genes[:, 1])
+            batches.append(len(genes))
+            batch_best.append(float(values.max()))
+            return values
+
+        records = [run(spec, per_row, config), run(spec, per_batch, config)]
+        best = records[1].best_fitness
+        assert best == list(itertools.accumulate(batch_best, max))
+        for record in records:
+            assert record.evaluations == expected
+        assert len(rows) == expected[-1]
+        assert batches == [population] + [children] * generations
+        assert records[0].best_fitness == records[1].best_fitness
+        for mine, theirs in zip(*(r.populations for r in records)):
+            assert mine.tobytes() == theirs.tobytes()
 
     def test_categorical_run(self, cat_spec):
         config = quiet(population_size=10, n_generations=5, seed=4)
