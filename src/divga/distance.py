@@ -6,10 +6,17 @@ non-negative and zero on identical vectors; user-supplied measures are
 expected to satisfy the same contract and are spot-checked for symmetry.
 
 The one-vs-many form to_point(matrix, point, out=None) fills out when
-it is given, so selection reuses one buffer for every pick. The numeric
-measures sum the per-gene terms in gene order, left to right, so each
-distance equals its scalar formula evaluated in Python bit for bit,
-whatever the number of genes and the memory order of the matrix.
+it is given. The numeric measures sum the per-gene terms in gene order,
+left to right, so each distance equals its scalar formula evaluated in
+Python bit for bit, whatever the number of genes and the memory order
+of the matrix.
+
+Selection measures one pool against its own rows, pick after pick:
+prepare(matrix) returns a PreparedRows whose rows_to(i, out) writes the
+distances from row i to every row into out, bit for bit what
+to_point(matrix, matrix[i], out) gives. The built-in measures keep the
+layout and the work buffers they need across those calls; any other
+measure goes through to_point.
 """
 
 from __future__ import annotations
@@ -43,6 +50,33 @@ class DistanceMeasure:
         Returns out, or a new array when out is None."""
         raise NotImplementedError
 
+    def prepare(self, matrix: np.ndarray) -> "PreparedRows":
+        """matrix made ready for repeated rows_to calls (see PreparedRows).
+
+        This default calls to_point for each row, so a measure that
+        defines only to_point works; the built-in measures use it too
+        when a subclass overrides their to_point.
+        """
+        return PreparedRows(self, matrix)
+
+
+class PreparedRows:
+    """Squared distances from one row of a fixed matrix to all its rows.
+
+    What DistanceMeasure.prepare returns; matrix is the array rows_to
+    reads. This base class goes through the measure's to_point.
+    """
+
+    def __init__(self, measure: DistanceMeasure, matrix: np.ndarray):
+        self.measure = measure
+        self.matrix = matrix
+
+    def rows_to(self, i: int, out: np.ndarray) -> np.ndarray:
+        """Squared distances from row i to every row, written into out
+        (a float vector, one entry per row); returns out, bit for bit
+        to_point(matrix, matrix[i], out)."""
+        return self.measure.to_point(self.matrix, self.matrix[i], out)
+
 
 def _sum_genes(terms: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """Row sums of the column-major (n, g) terms, each added gene by
@@ -68,6 +102,31 @@ class EuclideanSq(DistanceMeasure):
         d *= d
         return _sum_genes(d, out)
 
+    def prepare(self, matrix):
+        if type(self).to_point is not EuclideanSq.to_point:
+            return super().prepare(matrix)
+        return _EuclideanRows(self, matrix)
+
+
+class _EuclideanRows(PreparedRows):
+    """rows_to on one column-major float copy of the matrix, through one
+    column-major (n, g) difference buffer: the to_point operations with
+    no per-call allocation and no transposing of a row-major pool. The
+    gene axis of a column-major matrix reduces one column at a time, in
+    gene order, for any g. (A single row, which numpy would sum
+    pairwise, is measured only against itself, where every term is 0
+    or NaN in any order.)"""
+
+    def __init__(self, measure, matrix):
+        super().__init__(measure, np.asfortranarray(matrix, dtype=float))
+        self._diff = np.empty_like(self.matrix, order="F")
+
+    def rows_to(self, i, out):
+        matrix, diff = self.matrix, self._diff
+        np.subtract(matrix, matrix[i], out=diff)
+        diff *= diff
+        return np.add.reduce(diff, axis=1, out=out)
+
 
 class DynamicSq(DistanceMeasure):
     """Scale-normalized squared distance.
@@ -88,6 +147,32 @@ class DynamicSq(DistanceMeasure):
         d /= scale
         d *= d
         return _sum_genes(d, out)
+
+    def prepare(self, matrix):
+        if type(self).to_point is not DynamicSq.to_point:
+            return super().prepare(matrix)
+        return _DynamicRows(self, matrix)
+
+
+class _DynamicRows(_EuclideanRows):
+    """The dynamic to_point on _EuclideanRows's layout; the absolute
+    values of the matrix are taken once, and each call fills one more
+    column-major buffer with the scales."""
+
+    def __init__(self, measure, matrix):
+        super().__init__(measure, matrix)
+        self._abs = np.abs(self.matrix)
+        self._scale = np.empty_like(self._diff)
+
+    def rows_to(self, i, out):
+        matrix, diff, scale, magnitude = (self.matrix, self._diff,
+                                          self._scale, self._abs)
+        np.add(magnitude, magnitude[i], out=scale)
+        scale += self.measure.epsilon
+        np.subtract(matrix, matrix[i], out=diff)
+        diff /= scale
+        diff *= diff
+        return np.add.reduce(diff, axis=1, out=out)
 
 
 class HammingSq(DistanceMeasure):
@@ -113,6 +198,29 @@ class HammingSq(DistanceMeasure):
         g = matrix.shape[1]
         counts = np.matmul(matrix != point, np.ones(g), out=out)
         counts /= g
+        return counts
+
+    def prepare(self, matrix):
+        if type(self).to_point is not HammingSq.to_point:
+            return super().prepare(matrix)
+        return _HammingRows(self, matrix)
+
+
+class _HammingRows(PreparedRows):
+    """The Hamming to_point on the caller's codes or labels, with the
+    mismatches written into one reused row-major float (n, g) buffer
+    and counted against one prepared vector of ones."""
+
+    def __init__(self, measure, matrix):
+        super().__init__(measure, matrix)
+        self._mismatch = np.empty(matrix.shape)
+        self._ones = np.ones(matrix.shape[1])
+
+    def rows_to(self, i, out):
+        matrix, mismatch = self.matrix, self._mismatch
+        np.not_equal(matrix, matrix[i], out=mismatch)
+        counts = np.matmul(mismatch, self._ones, out=out)
+        counts /= len(self._ones)
         return counts
 
 

@@ -467,7 +467,8 @@ class _RunLog:
 
 class RunWriter:
     """Incrementally writes the survivors and fitness CSVs of a run into
-    an existing directory."""
+    an existing directory, keeping the row texts of the last snapshot
+    for the survivors that the next one carries over."""
 
     def __init__(self, directory: str | Path, spec: GeneSpec):
         self.directory = Path(directory)
@@ -485,24 +486,40 @@ class RunWriter:
         gene_names = ",".join(f"g{k + 1}" for k in range(spec.number_of_genes))
         self._survivors.write(f"generation,index,fitness,{gene_names}\n")
         self._fitness.write("generation,evaluations,mean_fitness,best_fitness\n")
-        # One %-template per survivor row; "%.17g" formats every real,
-        # inf, nan and -0.0 included. Label rows fill one "%s" with
-        # their joined cell texts.
+        # One %-template per row body, the text after generation,index,:
+        # "%.17g" formats every real, inf, nan and -0.0 included. Label
+        # rows fill one "%s" with their joined cell texts.
         genes_format = (",%.17g" * spec.number_of_genes if spec.is_numeric
                         else ",%s")
-        self._row = "%d,%d,%.17g" + genes_format + "\n"
+        self._body = "%.17g" + genes_format + "\n"
         self._text = (None if spec.is_numeric else
                       {c: _csv_text(c) for c in spec.categories}.__getitem__)
+        self._bodies = []
 
-    def append(self, generation: int, population, evaluations: int):
-        """Write one RunRecord snapshot and its fitness row."""
+    def append(self, generation: int, population, evaluations: int,
+               parents=None):
+        """Write one RunRecord snapshot and its fitness row.
+
+        parents[k] is the row of the previous snapshot that survivor k
+        is, or -1 for a new individual; only new rows are formatted, the
+        others reuse their text from the previous snapshot. None, as for
+        a first snapshot, formats every row.
+        """
         fitness = population.fitness
-        rows = population.genes.tolist()
+        if parents is None:
+            parents = np.full(len(fitness), -1)
+        previous = self._bodies
+        bodies = [previous[p] if p >= 0 else None for p in parents.tolist()]
+        fresh = np.flatnonzero(parents < 0)
+        rows = population.genes[fresh].tolist()
         if self._text is not None:
             rows = [(",".join(map(self._text, genes)),) for genes in rows]
+        for k, value, genes in zip(fresh.tolist(), fitness[fresh].tolist(),
+                                   rows):
+            bodies[k] = self._body % (value, *genes)
+        self._bodies = bodies
         self._survivors.write("".join(
-            self._row % (generation, index, value, *genes)
-            for index, (value, genes) in enumerate(zip(fitness.tolist(), rows))))
+            f"{generation},{index},{body}" for index, body in enumerate(bodies)))
         self._fitness.write("%d,%d,%.17g,%.17g\n" % (
             generation, evaluations, _mean_fitness(fitness), fitness.max()))
         self._survivors.flush()
@@ -555,14 +572,16 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
     writer = workers = None
     record = RunRecord()
 
-    def snapshot(generation, genes, values, cumulative):
+    def snapshot(generation, genes, values, cumulative, picks=None):
         decoded = spec.decode(genes)
         survivors = np.rec.fromarrays([decoded, values], dtype=[
             ("genes", decoded.dtype, decoded.shape[1:]), ("fitness", float)])
         record.populations.append(survivors)
         record.evaluations.append(cumulative)
         if writer is not None:
-            writer.append(generation, survivors, cumulative)
+            # A pick below n is the previous survivor of that index.
+            parents = None if picks is None else np.where(picks < n, picks, -1)
+            writer.append(generation, survivors, cumulative, parents)
         best = float(values.max())
         log.line(1, f"generation {generation}: best={best:.6g} "
                     f"mean={_mean_fitness(values):.6g} evaluations={cumulative}")
@@ -606,7 +625,7 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
                                        working)
             genes, values = pool_genes[picks], pool_values[picks]
             previous_best = best
-            best = snapshot(generation, genes, values, cumulative)
+            best = snapshot(generation, genes, values, cumulative, picks)
             if config.verbosity >= 2:
                 for rank, ind in enumerate(record.populations[-1]):
                     log.line(2, f"  survivor {rank}: fitness={ind.fitness:.6g}"

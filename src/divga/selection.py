@@ -14,16 +14,14 @@ the procedure degenerates to plain truncation selection (top-N), and
 the engine runs DiversityEnhanced(d0=0) as select_top_n: the same
 picks from one stable argsort.
 
-Each pick of diversity-enhanced selection writes r^2 into one buffer
-allocated per call, through the measure's to_point, and turns it into
-the penalty in place: r^2 * (-1 / r0^2), exp, times d0, subtracted
-from the working fitness. These are the IEEE operations of the formula
-above, with the negation carried by the constant. A numeric pool
-(Euclidean or dynamic measure) is copied column-major once per call,
-so each pick's gene-order subtraction reads whole columns instead of
-transposing the pool; a Hamming pool keeps its row-major codes, whose
-mismatch count is faster that way, and a custom measure gets the
-caller's array as it is.
+Each call prepares the pool once with the measure's prepare (see
+divga.distance), which decides the layout and keeps the work
+buffers. Each pick then writes r^2 into one penalty buffer allocated
+per call, through rows_to, and turns it into the penalty in place:
+r^2 * (-1 / r0^2), exp, times d0 (skipped at d0 = 1, where it changes
+no bit), subtracted from the working fitness. These are the IEEE
+operations of the formula above, with the negation carried by the
+constant.
 
 Both selectors take the whole candidate pool as arrays (a gene matrix
 and a fitness vector, one row per candidate) and return the indices of
@@ -37,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distance import DynamicSq, EuclideanSq, get_measure
+from .distance import get_measure
 from .errors import ConfigError
 
 
@@ -74,9 +72,10 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
         raise ConfigError("r0 is not set; give it or resolve the selection "
                           "against a population first")
     measure = get_measure(diversity.measure, labels=genes.dtype.kind in "OSU")
-    if isinstance(measure, (EuclideanSq, DynamicSq)):
-        genes = np.asfortranarray(genes, dtype=float)
+    rows_to = measure.prepare(genes).rows_to
+    d0 = diversity.d0
     scale = -1.0 / diversity.r0 ** 2
+    multiply, exp, minus_inf = np.multiply, np.exp, -np.inf
     penalty = np.empty(len(work))
     alive = np.ones(len(work), dtype=bool)
     picks = np.empty(count, dtype=np.intp)
@@ -89,12 +88,12 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
         if working is not None:
             working[k] = work[pick]
         alive[pick] = False
-        work[pick] = -np.inf
-        if diversity.d0 != 0.0 and k + 1 < count:
-            r_sq = measure.to_point(genes, genes[pick], penalty)
-            np.multiply(r_sq, scale, out=penalty)
-            np.exp(penalty, out=penalty)
-            penalty *= diversity.d0
+        work[pick] = minus_inf
+        if d0 != 0.0 and k + 1 < count:
+            multiply(rows_to(pick, penalty), scale, out=penalty)
+            exp(penalty, out=penalty)
+            if d0 != 1.0:
+                penalty *= d0
             work -= penalty
     return picks
 

@@ -1,7 +1,9 @@
 """Shared fixtures and fitness helpers.
 
 Fitness functions live at module level so process pools can pickle
-them.
+them. Every hypothesis test runs under one profile: derandomized, so a
+run draws the same examples each time, with no deadline and no example
+database on disk.
 """
 
 import math
@@ -10,9 +12,14 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import divga.engine
 from divga import GeneSpec, WorkerPool
+
+settings.register_profile("divga", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("divga")
 
 
 def sphere_fitness(genes):

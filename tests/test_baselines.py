@@ -70,7 +70,7 @@ class TiedDraws:
 
 
 class TestDonors:
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(st.integers(4, 80), st.integers(0, 2 ** 64 - 1))
     def test_equals_argsort_form(self, n, seed):
         """The three argmin passes pick the argsort's donors and take
@@ -416,7 +416,7 @@ class TestRandomScan:
         trace = self.scan_of([-1e20, -1e20, 0.1, 0.2], 2)
         assert trace.final_mean == (0.1 + 0.2) / 2
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
                     | st.sampled_from([math.inf, -math.inf]),
                     min_size=1, max_size=25),

@@ -1,6 +1,7 @@
 """Benchmark fitness functions, statistics and the experiment driver."""
 
 import csv
+import functools
 import math
 
 import numpy as np
@@ -140,6 +141,25 @@ class TestVectorizedBenchFitness:
         evaluate_population(genes, PerRow(fitness), rows)
         expected = np.array([reference(row) for row in genes])
         assert batch.tobytes() == rows.tobytes() == expected.tobytes()
+
+    def test_landscape_row_form_equals_batch_form(self, rng):
+        """One gene vector, as an array, a tuple or through an unmarked
+        functools.partial, gets the bits its row gets in a batch: on
+        10,000 uniform rows of [-2, 2]^2, many outside the box, and on
+        the box edges, |x| == 1.5 included."""
+        genes = np.concatenate([rng.uniform(-2.0, 2.0, size=(10000, 2)),
+                                np.array(EDGE_ROWS)])
+        assert (np.abs(genes) > 1.5).any(axis=1).sum() > 1000
+        batch = landscape_from_genes(genes)
+        unmarked = functools.partial(landscape_from_genes)
+        assert not hasattr(unmarked, "vectorized")
+        for form in (lambda row: row, tuple, lambda row: row.tolist()):
+            rows = [landscape_from_genes(form(row)) for row in genes]
+            assert {type(value) for value in rows} == {float}
+            assert np.array(rows).tobytes() == batch.tobytes()
+        rows = np.empty(len(genes))
+        evaluate_population(genes, unmarked, rows)
+        assert rows.tobytes() == batch.tobytes()
 
     def test_circle_squares_without_pow(self, rng):
         """On the rows where pow(d, 2) != d * d, the circle uses d * d."""

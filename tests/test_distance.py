@@ -204,7 +204,7 @@ class TestNumericKernel:
         (EuclideanSq(), _euclidean_scalar), (DynamicSq(), _dynamic_scalar)],
         ids=["euclidean", "dynamic"])
     @given(pool=numeric_pools())
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     def test_equals_scalar_formula(self, measure, scalar, pool):
         matrix, point = pool
         before = matrix.copy(), point.copy()
@@ -234,7 +234,7 @@ def code_pools(draw):
 
 class TestHammingKernel:
     @given(code_pools(), st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_counts_equal_codes_labels_and_python(self, pool, data):
         """to_point on codes and on labels equals a pure-Python
         mismatch count over g, float for float."""
@@ -246,6 +246,80 @@ class TestHammingKernel:
         measure = HammingSq()
         assert measure.to_point(codes, codes[k]).tolist() == expected
         assert measure.to_point(labels, labels[k]).tolist() == expected
+
+
+def _custom_measure():
+    """A callable measure that takes labels as well as numbers."""
+    return get_measure(lambda a, b: float(sum(x != y for x, y in zip(a, b))))
+
+
+MEASURES = {"euclidean": EuclideanSq, "dynamic": DynamicSq,
+            "hamming": HammingSq, "custom": _custom_measure}
+
+
+@st.composite
+def layout_pools(draw):
+    """An (n, g) pool, g in 1, 2, 9 or 50, that is row-major,
+    column-major, int64 with repeated values, or every other row of a
+    wider float pool."""
+    layout = draw(st.sampled_from(["C", "F", "int64", "strided"]))
+    g = draw(st.sampled_from([1, 2, 9, 50]))
+    n = draw(st.integers(1, 12))
+    rows = 2 * n if layout == "strided" else n
+    if layout == "int64":
+        cells = st.integers(-4, 4)
+    else:
+        cells = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    flat = draw(st.lists(cells, min_size=rows * g, max_size=rows * g))
+    matrix = np.array(flat, dtype=np.int64 if layout == "int64" else float)
+    matrix = matrix.reshape(rows, g)
+    if layout == "F":
+        matrix = np.asfortranarray(matrix)
+    elif layout == "strided":
+        matrix = matrix[::2]
+    return matrix
+
+
+def assert_rows_to_equals_to_point(measure, matrix):
+    """rows_to(i, out) on one prepared matrix, for every row in turn,
+    is out and holds the bytes of to_point(matrix, matrix[i])."""
+    before = matrix.copy()
+    prepared = measure.prepare(matrix)
+    out = np.full(len(matrix), np.nan)
+    for i in range(len(matrix)):
+        assert prepared.rows_to(i, out) is out
+        assert out.tobytes() == measure.to_point(matrix, matrix[i]).tobytes()
+    assert matrix.tobytes() == before.tobytes()
+
+
+class TestPreparedRows:
+    """prepare(matrix).rows_to(i, out) is to_point(matrix, matrix[i]),
+    byte for byte, whatever the layout, dtype and buffer reuse."""
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    @given(matrix=layout_pools())
+    @settings(max_examples=60)
+    def test_numeric_layouts(self, name, matrix):
+        assert_rows_to_equals_to_point(MEASURES[name](), matrix)
+
+    @pytest.mark.parametrize("name", ["hamming", "custom"])
+    @pytest.mark.parametrize("n_categories", [128, 129])
+    @given(data=st.data())
+    @settings(max_examples=30)
+    def test_codes_and_labels(self, name, n_categories, data):
+        """int8 codes at 128 categories, int16 at 129, and their labels,
+        which encode back to the same codes."""
+        g = data.draw(st.sampled_from([1, 2, 9, 50]))
+        n = data.draw(st.integers(1, 12))
+        spec = GeneSpec.categorical([f"c{k}" for k in range(n_categories)], g)
+        flat = data.draw(st.lists(st.integers(0, n_categories - 1),
+                                  min_size=n * g, max_size=n * g))
+        codes = np.array(flat, dtype=spec.gene_dtype).reshape(n, g)
+        assert codes.dtype == (np.int8 if n_categories == 128 else np.int16)
+        labels = spec.decode(codes)
+        assert spec.encode(labels.tolist()).tobytes() == codes.tobytes()
+        for matrix in (codes, labels):
+            assert_rows_to_equals_to_point(MEASURES[name](), matrix)
 
 
 class TestDefaultR0:

@@ -150,7 +150,7 @@ class TestEvaluatePopulation:
         assert calls == [0, 1, 2, 3]
         assert values.tolist() == [1.0] * 3 + [-1.0] * 7
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(st.integers(1, 40).flatmap(
                lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
            st.sampled_from(sorted(FAILURES)))
@@ -176,7 +176,7 @@ class TestEvaluatePopulation:
                                    + [-1.0] * (n - failing))
 
     @pytest.mark.parametrize("workers", [0, 2], ids=["sequential", "2"])
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100)
     @given(st.integers(1, 40).flatmap(
                lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
            st.sampled_from(sorted(FAILURES)))
@@ -501,7 +501,7 @@ class TestRunBasics:
         assert batches == [4, 4, 4, 4]
         assert record.best_fitness[0] > 90.0
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(population=st.integers(2, 7), generations=st.integers(1, 4),
            pairing=st.sampled_from(["random", "all"]),
            d0=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 2**32 - 1))
@@ -975,6 +975,69 @@ class TestPersistence:
         written = [genes.tolist() for pop in record.populations
                    for genes in pop.genes]
         assert [row[3:] for row in rows[1:]] == written
+
+    @pytest.mark.parametrize("case", ["random", "all", "top-n", "labels",
+                                      "threshold", "aborted"])
+    def test_files_equal_rows_formatted_anew(self, case, tmp_path):
+        """The survivors CSV, whose carried-over rows are formatted once,
+        holds every snapshot formatted anew with "%.17g" and _csv_text,
+        and the fitness CSV every snapshot's totals; an aborted run keeps
+        its finished generations."""
+        options = dict(population_size=6, n_generations=8, seed=3,
+                       output_directory=tmp_path)
+        spec = GeneSpec.numeric([(-2.0, 2.0), (-1.0, 3.0)])
+        fitness = sphere_fitness
+        if case == "all":
+            options["pairing"] = "all"
+        elif case == "top-n":
+            options["selection"] = DiversityEnhanced(d0=0.0)
+        elif case == "labels":
+            spec = GeneSpec.categorical(
+                ("a,b", 'say "hi"', "two\nlines", "p"), 3)
+            options["selection"] = DiversityEnhanced(d0=1.0, r0=0.5)
+
+            def fitness(genes):
+                return float(list(genes).count("p"))
+        elif case == "threshold":
+            options["fitness_threshold"] = -0.05
+        if case == "aborted":
+            calls = []
+
+            def fitness(genes):
+                calls.append(1)
+                if len(calls) == 6 + 6 * 4 + 3:
+                    raise ValueError("a child of generation 5")
+                return sphere_fitness(genes)
+
+            with pytest.raises(FitnessEvaluationError) as excinfo:
+                run(spec, fitness, quiet(**options))
+            record = excinfo.value.partial_record
+            assert len(record.populations) == 5
+        else:
+            record = run(spec, fitness, quiet(**options))
+        if case == "threshold":
+            assert record.termination == "threshold_reached"
+            assert len(record.populations) < 9
+        cell = ("%.17g".__mod__ if spec.is_numeric
+                else divga.engine._csv_text)
+        gene_names = [f"g{k + 1}" for k in range(spec.number_of_genes)]
+        survivors = [",".join(["generation", "index", "fitness"]
+                              + gene_names)]
+        totals = ["generation,evaluations,mean_fitness,best_fitness"]
+        for generation, pop in enumerate(record.populations):
+            for index, row in enumerate(pop):
+                survivors.append(",".join(
+                    [str(generation), str(index), "%.17g" % row.fitness]
+                    + [cell(gene) for gene in row.genes.tolist()]))
+            totals.append("%d,%d,%.17g,%.17g" % (
+                generation, record.evaluations[generation],
+                record.mean_fitness[generation],
+                record.best_fitness[generation]))
+        files = record.output_files
+        assert files["survivors"].read_text(encoding="utf-8") == \
+            "".join(line + "\n" for line in survivors)
+        assert files["fitness"].read_text(encoding="utf-8") == \
+            "".join(line + "\n" for line in totals)
 
     def test_same_directory_twice_keeps_both_runs(self, numeric_spec, tmp_path):
         self.run_with_output(numeric_spec, tmp_path, seed=1)

@@ -20,19 +20,39 @@ from divga import (
 )
 
 
-def brute_force_diverse(genes_rows, fitness_values, count, d0, r0):
-    """Scalar reference implementation of the iterated penalized argmax."""
-    working = list(map(float, fitness_values))
-    alive = set(range(len(working)))
+def euclidean_scalar(a, b):
+    """Squared Euclidean distance summed gene by gene from the left."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += (x - y) * (x - y)
+    return total
+
+
+def hamming_scalar(a, b):
+    return sum(x != y for x, y in zip(a, b)) / len(a)
+
+
+def brute_force_diverse(genes_rows, fitness_values, count, d0, r0,
+                        distance=euclidean_scalar, working=None):
+    """Scalar reference implementation of the iterated penalized argmax.
+
+    Each penalty is d0 * exp(r^2 * (-1 / r0^2)), the operations
+    select_diverse documents, one candidate at a time; the pick-time
+    working fitness of each pick is appended to working when given.
+    """
+    working_now = list(map(float, fitness_values))
+    alive = set(range(len(working_now)))
     picks = []
+    scale = -1.0 / r0 ** 2
     for _ in range(count):
-        best = min(alive, key=lambda i: (-working[i], i))
+        best = min(alive, key=lambda i: (-working_now[i], i))
         picks.append(best)
+        if working is not None:
+            working.append(working_now[best])
         alive.discard(best)
         for i in alive:
-            r_sq = sum((x - y) ** 2
-                       for x, y in zip(genes_rows[best], genes_rows[i]))
-            working[i] -= d0 * math.exp(-r_sq / r0 ** 2)
+            r_sq = distance(genes_rows[best], genes_rows[i])
+            working_now[i] -= d0 * float(np.exp(np.float64(r_sq * scale)))
     return picks
 
 
@@ -380,22 +400,25 @@ class TestColumnMajorPool:
                 assert working.tobytes() == want_working.tobytes()
             assert genes.tobytes() == before.tobytes()
 
-    def test_measures_see_their_layout(self, rng):
-        """Euclidean gets a column-major float copy; Hamming codes and a
-        custom measure's pool reach to_point as the caller's array."""
+    def test_prepare_decides_the_layout(self, rng):
+        """Euclidean and dynamic prepare a column-major float copy;
+        Hamming codes and a custom measure's pool stay the caller's
+        array, and so does the pool of a subclass that overrides
+        to_point, which selection then measures through it."""
         fitness = rng.uniform(0, 1, size=8)
         genes = rng.integers(0, 3, size=(8, 4))
-        measure = recording(EuclideanSq)
-        select_diverse(genes, fitness, 3, DiversityEnhanced(r0=1.0,
-                                                            measure=measure))
-        assert measure.seen.flags.f_contiguous
-        assert measure.seen.dtype == float
-        assert measure.seen.tolist() == genes.tolist()
+        for measure in (EuclideanSq(), DynamicSq()):
+            seen = measure.prepare(genes).matrix
+            assert seen.flags.f_contiguous
+            assert seen.dtype == float
+            assert seen.tolist() == genes.tolist()
         codes = genes.astype(np.int8)
-        measure = recording(HammingSq)
-        select_diverse(codes, fitness, 3, DiversityEnhanced(r0=1.0,
-                                                            measure=measure))
-        assert measure.seen is codes
+        assert HammingSq().prepare(codes).matrix is codes
+        for measure_class in (EuclideanSq, DynamicSq, HammingSq):
+            measure = recording(measure_class)
+            select_diverse(genes, fitness, 3,
+                           DiversityEnhanced(r0=1.0, measure=measure))
+            assert measure.seen is genes
         seen = []
 
         def custom(a, b):
@@ -449,9 +472,47 @@ def pools(min_size=1, max_size=9, infinite=False):
 radii = st.floats(0.05, 3.0)
 
 
+@st.composite
+def oracle_pools(draw):
+    """(genes, fitness, count, distance): numeric genes that repeat, or
+    label genes, with fitness from a few tied values and +-inf."""
+    n = draw(st.integers(1, 12))
+    g = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        cells, distance = st.sampled_from(["E", "K", "Q"]), hamming_scalar
+        dtype = draw(st.sampled_from([object, str]))
+    else:
+        cells = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-3, 3)
+        distance, dtype = euclidean_scalar, float
+    genes = np.array(draw(st.lists(
+        st.lists(cells, min_size=g, max_size=g), min_size=n, max_size=n)),
+        dtype=dtype)
+    fitness = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, -np.inf, np.inf]),
+        min_size=n, max_size=n)))
+    return genes, fitness, draw(st.integers(1, n)), distance
+
+
 class TestSelectionProperties:
+    @given(oracle_pools(), st.sampled_from([0.5, 1.0, 3.0]), radii)
+    @settings(max_examples=300)
+    def test_equals_brute_force(self, pool, d0, r0):
+        """Picks and pick-time working fitness equal the scalar
+        reference bit for bit, on tied and infinite fitness, repeated
+        genes and labels, with and without the d0 = 1 shortcut, down to
+        pools where only -inf candidates are left."""
+        genes, fitness, count, distance = pool
+        working = np.empty(count)
+        got = select_diverse(genes, fitness, count,
+                             DiversityEnhanced(d0=d0, r0=r0), working)
+        want_working = []
+        want = brute_force_diverse(genes.tolist(), fitness, count, d0, r0,
+                                   distance, want_working)
+        assert got.tolist() == want
+        assert working.tobytes() == np.array(want_working).tobytes()
+
     @given(pools(infinite=True), radii)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_zero_d0_matches_top_n(self, pool, r0):
         genes, fitness, count = pool
         got = select_diverse(genes, fitness, count,
@@ -460,7 +521,7 @@ class TestSelectionProperties:
 
     @given(pools(min_size=2), st.floats(0.0, 3.0), radii,
            st.permutations(range(9)), st.randoms())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_permuting_the_pool_permutes_the_picks(self, pool, d0, r0, ranks,
                                                     random):
         genes, _, count = pool
@@ -477,7 +538,7 @@ class TestSelectionProperties:
 
     @given(st.integers(2, 200), st.integers(1, 40), st.integers(1, 50),
            st.floats(0.0, 3.0), radii, st.randoms())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_hamming_codes_and_labels_pick_alike(self, n_categories, n, g,
                                                  d0, r0, random):
         """Category codes in the spec's gene dtype and their labels give
@@ -497,7 +558,7 @@ class TestSelectionProperties:
         assert working[0].tolist() == working[1].tolist()
 
     @given(pools(infinite=True), st.floats(0.0, 3.0), radii)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_survivors_are_distinct(self, pool, d0, r0):
         genes, fitness, count = pool
         for got in (select_diverse(genes, fitness, count,
