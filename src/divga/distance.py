@@ -5,18 +5,21 @@ r^2 directly, so no square root is ever taken. Measures are symmetric,
 non-negative and zero on identical vectors; user-supplied measures are
 expected to satisfy the same contract and are spot-checked for symmetry.
 
-The one-vs-many form to_point(matrix, point, out=None) fills out when
-it is given. The numeric measures sum the per-gene terms in gene order,
-left to right, so each distance equals its scalar formula evaluated in
-Python bit for bit, whatever the number of genes and the memory order
-of the matrix.
+Each built-in measure writes its formula once, in a kernel: a
+PreparedRows subclass that holds the matrix in the layout the formula
+wants, with its work buffers, and whose to(point, out) writes the
+distances from every row to point. prepare(matrix) builds the kernel,
+and its rows_to(i, out) measures against row i: selection measures one
+pool against its own rows this way, pick after pick, with no
+allocation per pick. The one-vs-many to_point(matrix, point, out=None)
+builds a kernel for one call. The numeric measures sum the per-gene
+terms in gene order, left to right, so each distance equals its scalar
+formula evaluated in Python bit for bit, whatever the number of genes
+and the memory order of the matrix.
 
-Selection measures one pool against its own rows, pick after pick:
-prepare(matrix) returns a PreparedRows whose rows_to(i, out) writes the
-distances from row i to every row into out, bit for bit what
-to_point(matrix, matrix[i], out) gives. The built-in measures keep the
-layout and the work buffers they need across those calls; any other
-measure goes through to_point.
+A measure that defines its own to_point, a user measure or a subclass
+of a built-in one that overrides it, is measured through that to_point
+everywhere, rows_to included.
 """
 
 from __future__ import annotations
@@ -27,14 +30,17 @@ from .errors import ConfigError
 
 
 class DistanceMeasure:
-    """Squared distance, written once in the one-vs-many form to_point.
+    """Squared distance in the one-vs-many form to_point.
 
-    Calling a measure on two gene vectors applies to_point to one row;
-    a string counts as the sequence of its characters.
+    A built-in measure names its kernel, from which to_point follows;
+    any other measure defines to_point. Calling a measure on two gene
+    vectors applies to_point to one row; a string counts as the
+    sequence of its characters.
     """
 
     name = "custom"
     dtype = float
+    kernel: type[PreparedRows] | None = None
 
     def __call__(self, a, b) -> float:
         if len(a) != len(b):
@@ -48,34 +54,43 @@ class DistanceMeasure:
         """Squared distances from every row of matrix to point, written
         into out (a float vector, one entry per row) when it is given.
         Returns out, or a new array when out is None."""
-        raise NotImplementedError
+        if self.kernel is None:
+            raise NotImplementedError
+        return self.kernel(self, matrix).to(point, out)
 
-    def prepare(self, matrix: np.ndarray) -> "PreparedRows":
-        """matrix made ready for repeated rows_to calls (see PreparedRows).
-
-        This default calls to_point for each row, so a measure that
-        defines only to_point works; the built-in measures use it too
-        when a subclass overrides their to_point.
-        """
-        return PreparedRows(self, matrix)
+    def prepare(self, matrix: np.ndarray) -> PreparedRows:
+        """matrix made ready for repeated rows_to calls: the measure's
+        kernel, or, when the measure has none or defines its own
+        to_point, a PreparedRows that calls to_point."""
+        if (self.kernel is None
+                or type(self).to_point is not DistanceMeasure.to_point):
+            return PreparedRows(self, matrix)
+        return self.kernel(self, matrix)
 
 
 class PreparedRows:
-    """Squared distances from one row of a fixed matrix to all its rows.
+    """Squared distances from a point, or from one of its rows, to every
+    row of a fixed matrix.
 
-    What DistanceMeasure.prepare returns; matrix is the array rows_to
-    reads. This base class goes through the measure's to_point.
+    What DistanceMeasure.prepare returns; matrix is the array the
+    distances are measured on. This base class goes through the
+    measure's to_point; a built-in measure's kernel overrides to.
     """
 
     def __init__(self, measure: DistanceMeasure, matrix: np.ndarray):
         self.measure = measure
         self.matrix = matrix
 
+    def to(self, point: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+        """Squared distances from every row to point, as to_point."""
+        return self.measure.to_point(self.matrix, point, out)
+
     def rows_to(self, i: int, out: np.ndarray) -> np.ndarray:
         """Squared distances from row i to every row, written into out
         (a float vector, one entry per row); returns out, bit for bit
         to_point(matrix, matrix[i], out)."""
-        return self.measure.to_point(self.matrix, self.matrix[i], out)
+        return self.to(self.matrix[i], out)
 
 
 def _sum_genes(terms: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -92,40 +107,52 @@ def _sum_genes(terms: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return np.add.reduce(terms, axis=1, out=out)
 
 
-class EuclideanSq(DistanceMeasure):
-    """Sum of squared per-gene differences."""
-
-    name = "euclidean"
-
-    def to_point(self, matrix, point, out=None):
-        d = np.subtract(matrix, point, order="F", dtype=float)
-        d *= d
-        return _sum_genes(d, out)
-
-    def prepare(self, matrix):
-        if type(self).to_point is not EuclideanSq.to_point:
-            return super().prepare(matrix)
-        return _EuclideanRows(self, matrix)
-
-
 class _EuclideanRows(PreparedRows):
-    """rows_to on one column-major float copy of the matrix, through one
-    column-major (n, g) difference buffer: the to_point operations with
-    no per-call allocation and no transposing of a row-major pool. The
-    gene axis of a column-major matrix reduces one column at a time, in
-    gene order, for any g. (A single row, which numpy would sum
-    pairwise, is measured only against itself, where every term is 0
-    or NaN in any order.)"""
+    """The Euclidean kernel: one column-major float copy of the matrix
+    and one column-major (n, g) difference buffer, so no call allocates
+    and a row-major pool is transposed once."""
 
     def __init__(self, measure, matrix):
         super().__init__(measure, np.asfortranarray(matrix, dtype=float))
         self._diff = np.empty_like(self.matrix, order="F")
 
-    def rows_to(self, i, out):
-        matrix, diff = self.matrix, self._diff
-        np.subtract(matrix, matrix[i], out=diff)
+    def to(self, point, out=None):
+        diff = np.subtract(self.matrix, point, out=self._diff)
         diff *= diff
-        return np.add.reduce(diff, axis=1, out=out)
+        return _sum_genes(diff, out)
+
+
+class EuclideanSq(DistanceMeasure):
+    """Sum of squared per-gene differences."""
+
+    name = "euclidean"
+    kernel = _EuclideanRows
+
+
+class _DynamicRows(_EuclideanRows):
+    """The dynamic kernel on _EuclideanRows's layout. The absolute
+    values of the matrix are taken once, so measuring against one of
+    its rows reuses that row's; one more column-major buffer holds the
+    scales."""
+
+    def __init__(self, measure, matrix):
+        super().__init__(measure, matrix)
+        self._abs = np.abs(self.matrix)
+        self._scale = np.empty_like(self._diff)
+
+    def rows_to(self, i, out):
+        return self.to(self.matrix[i], out, self._abs[i])
+
+    def to(self, point, out=None, magnitude=None):
+        """As to_point; magnitude is |point|, taken here when None."""
+        if magnitude is None:
+            magnitude = np.abs(point)
+        scale = np.add(self._abs, magnitude, out=self._scale)
+        scale += self.measure.epsilon
+        diff = np.subtract(self.matrix, point, out=self._diff)
+        diff /= scale
+        diff *= diff
+        return _sum_genes(diff, out)
 
 
 class DynamicSq(DistanceMeasure):
@@ -138,90 +165,42 @@ class DynamicSq(DistanceMeasure):
 
     name = "dynamic"
     epsilon = 1e-15
-
-    def to_point(self, matrix, point, out=None):
-        scale = np.abs(matrix, order="F", dtype=float)
-        scale += np.abs(point)
-        scale += self.epsilon
-        d = np.subtract(matrix, point, order="F", dtype=float)
-        d /= scale
-        d *= d
-        return _sum_genes(d, out)
-
-    def prepare(self, matrix):
-        if type(self).to_point is not DynamicSq.to_point:
-            return super().prepare(matrix)
-        return _DynamicRows(self, matrix)
-
-
-class _DynamicRows(_EuclideanRows):
-    """The dynamic to_point on _EuclideanRows's layout; the absolute
-    values of the matrix are taken once, and each call fills one more
-    column-major buffer with the scales."""
-
-    def __init__(self, measure, matrix):
-        super().__init__(measure, matrix)
-        self._abs = np.abs(self.matrix)
-        self._scale = np.empty_like(self._diff)
-
-    def rows_to(self, i, out):
-        matrix, diff, scale, magnitude = (self.matrix, self._diff,
-                                          self._scale, self._abs)
-        np.add(magnitude, magnitude[i], out=scale)
-        scale += self.measure.epsilon
-        np.subtract(matrix, matrix[i], out=diff)
-        diff /= scale
-        diff *= diff
-        return np.add.reduce(diff, axis=1, out=out)
-
-
-class HammingSq(DistanceMeasure):
-    """Fraction of positions at which two label vectors disagree;
-    to_point compares labels or category codes alike.
-
-    to_point counts the mismatches of each row with a matrix-vector
-    product. A count is an exact integer in float64 whatever order the
-    product sums in, so the result equals the mean of the mismatch
-    matrix bit for bit. The mismatch matrix keeps the memory order of
-    the codes: a column-major copy makes the product slower.
-    """
-
-    name = "hamming"
-    dtype = object
-
-    def __call__(self, a, b) -> float:
-        if len(a) == len(b) == 0:
-            raise ConfigError("empty gene vectors")
-        return super().__call__(a, b)
-
-    def to_point(self, matrix, point, out=None):
-        g = matrix.shape[1]
-        counts = np.matmul(matrix != point, np.ones(g), out=out)
-        counts /= g
-        return counts
-
-    def prepare(self, matrix):
-        if type(self).to_point is not HammingSq.to_point:
-            return super().prepare(matrix)
-        return _HammingRows(self, matrix)
+    kernel = _DynamicRows
 
 
 class _HammingRows(PreparedRows):
-    """The Hamming to_point on the caller's codes or labels, with the
-    mismatches written into one reused row-major float (n, g) buffer
-    and counted against one prepared vector of ones."""
+    """The Hamming kernel on the caller's codes or labels. The
+    mismatches go into one reused row-major float (n, g) buffer and are
+    counted with a matrix-vector product against one vector of ones. A
+    count is an exact integer in float64 whatever order the product sums
+    in, so the result equals the mean of the mismatch matrix bit for
+    bit. The buffer is row-major whatever the order of the codes: a
+    column-major one makes the product slower."""
 
     def __init__(self, measure, matrix):
         super().__init__(measure, matrix)
         self._mismatch = np.empty(matrix.shape)
         self._ones = np.ones(matrix.shape[1])
 
-    def rows_to(self, i, out):
-        matrix, mismatch = self.matrix, self._mismatch
-        np.not_equal(matrix, matrix[i], out=mismatch)
+    def to(self, point, out=None):
+        mismatch = np.not_equal(self.matrix, point, out=self._mismatch)
         counts = np.matmul(mismatch, self._ones, out=out)
         counts /= len(self._ones)
         return counts
+
+
+class HammingSq(DistanceMeasure):
+    """Fraction of positions at which two label vectors disagree;
+    to_point compares labels or category codes alike."""
+
+    name = "hamming"
+    dtype = object
+    kernel = _HammingRows
+
+    def __call__(self, a, b) -> float:
+        if len(a) == len(b) == 0:
+            raise ConfigError("empty gene vectors")
+        return super().__call__(a, b)
 
 
 class CustomMeasure(DistanceMeasure):
@@ -285,7 +264,11 @@ def default_r0(genes: np.ndarray, measure: DistanceMeasure) -> float:
 
 
 def _to_later_rows(rows: np.ndarray, measure: DistanceMeasure):
-    """measure from each row to every row after it, one array per row."""
+    """measure from each row of the 2-D rows to every row after it, one
+    array per row."""
+    if rows.ndim != 2:
+        raise ConfigError(f"expected a 2-D array with one row per point, "
+                          f"not one of shape {rows.shape}")
     return (measure.to_point(rows[i + 1:], rows[i])
             for i in range(len(rows) - 1))
 

@@ -15,9 +15,11 @@ the engine runs DiversityEnhanced(d0=0) as select_top_n: the same
 picks from one stable argsort.
 
 Each call prepares the pool once with the measure's prepare (see
-divga.distance), which decides the layout and keeps the work
-buffers. Each pick then writes r^2 into one penalty buffer allocated
-per call, through rows_to, and turns it into the penalty in place:
+divga.distance): a built-in measure's kernel, which holds the pool in
+the layout its formula wants with its work buffers, or, for a measure
+that defines its own to_point, a wrapper that calls it. Each pick then
+writes r^2 into one penalty buffer allocated per call, through
+rows_to, and turns it into the penalty in place:
 r^2 * (-1 / r0^2), exp, times d0 (skipped at d0 = 1, where it changes
 no bit), subtracted from the working fitness. These are the IEEE
 operations of the formula above, with the negation carried by the
@@ -37,9 +39,13 @@ import numpy as np
 
 from .distance import get_measure
 from .errors import ConfigError
+from .genome import _check_integer
 
 
 def _checked_fitness(fitness, count: int) -> np.ndarray:
+    _check_integer("count", count)
+    if count < 0:
+        raise ConfigError(f"count must be non-negative, not {count}")
     fitness = np.asarray(fitness, dtype=float)
     if count > len(fitness):
         raise ConfigError(

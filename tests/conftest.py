@@ -3,20 +3,26 @@
 Fitness functions live at module level so process pools can pickle
 them. Every hypothesis test runs under one profile: derandomized, so a
 run draws the same examples each time, with no deadline and no example
-database on disk.
+database on disk. What hypothesis still stores (the constants it mines
+from source files) goes to the system's temporary directory, not to a
+.hypothesis directory in the working tree.
 """
 
 import math
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import divga.engine
 from divga import GeneSpec, WorkerPool
 
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "divga-hypothesis")
 settings.register_profile("divga", derandomize=True, deadline=None,
                           database=None)
 settings.load_profile("divga")

@@ -362,6 +362,12 @@ class TestSpread:
                            match="spread needs at least two points"):
             spread([[0.0, 0.0]])
 
+    def test_not_a_matrix(self):
+        """A flat list of numbers is not a list of points."""
+        with pytest.raises(ConfigError,
+                           match=r"2-D array with one row per point"):
+            spread([1.0, 2.0, 3.0])
+
 
 class TestHammingSpread:
     def test_identical(self):

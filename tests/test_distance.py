@@ -1,5 +1,7 @@
 """Distance measures and the default diversity radius."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from divga import (
     ConfigError,
+    DistanceMeasure,
     DynamicSq,
     EuclideanSq,
     GeneSpec,
@@ -15,6 +18,7 @@ from divga import (
     get_measure,
     seed_population,
 )
+from divga.distance import PreparedRows
 
 finite_vectors = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -178,27 +182,46 @@ def _dynamic_scalar(row, point) -> float:
     return _in_gene_order(t * t for t in terms)
 
 
+FLOATS = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def layout_pools(draw, genes=st.sampled_from([1, 2, 9, 50])):
+    """An (n, g) pool, g drawn from genes, that is row-major,
+    column-major, int64 with repeated values, or every other row of a
+    wider float pool."""
+    layout = draw(st.sampled_from(["C", "F", "int64", "strided"]))
+    g = draw(genes)
+    n = draw(st.integers(1, 12))
+    rows = 2 * n if layout == "strided" else n
+    cells = st.integers(-4, 4) if layout == "int64" else FLOATS
+    flat = draw(st.lists(cells, min_size=rows * g, max_size=rows * g))
+    matrix = np.array(flat, dtype=np.int64 if layout == "int64" else float)
+    matrix = matrix.reshape(rows, g)
+    if layout == "F":
+        matrix = np.asfortranarray(matrix)
+    elif layout == "strided":
+        matrix = matrix[::2]
+    return matrix
+
+
 @st.composite
 def numeric_pools(draw):
-    """(matrix, point): a C- or F-ordered (n, g) float matrix, g up to
-    60, with values spread over many magnitudes, and a point that is
-    one of its rows or a fresh vector."""
-    n = draw(st.integers(1, 8))
-    g = draw(st.integers(1, 60))
-    values = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
-    flat = draw(st.lists(values, min_size=n * g, max_size=n * g))
-    matrix = np.array(flat, dtype=float).reshape(n, g)
-    matrix = np.asarray(matrix, order=draw(st.sampled_from("CF")))
+    """(matrix, point): a layout_pools matrix with g up to 60, and a
+    point that is one of its rows or a fresh float vector."""
+    matrix = draw(layout_pools(st.integers(1, 60)))
+    n, g = matrix.shape
     if draw(st.booleans()):
         point = matrix[draw(st.integers(0, n - 1))].copy()
     else:
-        point = np.array(draw(st.lists(values, min_size=g, max_size=g)))
+        point = np.array(draw(st.lists(FLOATS, min_size=g, max_size=g)))
     return matrix, point
 
 
 class TestNumericKernel:
-    """to_point of the numeric measures sums the genes in order, so it
-    equals the scalar formula float for float at any g."""
+    """to_point and rows_to of the numeric measures sum the genes in
+    order, so they equal the scalar formula float for float at any g,
+    in any layout. Integer genes count as the same values in float."""
 
     @pytest.mark.parametrize("measure, scalar", [
         (EuclideanSq(), _euclidean_scalar), (DynamicSq(), _dynamic_scalar)],
@@ -208,27 +231,42 @@ class TestNumericKernel:
     def test_equals_scalar_formula(self, measure, scalar, pool):
         matrix, point = pool
         before = matrix.copy(), point.copy()
-        expected = [scalar(row, point.tolist()) for row in matrix.tolist()]
+        rows = matrix.astype(float).tolist()
+        expected = [scalar(row, point.astype(float).tolist()) for row in rows]
         assert measure.to_point(matrix, point).tolist() == expected
         out = np.full(len(matrix), np.nan)
         assert measure.to_point(matrix, point, out) is out
         assert out.tolist() == expected
         assert measure(matrix[0], point) == expected[0]
+        prepared = measure.prepare(matrix)
+        for i, point_row in enumerate(rows):
+            assert prepared.rows_to(i, out) is out
+            assert out.tolist() == [scalar(row, point_row) for row in rows]
         np.testing.assert_array_equal(matrix, before[0])
         np.testing.assert_array_equal(point, before[1])
 
 
 @st.composite
 def code_pools(draw):
-    """(codes, labels): a category code matrix in its spec's gene dtype,
-    with 2 to 200 categories (int8 or int16 codes), and its labels."""
+    """(codes, labels): a category code matrix with 2 to 200 categories
+    and its labels. The codes are in their spec's gene dtype (int8 or
+    int16), row-major or column-major, or int64, or every other row of
+    a wider code matrix."""
     n_categories = draw(st.integers(2, 200))
+    layout = draw(st.sampled_from(["C", "F", "int64", "strided"]))
     n = draw(st.integers(1, 12))
     g = draw(st.integers(1, 60))
+    rows = 2 * n if layout == "strided" else n
     spec = GeneSpec.categorical([f"c{k}" for k in range(n_categories)], g)
     flat = draw(st.lists(st.integers(0, n_categories - 1),
-                         min_size=n * g, max_size=n * g))
-    codes = np.array(flat, dtype=spec.gene_dtype).reshape(n, g)
+                         min_size=rows * g, max_size=rows * g))
+    codes = np.array(flat, dtype=spec.gene_dtype).reshape(rows, g)
+    if layout == "F":
+        codes = np.asfortranarray(codes)
+    elif layout == "int64":
+        codes = codes.astype(np.int64)
+    elif layout == "strided":
+        codes = codes[::2]
     return codes, spec.decode(codes)
 
 
@@ -236,16 +274,22 @@ class TestHammingKernel:
     @given(code_pools(), st.data())
     @settings(max_examples=100)
     def test_counts_equal_codes_labels_and_python(self, pool, data):
-        """to_point on codes and on labels equals a pure-Python
-        mismatch count over g, float for float."""
+        """to_point and rows_to on codes and on labels equal a
+        pure-Python mismatch count over g, float for float."""
         codes, labels = pool
         k = data.draw(st.integers(0, len(codes) - 1))
         g = codes.shape[1]
-        expected = [sum(a != b for a, b in zip(row, codes[k])) / g
-                    for row in codes.tolist()]
+        rows = codes.tolist()
+        expected = [[sum(a != b for a, b in zip(row, point)) / g
+                     for row in rows] for point in rows]
         measure = HammingSq()
-        assert measure.to_point(codes, codes[k]).tolist() == expected
-        assert measure.to_point(labels, labels[k]).tolist() == expected
+        out = np.full(len(codes), np.nan)
+        for matrix in (codes, labels):
+            assert measure.to_point(matrix, matrix[k]).tolist() == expected[k]
+            prepared = measure.prepare(matrix)
+            for i, want in enumerate(expected):
+                assert prepared.rows_to(i, out) is out
+                assert out.tolist() == want
 
 
 def _custom_measure():
@@ -253,31 +297,21 @@ def _custom_measure():
     return get_measure(lambda a, b: float(sum(x != y for x, y in zip(a, b))))
 
 
+class Mismatches(DistanceMeasure):
+    """A user measure that defines only to_point: the number of genes
+    at which a row differs from the point."""
+
+    def to_point(self, matrix, point, out=None):
+        counts = np.count_nonzero(matrix != point, axis=1).astype(float)
+        if out is None:
+            return counts
+        out[:] = counts
+        return out
+
+
 MEASURES = {"euclidean": EuclideanSq, "dynamic": DynamicSq,
-            "hamming": HammingSq, "custom": _custom_measure}
-
-
-@st.composite
-def layout_pools(draw):
-    """An (n, g) pool, g in 1, 2, 9 or 50, that is row-major,
-    column-major, int64 with repeated values, or every other row of a
-    wider float pool."""
-    layout = draw(st.sampled_from(["C", "F", "int64", "strided"]))
-    g = draw(st.sampled_from([1, 2, 9, 50]))
-    n = draw(st.integers(1, 12))
-    rows = 2 * n if layout == "strided" else n
-    if layout == "int64":
-        cells = st.integers(-4, 4)
-    else:
-        cells = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
-    flat = draw(st.lists(cells, min_size=rows * g, max_size=rows * g))
-    matrix = np.array(flat, dtype=np.int64 if layout == "int64" else float)
-    matrix = matrix.reshape(rows, g)
-    if layout == "F":
-        matrix = np.asfortranarray(matrix)
-    elif layout == "strided":
-        matrix = matrix[::2]
-    return matrix
+            "hamming": HammingSq, "custom": _custom_measure,
+            "subclass": Mismatches}
 
 
 def assert_rows_to_equals_to_point(measure, matrix):
@@ -294,7 +328,20 @@ def assert_rows_to_equals_to_point(measure, matrix):
 
 class TestPreparedRows:
     """prepare(matrix).rows_to(i, out) is to_point(matrix, matrix[i]),
-    byte for byte, whatever the layout, dtype and buffer reuse."""
+    byte for byte, whatever the layout, dtype and buffer reuse. (The
+    built-in kernels are pinned to their scalar formulas in
+    TestNumericKernel and TestHammingKernel.)"""
+
+    def test_only_to_point_is_measured_through_it(self, rng):
+        """A measure that defines only to_point is prepared as a
+        PreparedRows that calls it; the bare base class has no
+        formula."""
+        matrix = rng.integers(0, 3, size=(5, 4))
+        prepared = Mismatches().prepare(matrix)
+        assert type(prepared) is PreparedRows
+        assert prepared.matrix is matrix
+        with pytest.raises(NotImplementedError):
+            DistanceMeasure().prepare(matrix).rows_to(0, np.empty(5))
 
     @pytest.mark.parametrize("name", sorted(MEASURES))
     @given(matrix=layout_pools())
@@ -336,6 +383,12 @@ class TestDefaultR0:
         with pytest.raises(ConfigError,
                            match="need at least two rows to pair"):
             default_r0(np.zeros((1, 2)), EuclideanSq())
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 2)])
+    def test_not_a_matrix(self, shape):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"not one of shape {shape}")):
+            default_r0(np.zeros(shape), EuclideanSq())
 
     def test_matches_double_loop(self, rng):
         """Agrees with the brute-force pairwise definition."""

@@ -449,6 +449,24 @@ class TestSelectTopN:
             select_top_n(np.array([np.nan]), 1)
 
 
+SELECTORS = {
+    "top_n": select_top_n,
+    "diverse": lambda fitness, count: select_diverse(
+        np.arange(len(fitness), dtype=float)[:, None], fitness, count,
+        DiversityEnhanced(r0=1.0)),
+}
+
+
+@pytest.mark.parametrize("selector", sorted(SELECTORS))
+@pytest.mark.parametrize("count, message", [
+    (-1, "count must be non-negative, not -1"),
+    (2.5, "count must be an integer, not 2.5"),
+    (True, "count must be an integer, not True")])
+def test_count_is_a_non_negative_integer(selector, count, message):
+    with pytest.raises(ConfigError, match=message):
+        SELECTORS[selector]([3.0, 1.0, 2.0, 0.0], count)
+
+
 def pools(min_size=1, max_size=9, infinite=False):
     """(genes, fitness, count) for a pool of 1-3 dimensional candidates."""
     values = st.floats(-5, 5, allow_nan=False)
