@@ -12,10 +12,13 @@ distances from every row to point. prepare(matrix) builds the kernel,
 and its rows_to(i, out) measures against row i: selection measures one
 pool against its own rows this way, pick after pick, with no
 allocation per pick. The one-vs-many to_point(matrix, point, out=None)
-builds a kernel for one call. The numeric measures sum the per-gene
-terms in gene order, left to right, so each distance equals its scalar
-formula evaluated in Python bit for bit, whatever the number of genes
-and the memory order of the matrix.
+builds a kernel for one call. The Euclidean and dynamic kernels also
+measure a (b, g) block of points at once, block_to(points, out), by
+the same formula on one more axis; selection builds its penalty matrix
+this way. The numeric measures sum the per-gene terms in gene order,
+left to right, so each distance equals its scalar formula evaluated in
+Python bit for bit, whatever the number of genes and the memory order
+of the matrix.
 
 A measure that defines its own to_point, a user measure or a subclass
 of a built-in one that overrides it, is measured through that to_point
@@ -94,30 +97,55 @@ class PreparedRows:
 
 
 def _sum_genes(terms: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """Row sums of the column-major (n, g) terms, each added gene by
-    gene from the left.
+    """Sums over the gene axis, the second last, of the (g, n) or
+    (b, g, n) terms, each added gene by gene from the left.
 
-    Reducing the gene axis of a column-major matrix adds one whole
-    column at a time, so every row is summed in gene order. A single
-    row is one contiguous run, which numpy would sum pairwise; it is
-    accumulated in order instead.
+    Each gene's terms are one contiguous run of n, so reducing the gene
+    axis adds one whole run at a time and every sum is taken in gene
+    order. With n = 1 the gene axis is the contiguous one, which numpy
+    would sum pairwise; it is accumulated in order instead.
     """
-    if len(terms) == 1:
-        terms = np.add.accumulate(terms, axis=1)[:, -1:]
-    return np.add.reduce(terms, axis=1, out=out)
+    if terms.shape[-1] == 1:
+        terms = np.add.accumulate(terms, axis=-2)[..., -1:, :]
+    return np.add.reduce(terms, axis=-2, out=out)
 
 
 class _EuclideanRows(PreparedRows):
-    """The Euclidean kernel: one column-major float copy of the matrix
-    and one column-major (n, g) difference buffer, so no call allocates
-    and a row-major pool is transposed once."""
+    """The Euclidean kernel. It holds one column-major float copy of the
+    matrix, read as its (g, n) transpose, and one (g, n) difference
+    buffer, so no call to to or rows_to allocates and a row-major pool
+    is transposed once. block_to measures b points at once, through
+    the same formula on (b, g, n) buffers."""
 
     def __init__(self, measure, matrix):
         super().__init__(measure, np.asfortranarray(matrix, dtype=float))
-        self._diff = np.empty_like(self.matrix, order="F")
+        self._genes = self.matrix.T
+        self._work = self._buffers(self._genes.shape)
+
+    @staticmethod
+    def _buffers(shape):
+        return np.empty(shape)
 
     def to(self, point, out=None):
-        diff = np.subtract(self.matrix, point, out=self._diff)
+        return self._distances(point[:, None], out, self._work)
+
+    def rows_to(self, i, out):
+        return self._distances(self._genes[:, i, None], out, self._work)
+
+    def block_to(self, points: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Squared distances from each row of the (b, g) points to every
+        row, written into the (b, n) out; returns out, whose row k is bit
+        for bit to(points[k], out[k])."""
+        points = points[:, :, None]
+        return self._distances(points, out,
+                               self._buffers(points.shape[:2]
+                                             + self._genes.shape[1:]))
+
+    def _distances(self, points, out, diff):
+        """The formula: squared distances from each point of the
+        (g, 1) or (b, g, 1) points to every row, with diff a (g, n) or
+        (b, g, n) buffer for the terms."""
+        diff = np.subtract(self._genes, points, out=diff)
         diff *= diff
         return _sum_genes(diff, out)
 
@@ -130,26 +158,31 @@ class EuclideanSq(DistanceMeasure):
 
 
 class _DynamicRows(_EuclideanRows):
-    """The dynamic kernel on _EuclideanRows's layout. The absolute
-    values of the matrix are taken once, so measuring against one of
-    its rows reuses that row's; one more column-major buffer holds the
-    scales."""
+    """The dynamic kernel on _EuclideanRows's layout, with one more
+    buffer for the scales. The absolute values of the matrix are taken
+    once, so measuring against one of its rows reuses that row's."""
 
     def __init__(self, measure, matrix):
         super().__init__(measure, matrix)
-        self._abs = np.abs(self.matrix)
-        self._scale = np.empty_like(self._diff)
+        self._abs = np.abs(self._genes)
+
+    @staticmethod
+    def _buffers(shape):
+        return np.empty(shape), np.empty(shape)
 
     def rows_to(self, i, out):
-        return self.to(self.matrix[i], out, self._abs[i])
+        return self._distances(self._genes[:, i, None], out, self._work,
+                               self._abs[:, i, None])
 
-    def to(self, point, out=None, magnitude=None):
-        """As to_point; magnitude is |point|, taken here when None."""
-        if magnitude is None:
-            magnitude = np.abs(point)
-        scale = np.add(self._abs, magnitude, out=self._scale)
+    def _distances(self, points, out, work, magnitudes=None):
+        """As _EuclideanRows; magnitudes is |points|, taken here when
+        None."""
+        diff, scale = work
+        if magnitudes is None:
+            magnitudes = np.abs(points)
+        scale = np.add(self._abs, magnitudes, out=scale)
         scale += self.measure.epsilon
-        diff = np.subtract(self.matrix, point, out=self._diff)
+        diff = np.subtract(self._genes, points, out=diff)
         diff /= scale
         diff *= diff
         return _sum_genes(diff, out)
@@ -284,7 +317,10 @@ def mean_pairwise(rows: np.ndarray, measure: DistanceMeasure) -> float:
 
 def spread(points) -> float:
     """Mean Euclidean distance over all unordered pairs of points."""
-    pts = np.asarray(list(points), dtype=float)
+    try:
+        pts = np.asarray(list(points), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"spread needs points of numbers: {exc}") from None
     if len(pts) < 2:
         raise ConfigError("spread needs at least two points")
     r_sq = np.concatenate(tuple(_to_later_rows(pts, EuclideanSq())))
@@ -293,5 +329,9 @@ def spread(points) -> float:
 
 def hamming_spread(sequences) -> float:
     """Mean pairwise fraction of differing positions (labels or strings)."""
-    rows = np.array([list(row) for row in sequences], dtype=object)
+    try:
+        rows = np.array([list(row) for row in sequences], dtype=object)
+    except TypeError as exc:
+        raise ConfigError(f"hamming_spread needs sequences of labels: "
+                          f"{exc}") from None
     return mean_pairwise(rows, HammingSq())

@@ -17,13 +17,54 @@ picks from one stable argsort.
 Each call prepares the pool once with the measure's prepare (see
 divga.distance): a built-in measure's kernel, which holds the pool in
 the layout its formula wants with its work buffers, or, for a measure
-that defines its own to_point, a wrapper that calls it. Each pick then
-writes r^2 into one penalty buffer allocated per call, through
-rows_to, and turns it into the penalty in place:
-r^2 * (-1 / r0^2), exp, times d0 (skipped at d0 = 1, where it changes
-no bit), subtracted from the working fitness. These are the IEEE
-operations of the formula above, with the negation carried by the
-constant.
+that defines its own to_point, a wrapper that calls it. The penalties
+then come by one of two routes, with the same picks and working
+fitness bit for bit.
+
+The per-pick route serves every pool. Each pick writes r^2 into one
+penalty buffer allocated per call, through rows_to, and turns it into
+the penalty in place: r^2 * (-1 / r0^2), exp, times d0 (skipped at
+d0 = 1, where it changes no bit), subtracted from the working fitness.
+These are the IEEE operations of the formula above, with the negation
+carried by the constant. That is seven numpy calls per pick, on n
+values each.
+
+The penalty-matrix route serves small pools that keep at least half
+their rows: n <= 2 * count, n * g <= MATRIX_ROUTE_MAX_VALUES, the
+Euclidean or dynamic kernel (whose block_to measures a block of
+points at once) and d0 > 0. It keeps the m = count + count // 2 best
+candidates by raw fitness, ranked by a stable sort and held in index
+order, so ties still go to the lowest index. Their (m, m) penalty
+matrix is built once, in row blocks, by the same operations, so each
+entry is bit for bit the per-pick route's. Each pick is then one
+argmax and one row subtraction on m values.
+
+The monotone bound makes the pruning exact. Penalties are never
+negative, so no working fitness rises above its raw fitness. A pick
+whose working fitness is strictly above the best left-out raw fitness
+is therefore the pick of the whole pool. The route checks this before
+it accepts each pick. At the first pick k that fails the check, the
+left-out candidates are brought up to pick k, subtracting the
+penalties of picks 0 .. k-1 in order, and the per-pick route finishes
+the call from pick k. No full (n, n) matrix is built.
+
+The cap of MATRIX_ROUTE_MAX_VALUES = 1024 comes from timings of pools
+captured from GA runs: count = n / 2, a ridge landscape in g genes,
+generations 6-15, a 2-core host. Each entry is ms per call, per-pick /
+matrix, then how many of the 10 pools failed the pruning guess:
+
+    n     g=1                 g=2                 g=8
+    100   0.27 / 0.11  0/10   0.28 / 0.15  3/10   0.31 / 0.30 10/10
+    400   1.24 / 1.13 10/10   1.37 / 0.91  2/10   2.44 / 2.74 10/10
+    1024  3.72 / 5.54 10/10   4.56 / 5.28  7/10   8.59 / 12.36 10/10
+
+The matrix saves call overhead, so it pays while n * g is small. It
+loses once its m^2 * g entries cost more than the calls it saves
+(400 x 8, 1024 x 2, 1024 x 8). A guess that fails early also costs
+most of the per-pick route. On one-gene pools of this landscape the
+guess fails after 111-134 picks whatever n is, so one-gene pools of
+512 to 1024 rows, inside the cap, take 1.08-1.49 times the per-pick
+time.
 
 Both selectors take the whole candidate pool as arrays (a gene matrix
 and a fitness vector, one row per candidate) and return the indices of
@@ -55,6 +96,15 @@ def _checked_fitness(fitness, count: int) -> np.ndarray:
     return fitness
 
 
+# The penalty-matrix route is taken by pools of at most this many gene
+# values (rows times genes) that keep at least half their rows; see the
+# module docstring for the costs behind it.
+MATRIX_ROUTE_MAX_VALUES = 1024
+# Row blocks of the penalty matrix are built in buffers of about this
+# many values.
+_BLOCK_VALUES = 1 << 14
+
+
 def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
                    working: np.ndarray | None = None) -> np.ndarray:
     """Indices of count survivors, picked by iterated penalized argmax.
@@ -69,23 +119,31 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
     inputs are not modified; calling twice on the same pool gives the
     same result.
     """
-    work = _checked_fitness(fitness, count).copy()
+    fitness = _checked_fitness(fitness, count)
     genes = np.asarray(genes)
-    if len(genes) != len(work):
+    if len(genes) != len(fitness):
         raise ConfigError(
-            f"{len(genes)} gene rows for {len(work)} fitness values")
+            f"{len(genes)} gene rows for {len(fitness)} fitness values")
     if diversity.r0 is None:
         raise ConfigError("r0 is not set; give it or resolve the selection "
                           "against a population first")
     measure = get_measure(diversity.measure, labels=genes.dtype.kind in "OSU")
-    rows_to = measure.prepare(genes).rows_to
+    rows = measure.prepare(genes)
     d0 = diversity.d0
     scale = -1.0 / diversity.r0 ** 2
+    work = fitness.copy()
+    picks = np.empty(count, dtype=np.intp)
+    done = 0
+    if (d0 != 0.0 and len(work) <= 2 * count
+            and genes.size <= MATRIX_ROUTE_MAX_VALUES
+            and hasattr(rows, "block_to")):
+        done = _matrix_picks(rows, work, d0, scale, picks, working)
     multiply, exp, minus_inf = np.multiply, np.exp, -np.inf
     penalty = np.empty(len(work))
     alive = np.ones(len(work), dtype=bool)
-    picks = np.empty(count, dtype=np.intp)
-    for k in range(count):
+    alive[picks[:done]] = False
+    rows_to = rows.rows_to
+    for k in range(done, count):
         pick = int(work.argmax())
         if not alive[pick]:
             # Only picked rows and -inf candidates are left at -inf.
@@ -102,6 +160,60 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
                 penalty *= d0
             work -= penalty
     return picks
+
+
+def _penalties(rows, points: np.ndarray, d0: float, scale: float,
+               out: np.ndarray) -> np.ndarray:
+    """The penalty around each of the (b, g) points on every row of the
+    prepared rows, into the (b, n) out, built in row blocks; each entry
+    is bit for bit what the per-pick route takes off."""
+    step = max(1, _BLOCK_VALUES // max(1, rows.matrix.size))
+    for start in range(0, len(points), step):
+        rows.block_to(points[start:start + step], out[start:start + step])
+    np.multiply(out, scale, out=out)
+    np.exp(out, out=out)
+    if d0 != 1.0:
+        out *= d0
+    return out
+
+
+def _matrix_picks(rows, work: np.ndarray, d0: float, scale: float,
+                  picks: np.ndarray, working: np.ndarray | None) -> int:
+    """Takes the picks of select_diverse from the penalty matrix of the
+    m best candidates, into picks and working, for as long as each is
+    provably the best of the whole pool. Returns how many it took. When
+    that is short of count, work holds the working fitness after those
+    picks, picked rows at -inf, for the per-pick route to go on from."""
+    n, count = len(work), len(picks)
+    m = min(n, count + count // 2)
+    order = np.argsort(-work, kind="stable")
+    keep = np.sort(order[:m])
+    best_left_out = work[order[m]] if m < n else -np.inf
+    kept = rows.measure.prepare(rows.matrix[keep])
+    penalties = _penalties(kept, kept.matrix, d0, scale, np.empty((m, m)))
+    kept_work = work[keep]
+    for k in range(count):
+        j = int(kept_work.argmax())
+        if not kept_work[j] > best_left_out:
+            break
+        picks[k] = keep[j]
+        if working is not None:
+            working[k] = kept_work[j]
+        kept_work[j] = -np.inf
+        kept_work -= penalties[j]
+    else:
+        return count
+    work[keep] = kept_work
+    if m < n:
+        # Bring the left-out candidates up to pick k.
+        left_out = order[m:]
+        left = rows.measure.prepare(rows.matrix[left_out])
+        left_work = work[left_out]
+        for penalty in _penalties(left, rows.matrix[picks[:k]], d0, scale,
+                                  np.empty((k, n - m))):
+            left_work -= penalty
+        work[left_out] = left_work
+    return k
 
 
 def select_top_n(fitness, count: int) -> np.ndarray:

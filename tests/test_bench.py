@@ -368,6 +368,15 @@ class TestSpread:
                            match=r"2-D array with one row per point"):
             spread([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("points", [5.0, None, [[0.0, 1.0], [2.0]],
+                                        [["a", "b"], ["c", "d"]]],
+                             ids=["number", "none", "ragged", "labels"])
+    def test_not_points_of_numbers(self, points):
+        """A number, ragged rows or labels are a ConfigError, not the
+        TypeError or ValueError of the conversion."""
+        with pytest.raises(ConfigError):
+            spread(points)
+
 
 class TestHammingSpread:
     def test_identical(self):
@@ -384,6 +393,13 @@ class TestHammingSpread:
         labels = [np.array(list(s), dtype=object) for s in strings]
         assert hamming_spread(strings) == pytest.approx(2 / 3)
         assert hamming_spread(strings) == hamming_spread(labels)
+
+    @pytest.mark.parametrize("sequences", [5, None, [5, 6]],
+                             ids=["number", "none", "numbers"])
+    def test_not_sequences(self, sequences):
+        with pytest.raises(ConfigError, match="hamming_spread needs "
+                                              "sequences of labels"):
+            hamming_spread(sequences)
 
 
 class TestAngularBins:

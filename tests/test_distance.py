@@ -245,6 +245,41 @@ class TestNumericKernel:
         np.testing.assert_array_equal(matrix, before[0])
         np.testing.assert_array_equal(point, before[1])
 
+    @pytest.mark.parametrize("measure, scalar", [
+        (EuclideanSq(), _euclidean_scalar), (DynamicSq(), _dynamic_scalar)],
+        ids=["euclidean", "dynamic"])
+    @given(matrix=layout_pools(st.integers(1, 60)), data=st.data())
+    @settings(max_examples=150)
+    def test_block_equals_scalar_formula(self, measure, scalar, matrix,
+                                         data):
+        """block_to on a block of the matrix's own rows, taken in the
+        caller's layout and dtype, or on fresh float points: row k
+        equals the scalar formula from point k to every row, as
+        rows_to gives it."""
+        n, g = matrix.shape
+        before = matrix.copy()
+        rows = matrix.astype(float).tolist()
+        start = data.draw(st.integers(0, n - 1))
+        stop = data.draw(st.integers(start + 1, n))
+        own_rows = data.draw(st.booleans())
+        if own_rows:
+            points = matrix[start:stop]
+        else:
+            points = np.array(data.draw(st.lists(
+                st.lists(FLOATS, min_size=g, max_size=g),
+                min_size=1, max_size=5)))
+        expected = [[scalar(row, point) for row in rows]
+                    for point in points.astype(float).tolist()]
+        prepared = measure.prepare(matrix)
+        out = np.full((len(points), n), np.nan)
+        assert prepared.block_to(points, out) is out
+        assert out.tolist() == expected
+        if own_rows:
+            for k, i in enumerate(range(start, stop)):
+                assert out[k].tobytes() == prepared.rows_to(
+                    i, np.empty(n)).tobytes()
+        np.testing.assert_array_equal(matrix, before)
+
 
 @st.composite
 def code_pools(draw):

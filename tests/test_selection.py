@@ -1,6 +1,8 @@
 """Diversity-enhanced and top-n survivor selection."""
 
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from divga import (
     select_diverse,
     select_top_n,
 )
+from divga import selection
 
 
 def euclidean_scalar(a, b):
@@ -25,6 +28,16 @@ def euclidean_scalar(a, b):
     total = 0.0
     for x, y in zip(a, b):
         total += (x - y) * (x - y)
+    return total
+
+
+def dynamic_scalar(a, b):
+    """Scale-normalized squared distance summed gene by gene from the
+    left."""
+    total = 0.0
+    for x, y in zip(a, b):
+        term = (x - y) / (abs(x) + abs(y) + DynamicSq.epsilon)
+        total += term * term
     return total
 
 
@@ -584,3 +597,178 @@ class TestSelectionProperties:
                     select_top_n(fitness, count)):
             assert len(got) == count
             assert len(set(got.tolist())) == count
+
+
+SCALARS = {"euclidean": euclidean_scalar, "dynamic": dynamic_scalar}
+
+
+@contextlib.contextmanager
+def matrix_route_spy():
+    """Yields a list that receives, for each select_diverse call that
+    takes the penalty-matrix route, the number of picks taken there."""
+    taken = []
+    real = selection._matrix_picks
+
+    def spy(*args):
+        taken.append(real(*args))
+        return taken[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection, "_matrix_picks", spy)
+        yield taken
+
+
+def per_pick_route(genes, fitness, count, diversity):
+    """(picks, working) of select_diverse with the matrix route off."""
+    working = np.empty(count)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection, "MATRIX_ROUTE_MAX_VALUES", -1)
+        got = select_diverse(genes, fitness, count, diversity, working)
+    return got.tolist(), working
+
+
+def assert_both_routes_equal_brute_force(genes, fitness, count, diversity,
+                                         taken=None):
+    """select_diverse's picks and working bytes equal the scalar
+    reference and those of the per-pick route. When taken is given it
+    must be, once the call is made, the picks the matrix route took."""
+    working = np.empty(count)
+    with matrix_route_spy() as spied:
+        got = select_diverse(genes, fitness, count, diversity, working)
+    if taken is not None:
+        assert spied == taken
+    want_working = []
+    want = brute_force_diverse(genes.tolist(), fitness, count, diversity.d0,
+                               diversity.r0, SCALARS[diversity.measure],
+                               want_working)
+    assert got.tolist() == want
+    assert working.tobytes() == np.array(want_working).tobytes()
+    per_pick, per_pick_working = per_pick_route(genes, fitness, count,
+                                                diversity)
+    assert per_pick == want
+    assert per_pick_working.tobytes() == working.tobytes()
+    return spied
+
+
+@st.composite
+def route_pools(draw, matrix):
+    """(genes, fitness, count): a numeric pool of 1-4 genes and at most
+    24 rows that takes the penalty-matrix route (matrix true, at most
+    twice count rows) or the per-pick route (more than twice count).
+    Rows repeat whole, single gene values repeat, and fitness mixes
+    tied values, +-inf and floats."""
+    g = draw(st.integers(1, 4))
+    if matrix:
+        n = draw(st.integers(1, 24))
+        count = draw(st.integers((n + 1) // 2, n))
+    else:
+        n = draw(st.integers(3, 24))
+        count = draw(st.integers(1, (n - 1) // 2))
+    cells = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-3, 3)
+    distinct = draw(st.lists(st.lists(cells, min_size=g, max_size=g),
+                             min_size=1, max_size=n))
+    which = draw(st.lists(st.integers(0, len(distinct) - 1),
+                          min_size=n, max_size=n))
+    genes = np.array([distinct[i] for i in which])
+    values = (st.sampled_from([0.0, 0.25, 0.5, 1.0, -np.inf, np.inf])
+              | st.floats(-2, 2))
+    fitness = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    return genes, fitness, count
+
+
+class TestRoutes:
+    """The penalty-matrix route and the per-pick route of select_diverse
+    give the scalar reference's picks and working bytes."""
+
+    @pytest.mark.parametrize("matrix", [True, False],
+                             ids=["matrix", "per_pick"])
+    @pytest.mark.parametrize("measure", sorted(SCALARS))
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_equal_brute_force(self, measure, matrix, data):
+        """On tied and infinite fitness, repeated rows and values, down
+        to pools where only -inf candidates are left, whether or not
+        the pruning guess holds."""
+        genes, fitness, count = data.draw(route_pools(matrix))
+        diversity = DiversityEnhanced(
+            d0=data.draw(st.sampled_from([0.5, 1.0, 3.0])),
+            r0=data.draw(radii), measure=measure)
+        taken = assert_both_routes_equal_brute_force(genes, fitness, count,
+                                                     diversity)
+        assert len(taken) == matrix
+
+    @pytest.mark.parametrize("measure", sorted(SCALARS))
+    @pytest.mark.parametrize("k", [0, 3, 5], ids=["first", "middle", "last"])
+    def test_guess_fails_at_pick_k(self, measure, k):
+        """Nine rows at 0 with fitness 10 are kept; three far rows, at
+        the lowest indices, are left out with fitness 10 - k. Each pick
+        takes exactly d0 = 1 off the rows at 0, so pick k ties with the
+        left-out rows: the matrix route stops there, and the per-pick
+        route it hands over to picks the far row at index 0."""
+        count = 6
+        genes = np.array([[50.0], [60.0], [70.0]] + [[0.0]] * 9)
+        fitness = np.array([10.0 - k] * 3 + [10.0] * 9)
+        diversity = DiversityEnhanced(d0=1.0, r0=0.1, measure=measure)
+        assert_both_routes_equal_brute_force(genes, fitness, count,
+                                             diversity, taken=[k])
+        got = select_diverse(genes, fitness, count, diversity)
+        assert got[k] == 0
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_only_minus_inf_left(self, n):
+        """Past the finite candidates the picks run through the -inf
+        ones by index, with and without left-out rows (at n = 12 the
+        last two rows are left out)."""
+        count = n // 2 + 1
+        genes = np.arange(n, dtype=float)[:, None]
+        fitness = np.full(n, -np.inf)
+        fitness[[4, 5]] = [1.0, 0.5]
+        diversity = DiversityEnhanced(d0=1.0, r0=1.0, measure="euclidean")
+        assert_both_routes_equal_brute_force(genes, fitness, count,
+                                             diversity, taken=[2])
+
+    def test_route_rule(self, rng):
+        """The matrix route takes numeric pools with d0 > 0 that keep at
+        least half their rows and hold at most MATRIX_ROUTE_MAX_VALUES
+        gene values; every other pool goes pick by pick."""
+        cap = selection.MATRIX_ROUTE_MAX_VALUES
+        fitness = rng.uniform(0, 1, size=cap)
+        cases = [
+            ((cap // 2, 2), 1.0, "euclidean", cap // 4, True),
+            ((cap // 2, 2), 1.0, "dynamic", cap // 4, True),
+            ((cap // 2, 2), 1.0, "euclidean", cap // 4 - 1, False),
+            ((cap // 2 + 1, 2), 1.0, "euclidean", cap // 4 + 1, False),
+            ((cap // 2, 2), 0.0, "euclidean", cap // 4, False),
+            ((cap // 2, 2), 1.0, euclidean_scalar, cap // 4, False),
+            ((cap // 2, 2), 1.0, "hamming", cap // 4, False),
+        ]
+        for shape, d0, measure, count, matrix in cases:
+            genes = rng.integers(0, 3, size=shape).astype(float)
+            with matrix_route_spy() as taken:
+                select_diverse(genes, fitness[:shape[0]], count,
+                               DiversityEnhanced(d0=d0, r0=0.5,
+                                                 measure=measure))
+            assert len(taken) == matrix, (shape, d0, measure, count)
+
+
+class TestSelectionMemory:
+    """tracemalloc peak of one select_diverse call on a two-gene pool."""
+
+    @pytest.mark.parametrize("n, count, matrix, limit", [
+        (400, 200, True, 1.5e6), (5050, 100, False, 0.5e6)],
+        ids=["matrix_400", "per_pick_5050"])
+    def test_peak(self, n, count, matrix, limit):
+        rng = np.random.default_rng(0)
+        genes = rng.uniform(-1.5, 1.5, size=(n, 2))
+        fitness = rng.uniform(0, 10, size=n)
+        diversity = DiversityEnhanced(d0=1.0, r0=0.17)
+        select_diverse(genes, fitness, count, diversity)
+        with matrix_route_spy() as taken:
+            tracemalloc.start()
+            try:
+                select_diverse(genes, fitness, count, diversity)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(taken) == matrix
+        assert peak < limit
