@@ -159,12 +159,16 @@ class RandomScanTrace:
     is +-inf while the kept set holds one infinity, NaN while it holds
     both. It comes from a running sum, added up again from the kept
     values whenever a value leaves that is more than 2^26 times the
-    sum left, so its digits do not cancel.
+    sum left, so its digits do not cancel. A draw strictly below the
+    kept minimum of a full set is skipped, so the mean does not move
+    (a tie enters, the later draw winning). kept_genes is the
+    (keep_best, g) gene matrix of the kept set and kept_fitness its
+    fitness, best first.
     """
 
     evaluations: np.ndarray
     kept_mean: np.ndarray
-    kept_genes: list
+    kept_genes: np.ndarray
     kept_fitness: np.ndarray
 
     @property
@@ -191,12 +195,14 @@ def random_scan(spec: GeneSpec, fitness, total_evaluations: int,
     points = seed_population(spec, total_evaluations, rng)
     values = np.empty(total_evaluations)
     evaluate_population(points, fitness, values)
-    heap, running_sum = [], 0.0
-    trace = np.empty(total_evaluations)
+    heap, running_sum, trace = [], 0.0, []
     for e, value in enumerate(values.tolist()):
         if len(heap) < keep_best:
             heappush(heap, (value, e))
             running_sum += value
+        elif value < heap[0][0]:
+            trace.append(trace[-1])
+            continue
         else:
             popped = heappushpop(heap, (value, e))[0]
             running_sum += value - popped
@@ -204,10 +210,10 @@ def random_scan(spec: GeneSpec, fitness, total_evaluations: int,
                 # The popped value dwarfed the sum, whose digits cancelled.
                 running_sum = sum(v for v, _ in heap)
         if math.isfinite(running_sum):
-            trace[e] = running_sum / len(heap)
+            trace.append(running_sum / len(heap))
         else:  # an infinity joined or left the kept set, or the sum overflowed
             running_sum = sum(v for v, _ in heap)
-            trace[e] = sum(v / len(heap) for v, _ in heap)
+            trace.append(sum(v / len(heap) for v, _ in heap))
     kept = [e for _, e in sorted(heap, key=lambda item: -item[0])]
-    return RandomScanTrace(np.arange(1, total_evaluations + 1), trace,
-                           list(points[kept]), values[kept])
+    return RandomScanTrace(np.arange(1, total_evaluations + 1),
+                           np.array(trace), points[kept], values[kept])

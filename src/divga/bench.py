@@ -362,11 +362,11 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def _apply_overrides(settings: dict, overrides: dict | None) -> dict:
-    """settings with the given overrides applied; d0 and r0 as floats.
+    """settings with the given overrides applied, as given.
 
-    Counts are never truncated. Only repetitions, which no settings
-    object holds, is checked here, as a positive integer; the run
-    settings check the other counts when built.
+    Only repetitions, which no settings object holds, is checked here,
+    as a positive integer; the run settings check every other value
+    when built (counts are never truncated, d0 and r0 must be numbers).
     """
     if not overrides:
         return settings
@@ -379,12 +379,6 @@ def _apply_overrides(settings: dict, overrides: dict | None) -> dict:
             _check_integer("repetitions", value)
             if value < 1:
                 raise ConfigError("repetitions must be positive")
-        elif key in ("d0", "r0"):
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{key} must be a number, not {value!r}") from None
         settings[key] = value
     return settings
 

@@ -75,12 +75,14 @@ class DiversityEnhanced:
 
     d0 >= 0 is the penalty for exactly overlapping candidates. r0 > 0 is
     the decay radius of exp(-r^2 / r0^2), a distance (the square root of
-    the measure's units). r0 None means one tenth of the root mean
+    the measure's units), with 1 / r0^2 finite and nonzero (about
+    1e-154 < r0 < 1e154). r0 None means one tenth of the root mean
     squared distance between the individuals of the initial population
-    (1.0 for categorical genomes, and at d0 = 0, where r0 has no effect
-    and selection is top-N by raw fitness). measure is a name, a
-    DistanceMeasure, a callable (a, b) -> squared distance on the genes
-    the fitness sees, or None for the kind default, Euclidean or Hamming.
+    (1.0 for categorical genomes, at d0 = 0, where r0 has no effect and
+    selection is top-N by raw fitness, and when that distance gives no
+    usable r0). measure is a name, a DistanceMeasure, a callable
+    (a, b) -> squared distance on the genes the fitness sees, or None
+    for the kind default, Euclidean or Hamming.
     A d0 or r0 that is not a number (bool is not one) or out of range is
     a ConfigError when built.
     """
@@ -95,16 +97,18 @@ class DiversityEnhanced:
             raise ConfigError("d0 must be finite and non-negative")
         if self.r0 is not None:
             _check_real("r0", self.r0)
-            if not self.r0 > 0:
-                raise ConfigError("r0 must be positive")
+            if not _usable_r0(self.r0):
+                raise ConfigError(f"r0 must be positive with 1 / r0^2 finite "
+                                  f"and nonzero, not {self.r0!r}")
 
     def resolve(self, spec: GeneSpec, genes: np.ndarray) -> "DiversityEnhanced":
         """Copy with measure and r0 filled in from the initial gene matrix.
 
         Warns when a callable measure is asymmetric on a sampled pair,
-        and when r0 must come from an initial population with no spread
-        (r0 falls back to 1). Raises ConfigError for a numeric measure
-        (Euclidean or dynamic) on a categorical genome (see get_measure).
+        and when r0 must come from an initial population with no spread,
+        or too little for a usable r0 (r0 falls back to 1). Raises
+        ConfigError for a numeric measure (Euclidean or dynamic) on a
+        categorical genome (see get_measure).
         """
         measure = get_measure(self.measure, labels=not spec.is_numeric)
         if isinstance(measure, CustomMeasure):
@@ -112,11 +116,21 @@ class DiversityEnhanced:
         r0 = self.r0
         if r0 is None and spec.is_numeric and self.d0 > 0:
             r0 = default_r0(genes, measure)
-            if r0 <= 0.0:
+            if not _usable_r0(r0):
                 warnings.warn(
                     "initial population has no spread; falling back to r0=1")
                 r0 = 1.0
         return replace(self, r0=1.0 if r0 is None else r0, measure=measure)
+
+
+def _usable_r0(r0) -> bool:
+    """Whether r0 > 0 and selection's scale -1 / r0^2 is finite and
+    nonzero. A smaller r0 makes NaN penalties, a larger one the same
+    penalty everywhere."""
+    try:
+        return r0 > 0 and 0.0 < 1.0 / float(r0) ** 2 < math.inf
+    except (OverflowError, ZeroDivisionError):
+        return False
 
 
 def _warn_if_asymmetric(measure, rows):
@@ -134,7 +148,8 @@ class EngineConfig:
     """Everything a run needs besides the genome spec and the fitness.
 
     Frozen, and checked when built (ConfigError): the integer settings
-    and their ranges, pairing, verbosity and the mutation and selection
+    (seed included) and their ranges, fitness_threshold None or a number
+    other than NaN, pairing, verbosity and the mutation and selection
     types. run checks only the choices that depend on the genome.
 
     Attributes:
@@ -150,8 +165,10 @@ class EngineConfig:
         selection: DiversityEnhanced, the one selection type;
             DiversityEnhanced(d0=0) is plain truncation on raw fitness
             (top-N).
-        fitness_threshold: stop once the best survivor reaches this.
-        seed: seed for the single run-wide random generator.
+        fitness_threshold: stop once the best survivor reaches this
+            (+-inf allowed).
+        seed: seed for the single run-wide random generator, a
+            non-negative integer.
         parallel_workers: 0 evaluates fitness sequentially, otherwise
             the number of worker processes, started once per run
             (fitness must be picklable).
@@ -175,6 +192,10 @@ class EngineConfig:
 
     def __post_init__(self):
         _check_run_settings(self, 2, "population_size must be at least 2")
+        if self.fitness_threshold is not None:
+            _check_real("fitness_threshold", self.fitness_threshold)
+            if self.fitness_threshold != self.fitness_threshold:  # NaN
+                raise ConfigError("fitness_threshold cannot be NaN")
         if self.pairing not in PAIRING_STRATEGIES:
             raise ConfigError(f"unknown pairing strategy {self.pairing!r}")
         if self.verbosity not in (0, 1, 2):
@@ -188,18 +209,20 @@ class EngineConfig:
 
 
 def _check_run_settings(config, smallest: int, too_small: str):
-    """ConfigError unless population_size, n_generations and
+    """ConfigError unless population_size, n_generations, seed and
     parallel_workers are integers (see genome._check_integer),
     population_size >= smallest (too_small is the message otherwise),
-    n_generations >= 1 and parallel_workers >= 0."""
-    for name in ("population_size", "n_generations", "parallel_workers"):
+    n_generations >= 1 and seed and parallel_workers >= 0."""
+    for name in ("population_size", "n_generations", "seed",
+                 "parallel_workers"):
         _check_integer(name, getattr(config, name))
     if config.population_size < smallest:
         raise ConfigError(too_small)
     if config.n_generations < 1:
         raise ConfigError("n_generations must be positive")
-    if config.parallel_workers < 0:
-        raise ConfigError("parallel_workers cannot be negative")
+    for name in ("seed", "parallel_workers"):
+        if getattr(config, name) < 0:
+            raise ConfigError(f"{name} cannot be negative")
 
 
 @dataclass

@@ -21,13 +21,15 @@ that defines its own to_point, a wrapper that calls it. The penalties
 then come by one of two routes, with the same picks and working
 fitness bit for bit.
 
+Every penalty of either route comes from one in-place step on a buffer
+of r^2, _to_penalties: times -1 / r0^2, exp, times d0 (skipped at
+d0 = 1, where it changes no bit), the IEEE operations of the formula
+with the negation carried by the constant. DiversityEnhanced admits
+only an r0 whose 1 / r0^2 is finite and nonzero, so it is finite.
+
 The per-pick route serves every pool. Each pick writes r^2 into one
-penalty buffer allocated per call, through rows_to, and turns it into
-the penalty in place: r^2 * (-1 / r0^2), exp, times d0 (skipped at
-d0 = 1, where it changes no bit), subtracted from the working fitness.
-These are the IEEE operations of the formula above, with the negation
-carried by the constant. That is seven numpy calls per pick, on n
-values each.
+penalty buffer allocated per call, through rows_to, and subtracts its
+penalties from the working fitness.
 
 The penalty-matrix route serves small pools that keep at least half
 their rows: n <= 2 * count, n * g <= MATRIX_ROUTE_MAX_VALUES, the
@@ -35,9 +37,9 @@ Euclidean or dynamic kernel (whose block_to measures a block of
 points at once) and d0 > 0. It keeps the m = count + count // 2 best
 candidates by raw fitness, ranked by a stable sort and held in index
 order, so ties still go to the lowest index. Their (m, m) penalty
-matrix is built once, in row blocks, by the same operations, so each
-entry is bit for bit the per-pick route's. Each pick is then one
-argmax and one row subtraction on m values.
+matrix is built once, in row blocks, by the same step, so each entry
+is bit for bit the per-pick route's. Each pick is then one argmax and
+one row subtraction on m values.
 
 The monotone bound makes the pruning exact. Penalties are never
 negative, so no working fitness rises above its raw fitness. A pick
@@ -138,7 +140,6 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
             and genes.size <= MATRIX_ROUTE_MAX_VALUES
             and hasattr(rows, "block_to")):
         done = _matrix_picks(rows, work, d0, scale, picks, working)
-    multiply, exp, minus_inf = np.multiply, np.exp, -np.inf
     penalty = np.empty(len(work))
     alive = np.ones(len(work), dtype=bool)
     alive[picks[:done]] = False
@@ -152,14 +153,20 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
         if working is not None:
             working[k] = work[pick]
         alive[pick] = False
-        work[pick] = minus_inf
+        work[pick] = -np.inf
         if d0 != 0.0 and k + 1 < count:
-            multiply(rows_to(pick, penalty), scale, out=penalty)
-            exp(penalty, out=penalty)
-            if d0 != 1.0:
-                penalty *= d0
-            work -= penalty
+            work -= _to_penalties(rows_to(pick, penalty), d0, scale)
     return picks
+
+
+def _to_penalties(r_sq: np.ndarray, d0: float, scale: float) -> np.ndarray:
+    """r_sq, squared distances, turned in place into the penalties
+    d0 * exp(r_sq * scale), scale = -1 / r0^2, and returned."""
+    np.multiply(r_sq, scale, out=r_sq)
+    np.exp(r_sq, out=r_sq)
+    if d0 != 1.0:
+        r_sq *= d0
+    return r_sq
 
 
 def _penalties(rows, points: np.ndarray, d0: float, scale: float,
@@ -170,11 +177,7 @@ def _penalties(rows, points: np.ndarray, d0: float, scale: float,
     step = max(1, _BLOCK_VALUES // max(1, rows.matrix.size))
     for start in range(0, len(points), step):
         rows.block_to(points[start:start + step], out[start:start + step])
-    np.multiply(out, scale, out=out)
-    np.exp(out, out=out)
-    if d0 != 1.0:
-        out *= d0
-    return out
+    return _to_penalties(out, d0, scale)
 
 
 def _matrix_picks(rows, work: np.ndarray, d0: float, scale: float,

@@ -8,6 +8,7 @@ import dataclasses
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import divga
@@ -192,6 +193,27 @@ def test_settings_types_check_themselves():
      "crossover_probability must be a number, not 'a'"),
     (lambda: DiversityEnhanced(d0="a"), "d0 must be a number, not 'a'"),
     (lambda: DiversityEnhanced(r0="a"), "r0 must be a number, not 'a'"),
+    (lambda: DiversityEnhanced(r0=1e-160),
+     "r0 must be positive with 1 / r0\\^2 finite and nonzero, not 1e-160"),
+    (lambda: DiversityEnhanced(r0=1e-200), "r0 must be positive"),
+    (lambda: DiversityEnhanced(r0=float("inf")), "r0 must be positive"),
+    (lambda: DiversityEnhanced(r0=1e200), "r0 must be positive"),
+    (lambda: EngineConfig(population_size=4, n_generations=2, seed="a"),
+     "seed must be an integer, not 'a'"),
+    (lambda: EngineConfig(population_size=4, n_generations=2, seed=1.5),
+     "seed must be an integer, not 1.5"),
+    (lambda: EngineConfig(population_size=4, n_generations=2, seed=True),
+     "seed must be an integer, not True"),
+    (lambda: EngineConfig(population_size=4, n_generations=2, seed=-1),
+     "seed cannot be negative"),
+    (lambda: DEConfig(8, 2, seed="a"), "seed must be an integer, not 'a'"),
+    (lambda: DEConfig(8, 2, seed=-1), "seed cannot be negative"),
+    (lambda: EngineConfig(population_size=4, n_generations=2,
+                          fitness_threshold="x"),
+     "fitness_threshold must be a number, not 'x'"),
+    (lambda: EngineConfig(population_size=4, n_generations=2,
+                          fitness_threshold=float("nan")),
+     "fitness_threshold cannot be NaN"),
     (lambda: GeneSpec("categorical", categories=("E", "K"),
                       number_of_genes=2.5),
      "number_of_genes must be an integer, not 2.5"),
@@ -224,6 +246,39 @@ def test_bad_settings_rejected_when_built(build, match):
     """A bad raw value is a ConfigError at construction, with no run."""
     with pytest.raises(ConfigError, match=match):
         build()
+
+
+def test_good_edge_settings_build():
+    """numpy integer seeds, infinite thresholds and r0 near the edge of
+    its range are accepted."""
+    EngineConfig(population_size=4, n_generations=2, seed=np.int64(3),
+                 fitness_threshold=float("inf"))
+    EngineConfig(population_size=4, n_generations=2,
+                 fitness_threshold=-float("inf"))
+    DEConfig(8, 2, seed=np.uint32(7))
+    DiversityEnhanced(r0=1e-154)
+    DiversityEnhanced(r0=1e154)
+
+
+# Each settings class, with the arguments it requires.
+SETTINGS_CLASSES = {
+    EngineConfig: dict(population_size=4, n_generations=2),
+    DEConfig: dict(population_size=8, n_generations=2),
+    DiversityEnhanced: {},
+    MutationConfig: {},
+}
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, f.name) for cls in SETTINGS_CLASSES
+    for f in dataclasses.fields(cls)
+    if f.type.split(" | ")[0] in ("int", "float")
+], ids=lambda item: getattr(item, "__name__", item))
+def test_numeric_field_rejects_a_non_number(cls, name):
+    """Every field annotated int or float (optional ones included) is
+    checked when built: the string "x" is a ConfigError."""
+    with pytest.raises(ConfigError, match=name):
+        cls(**dict(SETTINGS_CLASSES[cls], **{name: "x"}))
 
 
 @pytest.mark.parametrize("good, change", [

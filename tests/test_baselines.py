@@ -416,6 +416,32 @@ class TestRandomScan:
         trace = self.scan_of([-1e20, -1e20, 0.1, 0.2], 2)
         assert trace.final_mean == (0.1 + 0.2) / 2
 
+    def test_draw_below_kept_minimum_keeps_the_mean(self):
+        """A -inf draw that does not enter the kept set leaves the mean
+        bit for bit where it was."""
+        trace = self.scan_of([0.1, 0.2, 0.3, -math.inf], 3)
+        mean = (0.1 + 0.2 + 0.3) / 3
+        assert trace.kept_mean.tolist() == [0.1, (0.1 + 0.2) / 2, mean, mean]
+
+    def test_kept_mean_never_decreases_past_infinite_draws(self):
+        """Seeded scans of seven uniform draws, one -inf and two
+        negatives, shuffled: once the kept set is full its mean never
+        decreases, exactly."""
+        keep = 5
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            values = [*rng.random(7), -math.inf, *-rng.random(2)]
+            trace = self.scan_of(list(rng.permutation(values)), keep)
+            assert np.all(np.diff(trace.kept_mean[keep - 1:]) >= 0), seed
+
+    def test_kept_genes_is_a_matrix(self):
+        trace = random_scan(self.spec(), sphere_fitness, 30, 4,
+                            np.random.default_rng(2))
+        assert trace.kept_genes.shape == (4, 2)
+        np.testing.assert_array_equal(
+            [sphere_fitness(row) for row in trace.kept_genes],
+            trace.kept_fitness)
+
     @settings(max_examples=300)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
                     | st.sampled_from([math.inf, -math.inf]),

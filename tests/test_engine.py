@@ -772,6 +772,20 @@ class TestDiversityResolution:
         with pytest.warns(UserWarning, match="no spread"):
             run(numeric_spec, sphere_fitness, config, init_genes=same)
 
+    def test_unusable_default_r0_falls_back(self, tmp_path):
+        """A spread so small that 1 / r0^2 overflows gives no usable
+        default r0: the run warns and selects with r0 = 1, not on NaN
+        penalties."""
+        spec = GeneSpec.numeric([(0.0, 1e-160)] * 2)
+        config = quiet(population_size=6, n_generations=2, seed=0,
+                       output_directory=tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(spec, sphere_fitness, config)
+        assert [str(w.message) for w in caught] == [
+            "initial population has no spread; falling back to r0=1"]
+        assert "r0=1, " in (tmp_path / "log.txt").read_text()
+
     def test_top_n_skips_default_r0(self, numeric_spec):
         """At d0 = 0 r0 has no effect: no pairwise pass, no warning."""
         same = np.full((4, 3), 0.5)
