@@ -70,8 +70,12 @@ def _per_row(genes: np.ndarray, values):
 
 def _charge_vector(sequence) -> np.ndarray:
     try:
-        return np.fromiter(map(CHARGES.__getitem__, sequence), float,
-                           len(sequence))
+        n = len(sequence)
+    except TypeError:
+        raise ConfigError(
+            f"need a sequence of labels, not {sequence!r}") from None
+    try:
+        return np.fromiter(map(CHARGES.__getitem__, sequence), float, n)
     except (KeyError, TypeError):
         for label in sequence:
             try:
@@ -118,8 +122,20 @@ def net_charge(sequence) -> int:
 
 
 def angular_bin_occupancy(points, n_bins: int = 12) -> np.ndarray:
-    """Counts of points per equal-width angular bin around the origin."""
+    """Counts of points per equal-width angular bin around the origin.
+
+    points must be a (k, 2) array of finite numbers and n_bins a
+    positive integer; anything else is a ConfigError.
+    """
+    _check_integer("n_bins", n_bins)
+    if n_bins < 1:
+        raise ConfigError(f"n_bins must be positive, not {n_bins}")
     pts = np.asarray(list(points), dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ConfigError(
+            f"points must be a (k, 2) array, not an array of shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ConfigError("points must be finite")
     angles = np.arctan2(pts[:, 1], pts[:, 0])
     bins = np.floor((angles + np.pi) / (2 * np.pi / n_bins)).astype(int)
     bins = np.clip(bins, 0, n_bins - 1)

@@ -54,6 +54,7 @@ import numpy as np
 from .distance import CustomMeasure, HammingSq, default_r0, get_measure
 from .errors import ConfigError, FitnessEvaluationError
 from .genome import GeneSpec, _check_integer, _check_real, seed_population
+# select_top_n is not called here; perfbench's tracer patches it by name.
 from .selection import select_diverse, select_top_n
 from .variation import (
     PAIRING_STRATEGIES,
@@ -429,8 +430,12 @@ def evaluate_population(genes, fitness, values: np.ndarray,
     row as a one-row matrix, so the error reports the failing row and
     the message the per-row path gives; if every row then succeeds,
     those values stand. Every other fitness is called once per row.
+    values of another length than genes is a ConfigError before any
+    fitness call.
     """
     n = len(genes)
+    if len(values) != n:
+        raise ConfigError(f"{len(values)} values for {n} gene rows")
     if pool is None:
         chunks = [_evaluate_rows(fitness, 0, genes)]
     else:
@@ -635,17 +640,11 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
             pool_values = np.concatenate([values, np.empty(len(children))])
             cumulative += evaluate_population(spec.decode(children), bound,
                                               pool_values[n:], workers)
-            if diversity.d0 == 0.0:
-                # No penalties: the same picks as select_diverse, by argsort.
-                picks = select_top_n(pool_values, n)
-                working[:] = pool_values[picks]
-            else:
-                # Hamming compares codes; any other measure sees the genes
-                # the fitness sees.
-                seen = (pool_genes if isinstance(diversity.measure, HammingSq)
-                        else spec.decode(pool_genes))
-                picks = select_diverse(seen, pool_values, n, diversity,
-                                       working)
+            # Hamming compares codes; any other measure sees the genes the
+            # fitness sees.
+            seen = (pool_genes if isinstance(diversity.measure, HammingSq)
+                    else spec.decode(pool_genes))
+            picks = select_diverse(seen, pool_values, n, diversity, working)
             genes, values = pool_genes[picks], pool_values[picks]
             previous_best = best
             best = snapshot(generation, genes, values, cumulative, picks)

@@ -11,8 +11,8 @@ Candidates sitting on top of an already chosen survivor lose the full
 d0, candidates far away lose nothing. Penalties accumulate over the
 picks of one selection pass and are discarded afterwards. With d0 = 0
 the procedure degenerates to plain truncation selection (top-N), and
-the engine runs DiversityEnhanced(d0=0) as select_top_n: the same
-picks from one stable argsort.
+select_diverse owns that case: it returns select_top_n's picks, from
+one stable argsort, without preparing the pool.
 
 Each call prepares the pool once with the measure's prepare (see
 divga.distance): a built-in measure's kernel, which holds the pool in
@@ -34,7 +34,7 @@ penalties from the working fitness.
 The penalty-matrix route serves small pools that keep at least half
 their rows: n <= 2 * count, n * g <= MATRIX_ROUTE_MAX_VALUES, the
 Euclidean or dynamic kernel (whose block_to measures a block of
-points at once) and d0 > 0. It keeps the m = count + count // 2 best
+points at once). It keeps the m = count + count // 2 best
 candidates by raw fitness, ranked by a stable sort and held in index
 order, so ties still go to the lowest index. Their (m, m) penalty
 matrix is built once, in row blocks, by the same step, so each entry
@@ -68,6 +68,26 @@ guess fails after 111-134 picks whatever n is, so one-gene pools of
 512 to 1024 rows, inside the cap, take 1.08-1.49 times the per-pick
 time.
 
+A size rule on n and g cannot see the landscape, and the guess fails
+in every pool of two landscapes the method is meant for. On one GA
+run each (n = 200, crossover none, 35 pools of 400 two-gene rows
+keeping 200, all inside the cap), it failed first at picks 19-26 on
+eight plateau islands in [0, 1]^2 and at picks 69-83 on Vincent 2-D,
+whose optima are log-spaced; the route took a median 1.28 and 1.12
+times the per-pick time there (min of 9 calls per pool, 2-core
+Xeon), against 0.52 on Shubert 2-D, where the guess held in every
+pool. A fix has to make a failed guess cheap, or see the plateau,
+rather than move the cap.
+
+Both routes pay one cost no benchmark pool shows: numpy's exp takes
+120-165 ns a value when its result is subnormal (an exponent r^2 *
+scale in about [-745, -708]) and 5-20 ns when it underflows to 0,
+against about 1.1 ns otherwise (numpy 2.4.6, 2-core Xeon). The
+benchmark's landscape and all-pairs pools hold no exponent below
+-708, but a pool spread far beyond r0 can (37% of the exponents of a
+one-gene ridge pool spread over +-4.8 at r0 = 0.127), and its
+selection time can multiply.
+
 Both selectors take the whole candidate pool as arrays (a gene matrix
 and a fitness vector, one row per candidate) and return the indices of
 the survivors in selection order. A fitness of +inf ranks first and
@@ -90,6 +110,9 @@ def _checked_fitness(fitness, count: int) -> np.ndarray:
     if count < 0:
         raise ConfigError(f"count must be non-negative, not {count}")
     fitness = np.asarray(fitness, dtype=float)
+    if fitness.ndim != 1:
+        raise ConfigError(
+            f"fitness must be a vector, not an array of shape {fitness.shape}")
     if count > len(fitness):
         raise ConfigError(
             f"asked for {count} survivors from {len(fitness)} candidates")
@@ -114,15 +137,19 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
     Each pick takes the live candidate with the highest working fitness
     (ties broken toward the lowest index), then subtracts the diversity
     penalty around the pick from every candidate; picked rows are
-    masked out. When working is given, working[k] receives the working
-    fitness of pick k at the moment it was picked. Label genes (object
-    or string dtype) resolve the measure as get_measure does for labels:
-    None is Hamming, and Euclidean or dynamic raises ConfigError. The
-    inputs are not modified; calling twice on the same pool gives the
-    same result.
+    masked out. At d0 = 0 the picks are select_top_n's. When working is
+    given, working[k] receives the working fitness of pick k at the
+    moment it was picked. Label genes (object or string dtype) resolve
+    the measure as get_measure does for labels: None is Hamming, and
+    Euclidean or dynamic raises ConfigError. The inputs are not
+    modified; calling twice on the same pool gives the same result.
     """
     fitness = _checked_fitness(fitness, count)
     genes = np.asarray(genes)
+    if genes.ndim != 2:
+        raise ConfigError(
+            f"genes must be an (n, g) matrix, not an array of shape "
+            f"{genes.shape}")
     if len(genes) != len(fitness):
         raise ConfigError(
             f"{len(genes)} gene rows for {len(fitness)} fitness values")
@@ -130,14 +157,19 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
         raise ConfigError("r0 is not set; give it or resolve the selection "
                           "against a population first")
     measure = get_measure(diversity.measure, labels=genes.dtype.kind in "OSU")
-    rows = measure.prepare(genes)
+    if working is None:
+        working = np.empty(count)
     d0 = diversity.d0
+    if d0 == 0.0:
+        picks = select_top_n(fitness, count)
+        working[:] = fitness[picks]
+        return picks
+    rows = measure.prepare(genes)
     scale = -1.0 / diversity.r0 ** 2
     work = fitness.copy()
     picks = np.empty(count, dtype=np.intp)
     done = 0
-    if (d0 != 0.0 and len(work) <= 2 * count
-            and genes.size <= MATRIX_ROUTE_MAX_VALUES
+    if (len(work) <= 2 * count and genes.size <= MATRIX_ROUTE_MAX_VALUES
             and hasattr(rows, "block_to")):
         done = _matrix_picks(rows, work, d0, scale, picks, working)
     penalty = np.empty(len(work))
@@ -150,11 +182,10 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
             # Only picked rows and -inf candidates are left at -inf.
             pick = int(alive.argmax())
         picks[k] = pick
-        if working is not None:
-            working[k] = work[pick]
+        working[k] = work[pick]
         alive[pick] = False
         work[pick] = -np.inf
-        if d0 != 0.0 and k + 1 < count:
+        if k + 1 < count:
             work -= _to_penalties(rows_to(pick, penalty), d0, scale)
     return picks
 
@@ -181,7 +212,7 @@ def _penalties(rows, points: np.ndarray, d0: float, scale: float,
 
 
 def _matrix_picks(rows, work: np.ndarray, d0: float, scale: float,
-                  picks: np.ndarray, working: np.ndarray | None) -> int:
+                  picks: np.ndarray, working: np.ndarray) -> int:
     """Takes the picks of select_diverse from the penalty matrix of the
     m best candidates, into picks and working, for as long as each is
     provably the best of the whole pool. Returns how many it took. When
@@ -200,8 +231,7 @@ def _matrix_picks(rows, work: np.ndarray, d0: float, scale: float,
         if not kept_work[j] > best_left_out:
             break
         picks[k] = keep[j]
-        if working is not None:
-            working[k] = kept_work[j]
+        working[k] = kept_work[j]
         kept_work[j] = -np.inf
         kept_work -= penalties[j]
     else:

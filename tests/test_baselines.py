@@ -351,6 +351,14 @@ class TestRandomScan:
                         total, keep, np.random.default_rng(0))
         assert calls == []
 
+    def test_rng_is_a_generator(self):
+        calls = []
+        with pytest.raises(ConfigError,
+                           match="rng must be a numpy.random.Generator"):
+            random_scan(self.spec(), lambda genes: calls.append(1) or 0.0,
+                        10, 3, 0)
+        assert calls == []
+
     def test_constant_fitness_gives_flat_trace(self):
         trace = random_scan(self.spec(), lambda genes: 4.5, 50, 10,
                             np.random.default_rng(3))

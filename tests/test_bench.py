@@ -267,6 +267,12 @@ class TestCalculateSCD:
         genes = np.array(list("EKKE"), dtype=object)
         assert calculate_scd(genes) == pytest.approx(brute_force_scd("EKKE"))
 
+    @pytest.mark.parametrize("function", [calculate_scd, net_charge])
+    @pytest.mark.parametrize("sequence", [None, 5])
+    def test_non_sequence_rejected(self, function, sequence):
+        with pytest.raises(ConfigError, match="need a sequence of labels"):
+            function(sequence)
+
 
 def per_label_charges(sequence):
     """The per-label loop _charge_vector replaced, kept as its oracle."""
@@ -414,6 +420,27 @@ class TestAngularBins:
         points = np.array([[1.0, 0.001], [1.0, 0.002], [1.0, 0.003]])
         counts = angular_bin_occupancy(points)
         assert (counts > 0).sum() == 1
+
+    @pytest.mark.parametrize("points, message", [
+        ([], r"points must be a \(k, 2\) array"),
+        ([1.0, 2.0], r"points must be a \(k, 2\) array"),
+        ([[1.0, 2.0, 3.0]], r"points must be a \(k, 2\) array"),
+        ([[1.0, 0.0], [np.nan, 1.0]], "points must be finite"),
+        ([[np.inf, 0.0]], "points must be finite"),
+    ], ids=["empty", "vector", "three-columns", "nan", "inf"])
+    def test_malformed_points_rejected(self, points, message):
+        with pytest.raises(ConfigError, match=message):
+            angular_bin_occupancy(points)
+
+    @pytest.mark.parametrize("n_bins, message", [
+        (0, "n_bins must be positive, not 0"),
+        (-1, "n_bins must be positive, not -1"),
+        (1.5, "n_bins must be an integer, not 1.5"),
+        (True, "n_bins must be an integer, not True"),
+    ], ids=["zero", "negative", "float", "bool"])
+    def test_bad_bin_count_rejected(self, n_bins, message):
+        with pytest.raises(ConfigError, match=message):
+            angular_bin_occupancy([[1.0, 0.0]], n_bins)
 
 
 class TestRunExperiment:

@@ -87,6 +87,16 @@ class TestEvaluatePopulation:
         assert values[0] == 123.0
         np.testing.assert_allclose(values[1:], genes[1:].sum(axis=1))
 
+    @pytest.mark.parametrize("n_values", [2, 4])
+    def test_values_of_another_length_rejected_before_any_call(
+            self, numeric_spec, rng, n_values):
+        genes = seed_population(numeric_spec, 3, rng)
+        fitness = CountingFitness()
+        with pytest.raises(ConfigError,
+                           match=f"{n_values} values for 3 gene rows"):
+            evaluate_population(genes, fitness, np.empty(n_values))
+        assert fitness.calls == 0
+
     def test_parallel_matches_sequential(self, numeric_spec, rng):
         genes = seed_population(numeric_spec, 12, np.random.default_rng(3))
         sequential, parallel = np.empty(12), np.empty(12)
@@ -595,10 +605,11 @@ class TestRunBasics:
                                                 monkeypatch, tmp_path):
         """A selection that loses the best individual stops the run, and
         the abort, not only a fitness failure's, ends log.txt."""
-        select_top_n = divga.engine.select_top_n
-        monkeypatch.setattr(divga.engine, "select_top_n",
-                            lambda fitness, count:
-                            select_top_n(fitness, count + 1)[1:])
+        select_diverse = divga.engine.select_diverse
+        monkeypatch.setattr(divga.engine, "select_diverse",
+                            lambda genes, fitness, count, diversity, working:
+                            select_diverse(genes, fitness, count + 1,
+                                           diversity)[1:])
         config = quiet(population_size=6, n_generations=3, seed=2,
                        selection=DiversityEnhanced(d0=0),
                        output_directory=tmp_path)
@@ -608,24 +619,33 @@ class TestRunBasics:
         lines = (tmp_path / "log.txt").read_text().splitlines()
         assert lines[-1].startswith("run aborted: RuntimeError: elitist")
 
-    def test_zero_d0_runs_top_n(self, numeric_spec, monkeypatch):
-        """d0 = 0 selects by argsort; select_diverse is never called."""
-        calls = []
-        select_top_n = divga.engine.select_top_n
+    def test_zero_d0_selects_by_argsort(self, numeric_spec, monkeypatch):
+        """At d0 = 0 each generation's survivors are the raw-fitness
+        argsort's, and no pool is prepared for distances."""
+        def forbidden(self, matrix):
+            raise AssertionError("pool prepared at d0 = 0")
 
-        def counting_top_n(fitness, count):
-            calls.append(count)
-            return select_top_n(fitness, count)
+        pools = []
+        select_diverse = divga.engine.select_diverse
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("select_diverse called at d0 = 0")
+        def recording(genes, fitness, count, diversity, working):
+            picks = select_diverse(genes, fitness, count, diversity, working)
+            pools.append((fitness.copy(), picks, working.copy()))
+            return picks
 
-        monkeypatch.setattr(divga.engine, "select_top_n", counting_top_n)
-        monkeypatch.setattr(divga.engine, "select_diverse", forbidden)
-        run(numeric_spec, sphere_fitness,
-            quiet(population_size=6, n_generations=3, seed=2,
-                  selection=DiversityEnhanced(d0=0)))
-        assert calls == [6, 6, 6]
+        monkeypatch.setattr(divga.distance.DistanceMeasure, "prepare",
+                            forbidden)
+        monkeypatch.setattr(divga.engine, "select_diverse", recording)
+        record = run(numeric_spec, sphere_fitness,
+                     quiet(population_size=6, n_generations=3, seed=2,
+                           selection=DiversityEnhanced(d0=0)))
+        assert len(pools) == 3
+        for (fitness, picks, working), survivors in zip(
+                pools, record.populations[1:]):
+            order = np.argsort(-fitness, kind="stable")[:6]
+            assert picks.tolist() == order.tolist()
+            assert working.tobytes() == fitness[order].tobytes()
+            assert survivors.fitness.tobytes() == fitness[order].tobytes()
 
     def test_topn_selection(self, numeric_spec):
         config = quiet(population_size=8, n_generations=5, seed=3,

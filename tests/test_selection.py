@@ -480,6 +480,24 @@ def test_count_is_a_non_negative_integer(selector, count, message):
         SELECTORS[selector]([3.0, 1.0, 2.0, 0.0], count)
 
 
+@pytest.mark.parametrize("fitness", [5.0, np.ones((3, 2))],
+                         ids=["scalar", "matrix"])
+def test_fitness_is_a_vector(fitness):
+    message = "fitness must be a vector, not an array of shape"
+    with pytest.raises(ConfigError, match=message):
+        select_top_n(fitness, 2)
+    with pytest.raises(ConfigError, match=message):
+        select_diverse(np.zeros((3, 2)), fitness, 2, DiversityEnhanced(r0=1.0))
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2, 2)], ids=["vector", "3-d"])
+@pytest.mark.parametrize("d0", [0.0, 1.0])
+def test_genes_are_a_matrix(shape, d0):
+    with pytest.raises(ConfigError, match=r"genes must be an \(n, g\) matrix"):
+        select_diverse(np.zeros(shape), [1.0, 2.0, 3.0], 2,
+                       DiversityEnhanced(d0=d0, r0=1.0))
+
+
 def pools(min_size=1, max_size=9, infinite=False):
     """(genes, fitness, count) for a pool of 1-3 dimensional candidates."""
     values = st.floats(-5, 5, allow_nan=False)
@@ -542,13 +560,19 @@ class TestSelectionProperties:
         assert got.tolist() == want
         assert working.tobytes() == np.array(want_working).tobytes()
 
-    @given(pools(infinite=True), radii)
-    @settings(max_examples=100)
-    def test_zero_d0_matches_top_n(self, pool, r0):
-        genes, fitness, count = pool
+    @given(oracle_pools(), radii, st.booleans())
+    @settings(max_examples=200)
+    def test_zero_d0_matches_top_n(self, pool, r0, buffer):
+        """At d0 = 0 the picks are select_top_n's and working holds their
+        raw fitness byte for byte, on tied and infinite fitness and
+        labels, with and without a caller's buffer."""
+        genes, fitness, count, _ = pool
+        working = np.full(count, np.nan) if buffer else None
         got = select_diverse(genes, fitness, count,
-                             DiversityEnhanced(d0=0.0, r0=r0))
+                             DiversityEnhanced(d0=0.0, r0=r0), working)
         assert got.tolist() == select_top_n(fitness, count).tolist()
+        if buffer:
+            assert working.tobytes() == fitness[got].tobytes()
 
     @given(pools(min_size=2), st.floats(0.0, 3.0), radii,
            st.permutations(range(9)), st.randoms())
