@@ -20,6 +20,7 @@ from .distance import hamming_spread, spread
 from .engine import DiversityEnhanced, EngineConfig, run, vectorized
 from .errors import ConfigError
 from .genome import GeneSpec, _check_integer
+from .variation import CROSSOVER_METHODS
 
 CHARGES = {"K": 1.0, "E": -1.0}
 CIRCLE_AMPLITUDE = 5.0
@@ -162,23 +163,7 @@ def _mean_sd(values) -> tuple[float, float]:
     return float(arr.mean()), sd
 
 
-def _row(algorithm, repetition, seed, genes, mean_fitness, best_fitness,
-         evaluations) -> dict:
-    """One runs.csv row; the spread is Hamming for label genes."""
-    genes = np.asarray(genes)
-    return {
-        "algorithm": algorithm,
-        "repetition": repetition,
-        "seed": seed,
-        "final_mean_fitness": float(mean_fitness),
-        "best_fitness": float(best_fitness),
-        "spread": (hamming_spread(genes) if genes.dtype == object
-                   else spread(genes)),
-        "evaluations": int(evaluations),
-    }
-
-
-def _ga_row(spec, fitness, settings, seed, repetition):
+def _ga(spec, fitness, settings, seed, budget):
     record = run(spec, fitness, EngineConfig(
         population_size=settings["population"],
         n_generations=settings["generations"],
@@ -186,174 +171,179 @@ def _ga_row(spec, fitness, settings, seed, repetition):
         pairing=settings.get("pairing", "random"),
         selection=DiversityEnhanced(d0=settings.get("d0", 1.0),
                                     r0=settings.get("r0")),
-        seed=seed,
-        parallel_workers=settings.get("workers", 0),
-        verbosity=0,
+        seed=seed, parallel_workers=settings.get("workers", 0), verbosity=0,
     ))
-    return _row("ga", repetition, seed, record.final_population.genes,
-                record.mean_fitness[-1], record.best_fitness[-1],
-                record.total_evaluations), record
+    return (record.final_population.genes, record.mean_fitness[-1],
+            record.best_fitness[-1], record.total_evaluations)
+
+
+def _de(spec, fitness, settings, seed, budget):
+    de = run_de(spec, fitness, DEConfig(
+        population_size=settings["population"],
+        n_generations=settings["generations"], seed=seed,
+        parallel_workers=settings.get("workers", 0)))
+    return (de.genes, de.mean_fitness[-1], de.best_fitness[-1],
+            de.total_evaluations)
+
+
+def _random(spec, fitness, settings, seed, budget):
+    trace = random_scan(spec, fitness, budget, settings["population"],
+                        np.random.default_rng(seed))
+    return (trace.kept_genes, trace.final_mean, trace.kept_fitness.max(),
+            trace.evaluations[-1])
+
+
+# algorithm: (spec, fitness, settings, seed, budget) -> (final genes, final
+# mean fitness, best fitness, evaluations), budget None for a repetition's
+# first method. Top-N is the GA at d0 = 0; DE runs its own generations.
+_METHODS = {"ga": _ga, "de": _de, "random": _random}
+
+
+def _runs(settings, seed, spec, fitness, methods=("ga",), columns=None):
+    """The runs.csv rows: repetition r runs each method in turn at seed + r,
+    each after the first at the first one's evaluations. columns(genes,
+    settings) gives an experiment's own columns; the spread is Hamming
+    for label genes."""
+    rows = []
+    for rep in range(settings["repetitions"]):
+        budget = None
+        for name in methods:
+            genes, mean, best, evaluations = _METHODS[name](
+                spec, fitness, settings, seed + rep, budget)
+            if budget is None:
+                budget = int(evaluations)
+            genes = np.asarray(genes)
+            rows.append({
+                "algorithm": name,
+                "repetition": rep,
+                "seed": seed + rep,
+                "final_mean_fitness": float(mean),
+                "best_fitness": float(best),
+                "spread": (hamming_spread(genes) if genes.dtype == object
+                           else spread(genes)),
+                "evaluations": int(evaluations),
+                **(columns(genes, settings) if columns else {}),
+            })
+    return rows
+
+
+def _compare(rows, groups, key="algorithm"):
+    """Aggregates and one summary line per group of rows sharing key: the
+    mean and sd of final mean fitness and of spread."""
+    aggregates, lines = {}, []
+    for group in groups:
+        members = [r for r in rows if r[key] == group]
+        stats = aggregates[group] = {}
+        for column in ("final_mean_fitness", "spread"):
+            stats[f"{column}_mean"], stats[f"{column}_sd"] = _mean_sd(
+                r[column] for r in members)
+        lines.append(
+            "{}: final mean fitness {final_mean_fitness_mean:.4f} +/- "
+            "{final_mean_fitness_sd:.4f}, population spread {spread_mean:.4f}"
+            " +/- {spread_sd:.4f}".format(group, **stats))
+    return aggregates, lines
+
+
+def _wins(rows, column, settings, phrase):
+    """Repetitions whose first method beat the second on column, of rows
+    alternating between two methods, and the summary line saying so."""
+    wins = sum(a[column] > b[column] for a, b in zip(rows[::2], rows[1::2]))
+    return wins, f"{phrase} in {wins}/{settings['repetitions']} repetitions"
 
 
 def _landscape_compare(settings, seed):
-    spec = GeneSpec.numeric(settings["ranges"])
-    rows = []
-    for rep in range(settings["repetitions"]):
-        rep_seed = seed + rep
-        ga_row, _ = _ga_row(spec, landscape_from_genes, settings,
-                            rep_seed, rep)
-        rows.append(ga_row)
-        de = run_de(spec, landscape_from_genes,
-                    DEConfig(population_size=settings["population"],
-                             n_generations=settings["generations"],
-                             seed=rep_seed,
-                             parallel_workers=settings.get("workers", 0)))
-        rows.append(_row("de", rep, rep_seed, de.genes, de.mean_fitness[-1],
-                         de.best_fitness[-1], de.total_evaluations))
-    ga_rows, de_rows = rows[::2], rows[1::2]
-    aggregates = {}
-    lines = [f"repetitions: {settings['repetitions']}"]
-    for label, group in (("ga", ga_rows), ("de", de_rows)):
-        fit_mean, fit_sd = _mean_sd(r["final_mean_fitness"] for r in group)
-        spr_mean, spr_sd = _mean_sd(r["spread"] for r in group)
-        aggregates[label] = {
-            "final_mean_fitness_mean": fit_mean,
-            "final_mean_fitness_sd": fit_sd,
-            "spread_mean": spr_mean,
-            "spread_sd": spr_sd,
-        }
-        lines.append(f"{label}: final mean fitness {fit_mean:.4f} +/- "
-                     f"{fit_sd:.4f}, population spread {spr_mean:.4f} +/- "
-                     f"{spr_sd:.4f}")
-    wins = sum(1 for g, d in zip(ga_rows, de_rows) if g["spread"] > d["spread"])
-    aggregates["ga_spread_wins"] = wins
-    lines.append(f"ga spread exceeded de spread in {wins}/"
-                 f"{settings['repetitions']} repetitions")
-    return rows, aggregates, lines
+    rows = _runs(settings, seed, GeneSpec.numeric(settings["ranges"]),
+                 landscape_from_genes, ("ga", "de"))
+    aggregates, lines = _compare(rows, ("ga", "de"))
+    aggregates["ga_spread_wins"], wins = _wins(
+        rows, "spread", settings, "ga spread exceeded de spread")
+    return rows, aggregates, [
+        f"repetitions: {settings['repetitions']}", *lines, wins]
+
+
+def _circle_columns(genes, settings):
+    radii = np.hypot(genes[:, 0], genes[:, 1])
+    return {"radial_error_mean": float(np.abs(radii - CIRCLE_RADIUS).mean()),
+            "bins_occupied": int((angular_bin_occupancy(genes) > 0).sum())}
 
 
 def _circle(settings, seed):
-    spec = GeneSpec.numeric(settings["ranges"])
-    rows = []
-    for rep in range(settings["repetitions"]):
-        row, record = _ga_row(spec, circle_from_genes, settings,
-                              seed + rep, rep)
-        genes = record.final_population.genes
-        radii = np.hypot(genes[:, 0], genes[:, 1])
-        occupancy = angular_bin_occupancy(genes)
-        row["radial_error_mean"] = float(np.abs(radii - CIRCLE_RADIUS).mean())
-        row["bins_occupied"] = int((occupancy > 0).sum())
-        rows.append(row)
+    rows = _runs(settings, seed, GeneSpec.numeric(settings["ranges"]),
+                 circle_from_genes, columns=_circle_columns)
     err_mean, err_sd = _mean_sd(r["radial_error_mean"] for r in rows)
-    full = sum(1 for r in rows if r["bins_occupied"] == 12)
-    aggregates = {
-        "radial_error_mean": err_mean,
-        "radial_error_sd": err_sd,
-        "min_bins_occupied": min(r["bins_occupied"] for r in rows),
-        "all_bins_occupied_runs": full,
-    }
+    least = min(r["bins_occupied"] for r in rows)
+    full = sum(r["bins_occupied"] == 12 for r in rows)
+    aggregates = {"radial_error_mean": err_mean, "radial_error_sd": err_sd,
+                  "min_bins_occupied": least, "all_bins_occupied_runs": full}
     lines = [
         f"repetitions: {settings['repetitions']}",
         f"mean radial error {err_mean:.4f} +/- {err_sd:.4f} "
         f"(target circle radius {CIRCLE_RADIUS:g})",
         f"all 12 angular bins occupied in {full}/{settings['repetitions']} "
-        f"repetitions (minimum occupied: {aggregates['min_bins_occupied']})",
+        f"repetitions (minimum occupied: {least})",
     ]
     return rows, aggregates, lines
+
+
+def _scd_columns(genes, settings):
+    scds = np.array([calculate_scd(g) for g in genes])
+    charges = np.array([net_charge(g) for g in genes])
+    return {
+        "mean_abs_scd_error": float(
+            np.abs(scds - settings["target_scd"]).mean()),
+        "net_charge_min": int(charges.min()),
+        "net_charge_max": int(charges.max()),
+        "net_charge_range": int(charges.max() - charges.min()),
+    }
 
 
 def _scd(settings, seed):
     spec = GeneSpec.categorical(("E", "K"), settings["sequence_length"])
     target = settings["target_scd"]
-    fitness = functools.partial(scd_from_genes, target_scd=target)
-    rows = []
-    for rep in range(settings["repetitions"]):
-        row, record = _ga_row(spec, fitness, settings, seed + rep, rep)
-        finals = record.final_population.genes
-        scds = np.array([calculate_scd(g) for g in finals])
-        charges = np.array([net_charge(g) for g in finals])
-        row["mean_abs_scd_error"] = float(np.abs(scds - target).mean())
-        row["net_charge_min"] = int(charges.min())
-        row["net_charge_max"] = int(charges.max())
-        row["net_charge_range"] = int(charges.max() - charges.min())
-        rows.append(row)
+    rows = _runs(settings, seed, spec, functools.partial(
+        scd_from_genes, target_scd=target), columns=_scd_columns)
     err_mean, err_sd = _mean_sd(r["mean_abs_scd_error"] for r in rows)
     rng_mean, rng_sd = _mean_sd(r["net_charge_range"] for r in rows)
-    aggregates = {
-        "mean_abs_scd_error_mean": err_mean,
-        "mean_abs_scd_error_sd": err_sd,
-        "net_charge_range_mean": rng_mean,
-        "net_charge_range_sd": rng_sd,
-        "min_net_charge_range": min(r["net_charge_range"] for r in rows),
-    }
+    least = min(r["net_charge_range"] for r in rows)
+    aggregates = {"mean_abs_scd_error_mean": err_mean,
+                  "mean_abs_scd_error_sd": err_sd,
+                  "net_charge_range_mean": rng_mean,
+                  "net_charge_range_sd": rng_sd, "min_net_charge_range": least}
     lines = [
         f"repetitions: {settings['repetitions']}, target SCD {target:g}, "
         f"sequence length {settings['sequence_length']}",
         f"mean |SCD - target| {err_mean:.4f} +/- {err_sd:.4f}",
         f"net charge range {rng_mean:.1f} +/- {rng_sd:.1f} "
-        f"(minimum {aggregates['min_net_charge_range']})",
+        f"(minimum {least})",
         "spread column: mean pairwise fraction of differing positions",
     ]
     return rows, aggregates, lines
 
 
 def _crossover_sweep(settings, seed):
+    if "crossover" in settings:
+        raise ConfigError("crossover-sweep runs every crossover method; "
+                          "it takes no crossover option")
     spec = GeneSpec.numeric(settings["ranges"])
     rows = []
-    methods = ("midpoint", "eitheror", "between", "none")
-    for method in methods:
-        per_method = dict(settings, crossover=method)
-        for rep in range(settings["repetitions"]):
-            row, _ = _ga_row(spec, landscape_from_genes, per_method,
-                             seed + rep, rep)
-            row["crossover"] = method
-            rows.append(row)
-    aggregates = {}
-    lines = [f"repetitions per method: {settings['repetitions']}"]
-    for method in methods:
-        group = [r for r in rows if r["crossover"] == method]
-        fit_mean, _ = _mean_sd(r["final_mean_fitness"] for r in group)
-        spr_mean, _ = _mean_sd(r["spread"] for r in group)
-        aggregates[method] = {"final_mean_fitness_mean": fit_mean,
-                              "spread_mean": spr_mean}
-        lines.append(f"{method}: final mean fitness {fit_mean:.4f}, "
-                     f"spread {spr_mean:.4f}")
-    return rows, aggregates, lines
+    for method in CROSSOVER_METHODS:
+        rows += _runs(dict(settings, crossover=method), seed, spec,
+                      landscape_from_genes,
+                      columns=lambda genes, s: {"crossover": s["crossover"]})
+    aggregates, lines = _compare(rows, CROSSOVER_METHODS, key="crossover")
+    return rows, aggregates, [
+        f"repetitions per method: {settings['repetitions']}", *lines]
 
 
 def _random_compare(settings, seed):
-    spec = GeneSpec.numeric(settings["ranges"])
-    rows = []
-    for rep in range(settings["repetitions"]):
-        rep_seed = seed + rep
-        ga_row, record = _ga_row(spec, landscape_from_genes, settings,
-                                 rep_seed, rep)
-        rows.append(ga_row)
-        trace = random_scan(spec, landscape_from_genes,
-                            record.total_evaluations,
-                            settings["population"],
-                            np.random.default_rng(rep_seed))
-        rows.append(_row("random", rep, rep_seed, trace.kept_genes,
-                         trace.final_mean, trace.kept_fitness.max(),
-                         trace.evaluations[-1]))
-    ga_rows, rnd_rows = rows[::2], rows[1::2]
-    wins = sum(1 for g, r in zip(ga_rows, rnd_rows)
-               if g["final_mean_fitness"] > r["final_mean_fitness"])
-    ga_mean, _ = _mean_sd(r["final_mean_fitness"] for r in ga_rows)
-    rnd_mean, _ = _mean_sd(r["final_mean_fitness"] for r in rnd_rows)
-    aggregates = {
-        "ga_final_mean_fitness_mean": ga_mean,
-        "random_final_mean_fitness_mean": rnd_mean,
-        "ga_wins": wins,
-    }
-    lines = [
+    rows = _runs(settings, seed, GeneSpec.numeric(settings["ranges"]),
+                 landscape_from_genes, ("ga", "random"))
+    aggregates, lines = _compare(rows, ("ga", "random"))
+    aggregates["ga_wins"], wins = _wins(
+        rows, "final_mean_fitness", settings, "ga beat the random scan")
+    return rows, aggregates, [
         f"repetitions: {settings['repetitions']}, equal evaluation budgets",
-        f"ga final mean fitness {ga_mean:.4f}, random scan kept-set mean "
-        f"{rnd_mean:.4f}",
-        f"ga beat the random scan in {wins}/{settings['repetitions']} "
-        f"repetitions",
-    ]
-    return rows, aggregates, lines
+        *lines, wins]
 
 
 # name: (function, default settings), in the order EXPERIMENTS lists them.

@@ -12,7 +12,7 @@ d0, candidates far away lose nothing. Penalties accumulate over the
 picks of one selection pass and are discarded afterwards. With d0 = 0
 the procedure degenerates to plain truncation selection (top-N), and
 select_diverse owns that case: it returns select_top_n's picks, from
-one stable argsort, without preparing the pool.
+a partial sort, without preparing the pool.
 
 Each call prepares the pool once with the measure's prepare (see
 divga.distance): a built-in measure's kernel, which holds the pool in
@@ -50,43 +50,11 @@ left-out candidates are brought up to pick k, subtracting the
 penalties of picks 0 .. k-1 in order, and the per-pick route finishes
 the call from pick k. No full (n, n) matrix is built.
 
-The cap of MATRIX_ROUTE_MAX_VALUES = 1024 comes from timings of pools
-captured from GA runs: count = n / 2, a ridge landscape in g genes,
-generations 6-15, a 2-core host. Each entry is ms per call, per-pick /
-matrix, then how many of the 10 pools failed the pruning guess:
-
-    n     g=1                 g=2                 g=8
-    100   0.27 / 0.11  0/10   0.28 / 0.15  3/10   0.31 / 0.30 10/10
-    400   1.24 / 1.13 10/10   1.37 / 0.91  2/10   2.44 / 2.74 10/10
-    1024  3.72 / 5.54 10/10   4.56 / 5.28  7/10   8.59 / 12.36 10/10
-
-The matrix saves call overhead, so it pays while n * g is small. It
-loses once its m^2 * g entries cost more than the calls it saves
-(400 x 8, 1024 x 2, 1024 x 8). A guess that fails early also costs
-most of the per-pick route. On one-gene pools of this landscape the
-guess fails after 111-134 picks whatever n is, so one-gene pools of
-512 to 1024 rows, inside the cap, take 1.08-1.49 times the per-pick
-time.
-
-A size rule on n and g cannot see the landscape, and the guess fails
-in every pool of two landscapes the method is meant for. On one GA
-run each (n = 200, crossover none, 35 pools of 400 two-gene rows
-keeping 200, all inside the cap), it failed first at picks 19-26 on
-eight plateau islands in [0, 1]^2 and at picks 69-83 on Vincent 2-D,
-whose optima are log-spaced; the route took a median 1.28 and 1.12
-times the per-pick time there (min of 9 calls per pool, 2-core
-Xeon), against 0.52 on Shubert 2-D, where the guess held in every
-pool. A fix has to make a failed guess cheap, or see the plateau,
-rather than move the cap.
-
-Both routes pay one cost no benchmark pool shows: numpy's exp takes
-120-165 ns a value when its result is subnormal (an exponent r^2 *
-scale in about [-745, -708]) and 5-20 ns when it underflows to 0,
-against about 1.1 ns otherwise (numpy 2.4.6, 2-core Xeon). The
-benchmark's landscape and all-pairs pools hold no exponent below
--708, but a pool spread far beyond r0 can (37% of the exponents of a
-one-gene ridge pool spread over +-4.8 at r0 = 0.127), and its
-selection time can multiply.
+The cap of MATRIX_ROUTE_MAX_VALUES = 1024 values bounds the matrix's
+m^2 * g entries: the matrix saves call overhead, so it pays while n * g
+is small, and a guess that fails early costs most of the per-pick route
+as well. The route's timings, and the pools where its guess fails, are
+recorded in CHANGES.md.
 
 Both selectors take the whole candidate pool as arrays (a gene matrix
 and a fitness vector, one row per candidate) and return the indices of
@@ -123,7 +91,7 @@ def _checked_fitness(fitness, count: int) -> np.ndarray:
 
 # The penalty-matrix route is taken by pools of at most this many gene
 # values (rows times genes) that keep at least half their rows; see the
-# module docstring for the costs behind it.
+# module docstring.
 MATRIX_ROUTE_MAX_VALUES = 1024
 # Row blocks of the penalty matrix are built in buffers of about this
 # many values.
@@ -161,7 +129,7 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
         working = np.empty(count)
     d0 = diversity.d0
     if d0 == 0.0:
-        picks = select_top_n(fitness, count)
+        picks = _top_n(fitness, count)
         working[:] = fitness[picks]
         return picks
     rows = measure.prepare(genes)
@@ -251,5 +219,17 @@ def _matrix_picks(rows, work: np.ndarray, d0: float, scale: float,
 
 def select_top_n(fitness, count: int) -> np.ndarray:
     """Indices of the count best by raw fitness, ties toward the lowest index."""
-    fitness = _checked_fitness(fitness, count)
-    return np.argsort(-fitness, kind="stable")[:count]
+    return _top_n(_checked_fitness(fitness, count), count)
+
+
+def _top_n(fitness: np.ndarray, count: int) -> np.ndarray:
+    """np.argsort(-fitness, kind="stable")[:count], without sorting the
+    whole pool: only the values at or above the count-th best are sorted.
+    Ties at it sort last, by index, so the cut keeps the lowest-index
+    ones."""
+    if count == 0:
+        return np.empty(0, dtype=np.intp)
+    neg = -fitness
+    kth = np.partition(neg, count - 1)[count - 1]
+    kept = np.flatnonzero(neg <= kth)
+    return kept[np.argsort(neg[kept], kind="stable")[:count]]

@@ -9,6 +9,7 @@ import pytest
 
 from divga import (
     DEConfig,
+    DiversityEnhanced,
     EngineConfig,
     GeneSpec,
     angular_bin_occupancy,
@@ -21,6 +22,7 @@ from divga import (
     run_experiment,
     spread,
 )
+from divga import bench
 from divga.bench import (
     CHARGES,
     _charge_vector,
@@ -31,6 +33,7 @@ from divga.bench import (
     scd_from_genes,
 )
 from divga.errors import ConfigError
+from divga.variation import CROSSOVER_METHODS
 
 from conftest import PerRow
 
@@ -558,6 +561,35 @@ class TestRunExperiment:
         assert methods == {"midpoint", "eitheror", "between", "none"}
         assert len(report.rows) == 4
 
+    def test_crossover_sweep_rows_method_outer(self):
+        """Each method runs every repetition before the next method, and
+        the seeds restart at the master seed for each method."""
+        report = run_experiment(
+            "crossover-sweep",
+            overrides={"repetitions": 2, "generations": 2, "population": 8},
+            seed=5)
+        assert [(r["crossover"], r["repetition"], r["seed"])
+                for r in report.rows] == [
+            (method, rep, 5 + rep) for method in CROSSOVER_METHODS
+            for rep in range(2)]
+        for method in CROSSOVER_METHODS:
+            group = [r for r in report.rows if r["crossover"] == method]
+            stats = report.aggregates[method]
+            assert stats["final_mean_fitness_mean"] == pytest.approx(
+                np.mean([r["final_mean_fitness"] for r in group]))
+            assert stats["spread_sd"] == pytest.approx(
+                np.std([r["spread"] for r in group], ddof=1))
+
+    def test_crossover_sweep_rejects_a_crossover(self, tmp_path,
+                                                 monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "run", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match="takes no crossover"):
+            run_experiment("crossover-sweep", overrides={
+                "repetitions": 1, "generations": 2, "population": 8,
+                "crossover": "none"}, output_directory=tmp_path)
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
     def test_random_compare_small(self):
         report = run_experiment(
             "random-compare",
@@ -569,6 +601,49 @@ class TestRunExperiment:
         for g, r in zip(ga_rows, rnd_rows):
             assert g["evaluations"] == r["evaluations"]
         assert 0 <= report.aggregates["ga_wins"] <= 2
+
+    @pytest.mark.parametrize("name, rival", [
+        ("landscape-compare", "de"), ("random-compare", "random")])
+    def test_rows_equal_direct_calls(self, name, rival):
+        """Each row is what a direct call at seed + r gives; the scan runs
+        at its repetition's GA evaluations."""
+        settings = {"repetitions": 2, "generations": 3, "population": 10}
+        report = run_experiment(name, overrides=settings, seed=4)
+        spec = GeneSpec.numeric(bench._EXPERIMENTS[name][1]["ranges"])
+        fitness = landscape_from_genes
+        assert [(r["algorithm"], r["repetition"], r["seed"])
+                for r in report.rows] == [
+            ("ga", 0, 4), (rival, 0, 4), ("ga", 1, 5), (rival, 1, 5)]
+        for ga_row, rival_row in zip(report.rows[::2], report.rows[1::2]):
+            seed = ga_row["seed"]
+            record = run(spec, fitness, EngineConfig(
+                population_size=10, n_generations=3, crossover="none",
+                selection=DiversityEnhanced(d0=1.0), seed=seed,
+                verbosity=0))
+            genes = record.final_population.genes
+            want = [(ga_row, genes, record.mean_fitness[-1],
+                     record.best_fitness[-1], record.total_evaluations)]
+            if rival == "de":
+                de = run_de(spec, fitness, DEConfig(
+                    population_size=10, n_generations=3, seed=seed))
+                want.append((rival_row, de.genes, de.mean_fitness[-1],
+                             de.best_fitness[-1], de.total_evaluations))
+            else:
+                trace = random_scan(spec, fitness, record.total_evaluations,
+                                    10, np.random.default_rng(seed))
+                want.append((rival_row, trace.kept_genes, trace.final_mean,
+                             trace.kept_fitness.max(),
+                             trace.evaluations[-1]))
+                assert rival_row["evaluations"] == ga_row["evaluations"]
+            for row, genes, mean, best, evaluations in want:
+                assert row["final_mean_fitness"] == mean
+                assert row["best_fitness"] == best
+                assert row["spread"] == spread(genes)
+                assert row["evaluations"] == evaluations
+        assert report.aggregates["ga"]["final_mean_fitness_mean"] == \
+            pytest.approx(np.mean([r["final_mean_fitness"]
+                                   for r in report.rows[::2]]))
+        assert rival in report.aggregates
 
     def test_summary_mentions_experiment(self):
         report = run_experiment(

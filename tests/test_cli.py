@@ -49,3 +49,11 @@ class TestMain:
                      "--workers", "0",
                      "--out", str(tmp_path)])
         assert code == 0
+
+    def test_crossover_sweep_with_a_crossover_fails(self, tmp_path, capsys):
+        code = main(["crossover-sweep", "--crossover", "none",
+                     "--repetitions", "1", "--generations", "2",
+                     "--population", "8", "--out", str(tmp_path)])
+        assert code == 1
+        assert "takes no crossover option" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

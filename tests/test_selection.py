@@ -574,6 +574,22 @@ class TestSelectionProperties:
         if buffer:
             assert working.tobytes() == fitness[got].tobytes()
 
+    @given(st.lists(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf])
+                    | st.floats(-2, 2, allow_nan=False), max_size=40),
+           st.data())
+    @settings(max_examples=300)
+    def test_top_n_equals_stable_argsort(self, values, data):
+        """The partial sort picks what a stable argsort of the whole pool
+        picks, in its order, on heavy ties, +-inf and -0.0 next to 0.0,
+        from count = 0 to count = n."""
+        fitness = np.array(values, dtype=float)
+        count = data.draw(st.sampled_from([0, len(fitness)])
+                          | st.integers(0, len(fitness)))
+        got = select_top_n(fitness, count)
+        assert got.dtype == np.intp
+        assert got.tolist() == np.argsort(-fitness, kind="stable")[
+            :count].tolist()
+
     @given(pools(min_size=2), st.floats(0.0, 3.0), radii,
            st.permutations(range(9)), st.randoms())
     @settings(max_examples=100)
