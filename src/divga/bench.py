@@ -178,9 +178,11 @@ def _ga(spec, fitness, settings, seed, budget):
 
 
 def _de(spec, fitness, settings, seed, budget):
+    population = settings["population"]
     de = run_de(spec, fitness, DEConfig(
-        population_size=settings["population"],
-        n_generations=settings["generations"], seed=seed,
+        population_size=population,
+        n_generations=(settings["generations"] if budget is None
+                       else budget // population - 1), seed=seed,
         parallel_workers=settings.get("workers", 0)))
     return (de.genes, de.mean_fitness[-1], de.best_fitness[-1],
             de.total_evaluations)
@@ -195,7 +197,8 @@ def _random(spec, fitness, settings, seed, budget):
 
 # algorithm: (spec, fitness, settings, seed, budget) -> (final genes, final
 # mean fitness, best fitness, evaluations), budget None for a repetition's
-# first method. Top-N is the GA at d0 = 0; DE runs its own generations.
+# first method. Top-N is the GA at d0 = 0; DE runs the most whole
+# generations that fit in the budget.
 _METHODS = {"ga": _ga, "de": _de, "random": _random}
 
 

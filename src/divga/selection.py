@@ -12,7 +12,7 @@ d0, candidates far away lose nothing. Penalties accumulate over the
 picks of one selection pass and are discarded afterwards. With d0 = 0
 the procedure degenerates to plain truncation selection (top-N), and
 select_diverse owns that case: it returns select_top_n's picks, from
-a partial sort, without preparing the pool.
+one stable argsort, without preparing the pool.
 
 Each call prepares the pool once with the measure's prepare (see
 divga.distance): a built-in measure's kernel, which holds the pool in
@@ -223,13 +223,4 @@ def select_top_n(fitness, count: int) -> np.ndarray:
 
 
 def _top_n(fitness: np.ndarray, count: int) -> np.ndarray:
-    """np.argsort(-fitness, kind="stable")[:count], without sorting the
-    whole pool: only the values at or above the count-th best are sorted.
-    Ties at it sort last, by index, so the cut keeps the lowest-index
-    ones."""
-    if count == 0:
-        return np.empty(0, dtype=np.intp)
-    neg = -fitness
-    kth = np.partition(neg, count - 1)[count - 1]
-    kept = np.flatnonzero(neg <= kth)
-    return kept[np.argsort(neg[kept], kind="stable")[:count]]
+    return np.argsort(-fitness, kind="stable")[:count]

@@ -645,6 +645,15 @@ class TestRunExperiment:
                                    for r in report.rows[::2]]))
         assert rival in report.aggregates
 
+    def test_de_runs_at_the_ga_budget_under_all_pairs(self):
+        """All-pairs GA generations evaluate more children than DE's, so
+        DE runs more generations: 8 + 2 x 28 = 64 evaluations each."""
+        report = run_experiment("landscape-compare", overrides={
+            "population": 8, "generations": 2, "repetitions": 1,
+            "pairing": "all", "crossover": "midpoint"})
+        ga_row, de_row = report.rows
+        assert ga_row["evaluations"] == de_row["evaluations"] == 64
+
     def test_summary_mentions_experiment(self):
         report = run_experiment(
             "circle",

@@ -579,9 +579,8 @@ class TestSelectionProperties:
            st.data())
     @settings(max_examples=300)
     def test_top_n_equals_stable_argsort(self, values, data):
-        """The partial sort picks what a stable argsort of the whole pool
-        picks, in its order, on heavy ties, +-inf and -0.0 next to 0.0,
-        from count = 0 to count = n."""
+        """The picks are a stable argsort's, in its order, on heavy ties,
+        +-inf and -0.0 next to 0.0, from count = 0 to count = n."""
         fitness = np.array(values, dtype=float)
         count = data.draw(st.sampled_from([0, len(fitness)])
                           | st.integers(0, len(fitness)))
