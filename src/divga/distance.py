@@ -2,8 +2,7 @@
 
 All measures return squared distances: the diversity penalty consumes
 r^2 directly, so no square root is ever taken. Measures are symmetric,
-non-negative and zero on identical vectors; user-supplied measures are
-expected to satisfy the same contract and are spot-checked for symmetry.
+non-negative and zero on identical vectors.
 
 Each built-in measure writes its formula once, in a kernel: a
 PreparedRows subclass that holds the matrix in the layout the formula
@@ -20,9 +19,12 @@ left to right, so each distance equals its scalar formula evaluated in
 Python bit for bit, whatever the number of genes and the memory order
 of the matrix.
 
-A measure that defines its own to_point, a user measure or a subclass
-of a built-in one that overrides it, is measured through that to_point
-everywhere, rows_to included.
+One rule, _through_to_point, says how a measure reads genes. A kernel
+reads the run's genes, numbers or Hamming's category codes. A measure
+with no kernel, or that overrides a built-in to_point, is measured
+through that to_point everywhere, on the genes the fitness sees
+(labels for a categorical genome), and a run spot-checks it for
+symmetry. Only the Euclidean and dynamic kernels reject labels.
 """
 
 from __future__ import annotations
@@ -63,12 +65,17 @@ class DistanceMeasure:
 
     def prepare(self, matrix: np.ndarray) -> PreparedRows:
         """matrix made ready for repeated rows_to calls: the measure's
-        kernel, or, when the measure has none or defines its own
-        to_point, a PreparedRows that calls to_point."""
-        if (self.kernel is None
-                or type(self).to_point is not DistanceMeasure.to_point):
+        kernel, or a PreparedRows that calls to_point (_through_to_point)."""
+        if _through_to_point(self):
             return PreparedRows(self, matrix)
         return self.kernel(self, matrix)
+
+
+def _through_to_point(measure: DistanceMeasure) -> bool:
+    """Whether measure is measured through its own to_point: it has no
+    kernel, or it overrides a built-in to_point (see the module)."""
+    return (measure.kernel is None
+            or type(measure).to_point is not DistanceMeasure.to_point)
 
 
 class PreparedRows:
@@ -129,9 +136,6 @@ class _EuclideanRows(PreparedRows):
     def to(self, point, out=None):
         return self._distances(point[:, None], out, self._work)
 
-    def rows_to(self, i, out):
-        return self._distances(self._genes[:, i, None], out, self._work)
-
     def block_to(self, points: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Squared distances from each row of the (b, g) points to every
         row, written into the (b, n) out; returns out, whose row k is bit
@@ -160,7 +164,7 @@ class EuclideanSq(DistanceMeasure):
 class _DynamicRows(_EuclideanRows):
     """The dynamic kernel on _EuclideanRows's layout, with one more
     buffer for the scales. The absolute values of the matrix are taken
-    once, so measuring against one of its rows reuses that row's."""
+    once."""
 
     def __init__(self, measure, matrix):
         super().__init__(measure, matrix)
@@ -170,17 +174,9 @@ class _DynamicRows(_EuclideanRows):
     def _buffers(shape):
         return np.empty(shape), np.empty(shape)
 
-    def rows_to(self, i, out):
-        return self._distances(self._genes[:, i, None], out, self._work,
-                               self._abs[:, i, None])
-
-    def _distances(self, points, out, work, magnitudes=None):
-        """As _EuclideanRows; magnitudes is |points|, taken here when
-        None."""
+    def _distances(self, points, out, work):
         diff, scale = work
-        if magnitudes is None:
-            magnitudes = np.abs(points)
-        scale = np.add(self._abs, magnitudes, out=scale)
+        scale = np.add(self._abs, np.abs(points), out=scale)
         scale += self.measure.epsilon
         diff = np.subtract(self._genes, points, out=diff)
         diff /= scale
@@ -265,9 +261,9 @@ def get_measure(measure, labels: bool = False) -> DistanceMeasure:
     """Resolve a measure name, callable or instance to a DistanceMeasure
     for label genes (labels true) or numeric genes.
 
-    None picks the default: Hamming for labels, Euclidean otherwise. A
-    Euclidean or dynamic measure subtracts genes, so it raises
-    ConfigError on labels.
+    None picks the default: Hamming for labels, Euclidean otherwise. The
+    Euclidean and dynamic kernels subtract genes, so a measure they
+    measure (see _through_to_point) raises ConfigError on labels.
     """
     if measure is None:
         measure = HammingSq() if labels else EuclideanSq()
@@ -280,7 +276,8 @@ def get_measure(measure, labels: bool = False) -> DistanceMeasure:
                 f"unknown distance measure {measure!r}; "
                 f"choose from {sorted(_NAMED)} or pass a callable")
         measure = _NAMED[name]()
-    if labels and isinstance(measure, (EuclideanSq, DynamicSq)):
+    if (labels and not _through_to_point(measure)
+            and issubclass(measure.kernel, _EuclideanRows)):
         raise ConfigError(f"the {measure.name} measure needs numeric genes; "
                           f"use hamming or a callable on labels")
     return measure

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import pickle
 import time
 import warnings
@@ -51,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distance import CustomMeasure, HammingSq, default_r0, get_measure
+from .distance import _through_to_point, default_r0, get_measure
 from .errors import ConfigError, FitnessEvaluationError
 from .genome import GeneSpec, _check_integer, _check_real, seed_population
 # select_top_n is not called here; perfbench's tracer patches it by name.
@@ -105,14 +106,14 @@ class DiversityEnhanced:
     def resolve(self, spec: GeneSpec, genes: np.ndarray) -> "DiversityEnhanced":
         """Copy with measure and r0 filled in from the initial gene matrix.
 
-        Warns when a callable measure is asymmetric on a sampled pair,
-        and when r0 must come from an initial population with no spread,
-        or too little for a usable r0 (r0 falls back to 1). Raises
-        ConfigError for a numeric measure (Euclidean or dynamic) on a
-        categorical genome (see get_measure).
+        Warns when a measure measured through its own to_point is
+        asymmetric on a pair of the first three rows, and when r0 must
+        come from an initial population with too little spread for a
+        usable r0 (r0 falls back to 1). Raises ConfigError for a
+        Euclidean or dynamic kernel on labels (see divga.distance).
         """
         measure = get_measure(self.measure, labels=not spec.is_numeric)
-        if isinstance(measure, CustomMeasure):
+        if _through_to_point(measure):
             _warn_if_asymmetric(measure, spec.decode(genes[:3]))
         r0 = self.r0
         if r0 is None and spec.is_numeric and self.d0 > 0:
@@ -135,8 +136,10 @@ def _usable_r0(r0) -> bool:
 
 
 def _warn_if_asymmetric(measure, rows):
+    """Measures each pair both ways, through to_point on one-row matrices."""
     for i, j in itertools.combinations(range(len(rows)), 2):
-        forward, backward = measure(rows[i], rows[j]), measure(rows[j], rows[i])
+        forward, backward = (float(measure.to_point(rows[a:a + 1], rows[b])[0])
+                             for a, b in ((i, j), (j, i)))
         if not math.isclose(forward, backward, rel_tol=1e-9, abs_tol=1e-12):
             warnings.warn(
                 f"distance measure is asymmetric on a sampled pair: "
@@ -149,9 +152,10 @@ class EngineConfig:
     """Everything a run needs besides the genome spec and the fitness.
 
     Frozen, and checked when built (ConfigError): the integer settings
-    (seed included) and their ranges, fitness_threshold None or a number
-    other than NaN, pairing, verbosity and the mutation and selection
-    types. run checks only the choices that depend on the genome.
+    (seed and verbosity included) and their ranges, fitness_threshold
+    None or a number other than NaN, pairing, output_directory None, a
+    str or an os.PathLike, and the mutation and selection types. run
+    checks only the choices that depend on the genome.
 
     Attributes:
         population_size: survivors kept each generation, at least 2.
@@ -199,8 +203,13 @@ class EngineConfig:
                 raise ConfigError("fitness_threshold cannot be NaN")
         if self.pairing not in PAIRING_STRATEGIES:
             raise ConfigError(f"unknown pairing strategy {self.pairing!r}")
+        _check_integer("verbosity", self.verbosity)
         if self.verbosity not in (0, 1, 2):
             raise ConfigError("verbosity must be 0, 1 or 2")
+        if not isinstance(self.output_directory, (str, os.PathLike,
+                                                  type(None))):
+            raise ConfigError(f"output_directory must be a path or None, "
+                              f"not {self.output_directory!r}")
         if not isinstance(self.selection, DiversityEnhanced):
             raise ConfigError(f"selection must be a DiversityEnhanced, not "
                               f"{self.selection!r}")
@@ -430,10 +439,13 @@ def evaluate_population(genes, fitness, values: np.ndarray,
     row as a one-row matrix, so the error reports the failing row and
     the message the per-row path gives; if every row then succeeds,
     those values stand. Every other fitness is called once per row.
-    values of another length than genes is a ConfigError before any
-    fitness call.
+    values that is not a float64 vector as long as genes is a
+    ConfigError before any fitness call.
     """
     n = len(genes)
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.ndim == 1):
+        raise ConfigError("values must be a float64 vector")
     if len(values) != n:
         raise ConfigError(f"{len(values)} values for {n} gene rows")
     if pool is None:
@@ -640,10 +652,9 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
             pool_values = np.concatenate([values, np.empty(len(children))])
             cumulative += evaluate_population(spec.decode(children), bound,
                                               pool_values[n:], workers)
-            # Hamming compares codes; any other measure sees the genes the
-            # fitness sees.
-            seen = (pool_genes if isinstance(diversity.measure, HammingSq)
-                    else spec.decode(pool_genes))
+            # A kernel reads codes; see divga.distance.
+            seen = (spec.decode(pool_genes)
+                    if _through_to_point(diversity.measure) else pool_genes)
             picks = select_diverse(seen, pool_values, n, diversity, working)
             genes, values = pool_genes[picks], pool_values[picks]
             previous_best = best

@@ -168,6 +168,18 @@ def test_settings_types_check_themselves():
     (lambda: EngineConfig(population_size=4, n_generations=1, verbosity=7),
      "verbosity must be 0, 1 or 2"),
     (lambda: EngineConfig(population_size=4, n_generations=1,
+                          verbosity=True),
+     "verbosity must be an integer, not True"),
+    (lambda: EngineConfig(population_size=4, n_generations=1,
+                          verbosity=1.0),
+     "verbosity must be an integer, not 1.0"),
+    (lambda: EngineConfig(population_size=4, n_generations=1,
+                          output_directory=5),
+     "output_directory must be a path or None, not 5"),
+    (lambda: EngineConfig(population_size=4, n_generations=1,
+                          output_directory=b"out"),
+     "output_directory must be a path or None, not b'out'"),
+    (lambda: EngineConfig(population_size=4, n_generations=1,
                           selection="roulette"),
      "selection must be a DiversityEnhanced"),
     (lambda: DEConfig(population_size=3, n_generations=1),

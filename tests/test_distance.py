@@ -119,6 +119,26 @@ class TestGetMeasure:
         with pytest.raises(ConfigError, match="unknown distance measure"):
             get_measure("manhattan")
 
+    def test_only_the_numeric_kernels_are_rejected_on_labels(self):
+        """The built-in Euclidean and dynamic measures, and a subclass
+        that keeps their to_point, subtract genes: ConfigError on
+        labels. A subclass that overrides to_point is measured through
+        it, and accepted."""
+        class Renamed(EuclideanSq):
+            name = "renamed"
+
+        for measure, name in ((EuclideanSq(), "euclidean"),
+                              ("dynamic", "dynamic"), (Renamed(), "renamed")):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"the {name} measure needs numeric genes; use hamming "
+                    f"or a callable on labels")):
+                get_measure(measure, labels=True)
+        own = Mismatches()
+        for base in (EuclideanSq, DynamicSq):
+            measure = type("Own", (base,), {"to_point": Mismatches.to_point})()
+            assert get_measure(measure, labels=True) is measure
+        assert get_measure(own, labels=True) is own
+
 
 class TestToPoint:
     """The vectorized one-vs-many form must agree with scalar calls."""

@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 
 from divga import (
     ConfigError,
+    DistanceMeasure,
     DiversityEnhanced,
     DynamicSq,
     EngineConfig,
     EuclideanSq,
     FitnessEvaluationError,
     GeneSpec,
+    HammingSq,
     RunRecord,
     WorkerPool,
     evaluate_population,
@@ -95,6 +97,20 @@ class TestEvaluatePopulation:
         with pytest.raises(ConfigError,
                            match=f"{n_values} values for 3 gene rows"):
             evaluate_population(genes, fitness, np.empty(n_values))
+        assert fitness.calls == 0
+
+    @pytest.mark.parametrize("values", [
+        np.zeros(3, dtype=int), np.zeros(3, dtype=np.float32),
+        np.zeros((3, 1)), [0.0, 0.0, 0.0]],
+        ids=["int", "float32", "column", "list"])
+    def test_values_not_a_float64_vector_rejected_before_any_call(
+            self, numeric_spec, rng, values):
+        """Fitness 0.9 written into an int buffer would be stored as 0."""
+        genes = seed_population(numeric_spec, 3, rng)
+        fitness = CountingFitness()
+        with pytest.raises(ConfigError,
+                           match="values must be a float64 vector"):
+            evaluate_population(genes, fitness, values)
         assert fitness.calls == 0
 
     def test_parallel_matches_sequential(self, numeric_spec, rng):
@@ -830,13 +846,87 @@ class TestDiversityResolution:
         assert len(record.populations) == 3
 
     def test_asymmetric_measure_warns(self, numeric_spec):
+        """A callable and a DistanceMeasure subclass are both measured
+        through their own to_point, so both are spot-checked."""
         def lopsided(a, b):
             return float(abs(a[0]) + 2 * abs(b[0]))
 
-        config = quiet(population_size=6, n_generations=1, seed=0,
-                       selection=DiversityEnhanced(measure=lopsided))
-        with pytest.warns(UserWarning, match="asymmetric"):
-            run(numeric_spec, sphere_fitness, config)
+        class Lopsided(DistanceMeasure):
+            def to_point(self, matrix, point, out=None):
+                return np.array([lopsided(row, point) for row in matrix])
+
+        for measure in (lopsided, Lopsided()):
+            config = quiet(population_size=6, n_generations=1, seed=0,
+                           selection=DiversityEnhanced(measure=measure))
+            with pytest.warns(UserWarning, match="asymmetric"):
+                run(numeric_spec, sphere_fitness, config)
+
+    def test_label_subclass_with_default_dtype_runs(self, cat_spec):
+        """A DistanceMeasure subclass that reads labels keeps the float
+        dtype of the base class: the symmetry spot check measures it
+        through to_point, not through a float conversion of labels."""
+        class LabelMismatches(DistanceMeasure):
+            def to_point(self, matrix, point, out=None):
+                assert set(matrix.ravel().tolist()) <= {"E", "K"}
+                counts = np.mean(matrix != point, axis=1)
+                if out is None:
+                    return counts
+                out[:] = counts
+                return out
+
+        config = quiet(population_size=6, n_generations=2, seed=4,
+                       selection=DiversityEnhanced(measure=LabelMismatches()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = run(cat_spec, label_count_fitness, config)
+        assert len(record.populations) == 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_hamming_subclass_sees_labels_and_picks_alike(self, seed):
+        """A HammingSq subclass that overrides to_point, calling the
+        built-in one, is measured through it on labels; the built-in
+        Hamming kernel reads codes. Both give the same survivors and
+        fitness on a three-label genome."""
+        class LabelHamming(HammingSq):
+            def to_point(self, matrix, point, out=None):
+                self.dtypes.add((matrix.dtype, point.dtype))
+                return super().to_point(matrix, point, out)
+
+        spec = GeneSpec.categorical(("E", "K", "Q"), 6)
+        subclass = LabelHamming()
+        subclass.dtypes = set()
+        records, seen = [], []
+        real = divga.engine.select_diverse
+
+        def spy(genes, *args):
+            seen.append(genes.dtype)
+            return real(genes, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(divga.engine, "select_diverse", spy)
+            for measure in (HammingSq(), subclass):
+                config = quiet(population_size=8, n_generations=4, seed=seed,
+                               selection=DiversityEnhanced(measure=measure))
+                records.append(run(spec, label_count_fitness, config))
+        assert seen == [spec.gene_dtype] * 4 + [np.dtype(object)] * 4
+        assert subclass.dtypes == {(np.dtype(object), np.dtype(object))}
+        builtin, label = records
+        for mine, theirs in zip(builtin.populations, label.populations):
+            assert mine.genes.tolist() == theirs.genes.tolist()
+            assert mine.fitness.tobytes() == theirs.fitness.tobytes()
+
+    def test_euclidean_subclass_with_own_to_point_runs_on_labels(
+            self, cat_spec):
+        """An EuclideanSq subclass that overrides to_point is measured
+        through it, so it is accepted on a categorical genome."""
+        class LabelEuclidean(EuclideanSq):
+            def to_point(self, matrix, point, out=None):
+                return np.count_nonzero(matrix != point, axis=1).astype(float)
+
+        config = quiet(population_size=6, n_generations=2, seed=4,
+                       selection=DiversityEnhanced(measure=LabelEuclidean()))
+        record = run(cat_spec, label_count_fitness, config)
+        assert len(record.populations) == 3
 
 
 class TestFailureHandling:

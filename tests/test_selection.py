@@ -790,6 +790,48 @@ class TestRoutes:
             assert len(taken) == matrix, (shape, d0, measure, count)
 
 
+class TestWorkingBuffer:
+    """select_diverse's working buffer: a shorter one is a ConfigError,
+    a longer one gets the first count entries, at d0 = 0 and 1, on both
+    routes."""
+
+    ROUTES = pytest.mark.parametrize("count, matrix", [(6, True), (2, False)],
+                                     ids=["matrix_route", "per_pick_route"])
+
+    @ROUTES
+    @pytest.mark.parametrize("d0", [0.0, 1.0])
+    def test_longer_buffer_gets_the_first_count_entries(self, rng, count,
+                                                        matrix, d0):
+        genes = rng.uniform(-1, 1, size=(10, 2))
+        fitness = rng.uniform(0, 1, size=10)
+        diversity = DiversityEnhanced(d0=d0, r0=0.5)
+        exact = np.empty(count)
+        want = select_diverse(genes, fitness, count, diversity, exact)
+        longer = np.full(count + 3, 7.0)
+        with matrix_route_spy() as taken:
+            got = select_diverse(genes, fitness, count, diversity, longer)
+        assert len(taken) == (matrix and d0 > 0)
+        assert got.tolist() == want.tolist()
+        assert longer[:count].tobytes() == exact.tobytes()
+        assert longer[count:].tolist() == [7.0] * 3
+
+    @ROUTES
+    @pytest.mark.parametrize("d0", [0.0, 1.0])
+    def test_shorter_buffer_rejected_before_any_work(self, rng, count,
+                                                     matrix, d0):
+        genes = rng.uniform(-1, 1, size=(10, 2))
+        fitness = rng.uniform(0, 1, size=10)
+        short = np.full(count - 1, 7.0)
+        with matrix_route_spy() as taken:
+            with pytest.raises(ConfigError, match=f"working has {count - 1} "
+                                                  f"entries for {count} "
+                                                  f"survivors"):
+                select_diverse(genes, fitness, count,
+                               DiversityEnhanced(d0=d0, r0=0.5), short)
+        assert taken == []
+        assert short.tolist() == [7.0] * (count - 1)
+
+
 class TestSelectionMemory:
     """tracemalloc peak of one select_diverse call on a two-gene pool."""
 
