@@ -107,12 +107,13 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
     penalty around the pick from every candidate; picked rows are
     masked out. At d0 = 0 the picks are select_top_n's. When working is
     given, working[k] receives the working fitness of pick k at the
-    moment it was picked, for k < count; a working shorter than count
-    is a ConfigError before any work, and entries past count are left
-    as they are. Label genes (object or string dtype) resolve
-    the measure as get_measure does for labels: None is Hamming, and
-    Euclidean or dynamic raises ConfigError. The inputs are not
-    modified; calling twice on the same pool gives the same result.
+    moment it was picked, for k < count; entries past count are left as
+    they are, and a working that is not a float64 vector of at least
+    count entries is a ConfigError before any work. Label genes (object
+    or string dtype) resolve the measure as get_measure does for
+    labels: None is Hamming, and a Euclidean or dynamic kernel raises
+    ConfigError. The inputs are not modified; calling twice on the same
+    pool gives the same result.
     """
     fitness = _checked_fitness(fitness, count)
     genes = np.asarray(genes)
@@ -129,9 +130,10 @@ def select_diverse(genes: np.ndarray, fitness, count: int, diversity,
     measure = get_measure(diversity.measure, labels=genes.dtype.kind in "OSU")
     if working is None:
         working = np.empty(count)
-    elif len(working) < count:
-        raise ConfigError(f"working has {len(working)} entries for "
-                          f"{count} survivors")
+    elif not (isinstance(working, np.ndarray) and working.dtype == np.float64
+              and working.ndim == 1 and len(working) >= count):
+        raise ConfigError(f"working must be a float64 vector of at least "
+                          f"{count} entries")
     d0 = diversity.d0
     if d0 == 0.0:
         picks = _top_n(fitness, count)

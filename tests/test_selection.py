@@ -791,9 +791,9 @@ class TestRoutes:
 
 
 class TestWorkingBuffer:
-    """select_diverse's working buffer: a shorter one is a ConfigError,
-    a longer one gets the first count entries, at d0 = 0 and 1, on both
-    routes."""
+    """select_diverse's working buffer: a shorter one, or one that is not
+    a float64 vector, is a ConfigError; a longer one gets the first
+    count entries. At d0 = 0 and 1, on both routes."""
 
     ROUTES = pytest.mark.parametrize("count, matrix", [(6, True), (2, False)],
                                      ids=["matrix_route", "per_pick_route"])
@@ -817,19 +817,25 @@ class TestWorkingBuffer:
 
     @ROUTES
     @pytest.mark.parametrize("d0", [0.0, 1.0])
-    def test_shorter_buffer_rejected_before_any_work(self, rng, count,
-                                                     matrix, d0):
+    @pytest.mark.parametrize("bad", ["short", "int", "column"])
+    def test_bad_buffer_rejected_before_any_work(self, rng, count, matrix,
+                                                 d0, bad):
+        """A buffer shorter than count, or not a float64 vector (an int
+        buffer would truncate the working fitness), is a ConfigError."""
         genes = rng.uniform(-1, 1, size=(10, 2))
         fitness = rng.uniform(0, 1, size=10)
-        short = np.full(count - 1, 7.0)
+        buffer = {"short": np.full(count - 1, 7.0),
+                  "int": np.full(count, 7),
+                  "column": np.full((count, 1), 7.0)}[bad]
+        before = buffer.copy()
         with matrix_route_spy() as taken:
-            with pytest.raises(ConfigError, match=f"working has {count - 1} "
-                                                  f"entries for {count} "
-                                                  f"survivors"):
+            with pytest.raises(ConfigError, match=f"working must be a float64 "
+                                                  f"vector of at least "
+                                                  f"{count} entries"):
                 select_diverse(genes, fitness, count,
-                               DiversityEnhanced(d0=d0, r0=0.5), short)
+                               DiversityEnhanced(d0=d0, r0=0.5), buffer)
         assert taken == []
-        assert short.tolist() == [7.0] * (count - 1)
+        assert buffer.tobytes() == before.tobytes()
 
 
 class TestSelectionMemory:
