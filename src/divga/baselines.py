@@ -184,13 +184,10 @@ def random_scan(spec: GeneSpec, fitness, total_evaluations: int,
     same numbers as one at a time), evaluates them in order, checked as
     in run, and records after every draw the mean fitness of the running
     set of the keep_best highest-fitness points. rng must be a
-    numpy.random.Generator.
+    numpy.random.Generator (seed_population checks it).
     """
     if not spec.is_numeric:
         raise ConfigError("random scan needs a numeric genome")
-    if not isinstance(rng, np.random.Generator):
-        raise ConfigError(
-            f"rng must be a numpy.random.Generator, not {rng!r}")
     _check_integer("total_evaluations", total_evaluations)
     _check_integer("keep_best", keep_best)
     if not 1 <= keep_best <= total_evaluations:

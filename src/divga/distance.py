@@ -25,6 +25,17 @@ with no kernel, or that overrides a built-in to_point, is measured
 through that to_point everywhere, on the genes the fitness sees
 (labels for a categorical genome), and a run spot-checks it for
 symmetry. Only the Euclidean and dynamic kernels reject labels.
+
+The one scalar form, measure(a, b), is to_point on a one-row matrix.
+It reads both vectors by the rule a run uses for genes: numbers become
+a float64 vector, anything else (a string's characters, labels) an
+object array, labels being told as select_diverse tells them (dtype
+kind O, S or U; a numpy vector keeps its dtype). Vectors of different
+or zero length raise ConfigError, and the measure is resolved by
+get_measure with labels set accordingly. So a subclass whose to_point
+reads labels measures labels, the Euclidean and dynamic measures reject
+strings ("needs numeric genes") as a run does, and a callable gets
+numpy vectors, as inside a run.
 """
 
 from __future__ import annotations
@@ -39,20 +50,24 @@ class DistanceMeasure:
 
     A built-in measure names its kernel, from which to_point follows;
     any other measure defines to_point. Calling a measure on two gene
-    vectors applies to_point to one row; a string counts as the
-    sequence of its characters.
+    vectors is the one scalar form: to_point on a one-row matrix, after
+    get_measure's checks (see the module).
     """
 
     name = "custom"
-    dtype = float
     kernel: type[PreparedRows] | None = None
 
     def __call__(self, a, b) -> float:
+        a, b = (np.array(list(v), getattr(v, "dtype", None)) for v in (a, b))
         if len(a) != len(b):
             raise ConfigError(
                 f"gene vectors differ in length: {len(a)} vs {len(b)}")
-        a, b = (np.array(list(v), dtype=self.dtype) for v in (a, b))
-        return float(self.to_point(a[None, :], b)[0])
+        if len(a) == 0:
+            raise ConfigError("empty gene vectors")
+        labels = a.dtype.kind in "OSU" or b.dtype.kind in "OSU"
+        a, b = (v.astype(object if labels else float) for v in (a, b))
+        measure = get_measure(self, labels=labels)
+        return float(measure.to_point(a[None, :], b)[0])
 
     def to_point(self, matrix: np.ndarray, point: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
@@ -223,13 +238,7 @@ class HammingSq(DistanceMeasure):
     to_point compares labels or category codes alike."""
 
     name = "hamming"
-    dtype = object
     kernel = _HammingRows
-
-    def __call__(self, a, b) -> float:
-        if len(a) == len(b) == 0:
-            raise ConfigError("empty gene vectors")
-        return super().__call__(a, b)
 
 
 class CustomMeasure(DistanceMeasure):
@@ -239,11 +248,8 @@ class CustomMeasure(DistanceMeasure):
         self.fn = fn
         self.name = getattr(fn, "__name__", "custom")
 
-    def __call__(self, a, b) -> float:
-        return float(self.fn(a, b))
-
     def to_point(self, matrix, point, out=None):
-        values = np.array([self(row, point) for row in matrix])
+        values = np.array([float(self.fn(row, point)) for row in matrix])
         if out is None:
             return values
         out[:] = values
@@ -261,10 +267,14 @@ def get_measure(measure, labels: bool = False) -> DistanceMeasure:
     """Resolve a measure name, callable or instance to a DistanceMeasure
     for label genes (labels true) or numeric genes.
 
-    None picks the default: Hamming for labels, Euclidean otherwise. The
-    Euclidean and dynamic kernels subtract genes, so a measure they
-    measure (see _through_to_point) raises ConfigError on labels.
+    None picks the default: Hamming for labels, Euclidean otherwise. A
+    class raises ConfigError (pass an instance). The Euclidean and
+    dynamic kernels subtract genes, so a measure they measure (see
+    _through_to_point) raises ConfigError on labels.
     """
+    if isinstance(measure, type):
+        raise ConfigError(f"measure {measure.__name__} is a class; pass an "
+                          f"instance, {measure.__name__}()")
     if measure is None:
         measure = HammingSq() if labels else EuclideanSq()
     elif callable(measure) and not isinstance(measure, DistanceMeasure):

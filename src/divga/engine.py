@@ -85,8 +85,10 @@ class DiversityEnhanced:
     usable r0). measure is a name, a DistanceMeasure, a callable
     (a, b) -> squared distance on the genes the fitness sees, or None
     for the kind default, Euclidean or Hamming.
-    A d0 or r0 that is not a number (bool is not one) or out of range is
-    a ConfigError when built.
+    A d0 or r0 that is not a number (bool is not one) or out of range,
+    and a measure that get_measure rejects (an unknown name, a class),
+    is a ConfigError when built; resolve checks the measure against
+    the genome.
     """
 
     d0: float = 1.0
@@ -102,6 +104,8 @@ class DiversityEnhanced:
             if not _usable_r0(self.r0):
                 raise ConfigError(f"r0 must be positive with 1 / r0^2 finite "
                                   f"and nonzero, not {self.r0!r}")
+        if self.measure is not None:
+            get_measure(self.measure)
 
     def resolve(self, spec: GeneSpec, genes: np.ndarray) -> "DiversityEnhanced":
         """Copy with measure and r0 filled in from the initial gene matrix.
@@ -136,10 +140,9 @@ def _usable_r0(r0) -> bool:
 
 
 def _warn_if_asymmetric(measure, rows):
-    """Measures each pair both ways, through to_point on one-row matrices."""
-    for i, j in itertools.combinations(range(len(rows)), 2):
-        forward, backward = (float(measure.to_point(rows[a:a + 1], rows[b])[0])
-                             for a, b in ((i, j), (j, i)))
+    """Measures each pair both ways with the scalar form measure(a, b)."""
+    for a, b in itertools.combinations(rows, 2):
+        forward, backward = measure(a, b), measure(b, a)
         if not math.isclose(forward, backward, rel_tol=1e-9, abs_tol=1e-12):
             warnings.warn(
                 f"distance measure is asymmetric on a sampled pair: "
@@ -383,14 +386,17 @@ def _evaluate_rows(fitness, start: int, rows):
 class WorkerPool:
     """The fitness worker processes of one run or run_de call.
 
-    Building it checks that fitness pickles (ConfigError otherwise)
-    before any process starts; the processes start with the first
-    evaluation and serve every later one. close(), or leaving a with
-    block, cancels the chunks not yet started and waits for the running
-    ones.
+    Building it checks that workers is an integer of at least 1 and
+    that fitness pickles (ConfigError otherwise) before any process
+    starts; the processes start with the first evaluation and serve
+    every later one. close(), or leaving a with block, cancels the
+    chunks not yet started and waits for the running ones.
     """
 
     def __init__(self, workers: int, fitness):
+        _check_integer("workers", workers)
+        if workers < 1:
+            raise ConfigError(f"workers must be at least 1, not {workers}")
         try:
             pickle.dumps(fitness)
         except (pickle.PicklingError, AttributeError, TypeError) as exc:

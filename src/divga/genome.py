@@ -38,6 +38,13 @@ def _check_integer(name: str, value):
         raise ConfigError(f"{name} must be an integer, not {value!r}")
 
 
+def _check_rng(rng):
+    """ConfigError unless rng is a numpy.random.Generator."""
+    if not isinstance(rng, np.random.Generator):
+        raise ConfigError(
+            f"rng must be a numpy.random.Generator, not {rng!r}")
+
+
 def _check_real(name: str, value):
     """ConfigError unless value is a real number (numbers.Real, numpy
     floats and integers included); bool is not one."""
@@ -175,8 +182,10 @@ def seed_population(spec: GeneSpec, size: int,
     uniform over their ranges, categorical genes uniform over the
     category codes. Codes are drawn as intp, then cast to the spec's
     gene_dtype, so the random stream does not depend on that dtype.
-    Extra vectors beyond size are dropped with a warning.
+    Extra vectors beyond size are dropped with a warning. rng must be a
+    numpy.random.Generator.
     """
+    _check_rng(rng)
     _check_integer("size", size)
     if size < 1:
         raise ConfigError("population size must be positive")

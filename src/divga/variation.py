@@ -3,9 +3,10 @@
 Every operator works on a whole generation at once: parents and
 children are gene matrices, one row per individual (float genes, or
 category codes for categorical genomes). Everything here is pure given
-an explicit random generator, so callers control determinism by
-controlling the generator. Within one call to produce_offspring with k
-children of g genes the draw order is fixed:
+an explicit random generator (a numpy.random.Generator; anything else
+is a ConfigError), so callers control determinism by controlling the
+generator. Within one call to produce_offspring with k children of g
+genes the draw order is fixed:
 
 1. pairing: for "random" pairs, k first-parent indices, then k
    second-parent offsets; "all" pairs and crossover "none" draw nothing;
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .genome import GeneSpec, _check_real
+from .genome import GeneSpec, _check_real, _check_rng
 
 MIDPOINT = "midpoint"
 EITHER_OR = "eitheror"
@@ -53,7 +54,8 @@ class MutationConfig:
     for numeric genomes and "categorical" for categorical ones. Mutated
     numeric genes may leave their initial ranges unless clip_to_ranges
     is set. Frozen, and checked when built (ConfigError): rate None or
-    a number in [0, 1], mode None or one of MUTATION_MODES.
+    a number in [0, 1], mode None or one of MUTATION_MODES,
+    clip_to_ranges a bool (numpy's included).
     """
 
     rate: float | None = None
@@ -68,6 +70,9 @@ class MutationConfig:
                 raise ConfigError(f"mutation rate {rate} outside [0, 1]")
         if self.mode is not None and self.mode not in MUTATION_MODES:
             raise ConfigError(f"unknown mutation mode {self.mode!r}")
+        if not isinstance(self.clip_to_ranges, (bool, np.bool_)):
+            raise ConfigError(f"clip_to_ranges must be a bool, "
+                              f"not {self.clip_to_ranges!r}")
 
 
 def resolve_mutation(config: MutationConfig | None,
@@ -111,6 +116,7 @@ def crossover(parents_a: np.ndarray, parents_b: np.ndarray, method: str,
 
     midpoint and between only make sense on numeric genes.
     """
+    _check_rng(rng)
     if method not in CROSSOVER_METHODS:
         raise ConfigError(f"unknown crossover method {method!r}")
     a, b = parents_a, parents_b
@@ -135,6 +141,7 @@ def mutate(genes: np.ndarray, spec: GeneSpec, config: MutationConfig | None,
     probability, categorical redraws the code uniformly from the full
     category set (so it can redraw the current label).
     """
+    _check_rng(rng)
     config = resolve_mutation(config, spec)
     genes = genes.copy()
     fires = rng.random(genes.shape) < config.rate
@@ -166,6 +173,7 @@ def make_pairs(n: int, strategy: str, rng: np.random.Generator) -> np.ndarray:
     n(n-1)/2 of them. "random" draws n pairs with distinct indices,
     independently and with replacement across draws.
     """
+    _check_rng(rng)
     if n < 2:
         raise ConfigError("pairing needs at least two parents")
     if strategy == ALL_PAIRS:
@@ -187,6 +195,7 @@ def produce_offspring(genes: np.ndarray, spec: GeneSpec, method: str | None,
     Otherwise the pairing strategy decides the number of children:
     n(n-1)/2 for "all", n for "random".
     """
+    _check_rng(rng)
     method = resolve_crossover(method, spec)
     if method == NONE:
         return mutate(genes, spec, mutation, rng)

@@ -18,8 +18,10 @@ from divga import (
     DiversityEnhanced,
     DivgaError,
     EngineConfig,
+    EuclideanSq,
     FitnessEvaluationError,
     GeneSpec,
+    HammingSq,
     MutationConfig,
 )
 
@@ -253,6 +255,19 @@ def test_settings_types_check_themselves():
     (lambda: EngineConfig(population_size=4, n_generations=1,
                           mutation="additive"),
      "mutation must be a MutationConfig, not 'additive'"),
+    (lambda: MutationConfig(clip_to_ranges="no"),
+     "clip_to_ranges must be a bool, not 'no'"),
+    (lambda: MutationConfig(clip_to_ranges=1),
+     "clip_to_ranges must be a bool, not 1"),
+    (lambda: MutationConfig(clip_to_ranges=None),
+     "clip_to_ranges must be a bool, not None"),
+    (lambda: DiversityEnhanced(measure=EuclideanSq),
+     r"measure EuclideanSq is a class; pass an instance, EuclideanSq\(\)"),
+    (lambda: DiversityEnhanced(d0=0, measure=HammingSq),
+     r"measure HammingSq is a class; pass an instance, HammingSq\(\)"),
+    (lambda: DiversityEnhanced(measure=5), "unknown distance measure 5"),
+    (lambda: DiversityEnhanced(measure="manhattan"),
+     "unknown distance measure 'manhattan'"),
 ])
 def test_bad_settings_rejected_when_built(build, match):
     """A bad raw value is a ConfigError at construction, with no run."""
@@ -270,6 +285,8 @@ def test_good_edge_settings_build():
     DEConfig(8, 2, seed=np.uint32(7))
     DiversityEnhanced(r0=1e-154)
     DiversityEnhanced(r0=1e154)
+    MutationConfig(clip_to_ranges=np.bool_(True))
+    DiversityEnhanced(measure="HAMMING")
 
 
 # Each settings class, with the arguments it requires.

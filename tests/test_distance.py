@@ -119,6 +119,16 @@ class TestGetMeasure:
         with pytest.raises(ConfigError, match="unknown distance measure"):
             get_measure("manhattan")
 
+    @pytest.mark.parametrize("cls", [EuclideanSq, HammingSq, DistanceMeasure])
+    def test_class_rejected(self, cls):
+        """A class is callable, but not a measure: a ConfigError that
+        says to pass an instance, not a TypeError mid-run."""
+        for labels in (False, True):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"measure {cls.__name__} is a class; pass an instance, "
+                    f"{cls.__name__}()")):
+                get_measure(cls, labels=labels)
+
     def test_only_the_numeric_kernels_are_rejected_on_labels(self):
         """The built-in Euclidean and dynamic measures, and a subclass
         that keeps their to_point, subtract genes: ConfigError on
@@ -422,6 +432,79 @@ class TestPreparedRows:
         assert spec.encode(labels.tolist()).tobytes() == codes.tobytes()
         for matrix in (codes, labels):
             assert_rows_to_equals_to_point(MEASURES[name](), matrix)
+
+
+LABEL_MEASURES = ("custom", "hamming", "subclass")
+
+
+@st.composite
+def vector_pairs(draw, labels):
+    """Two gene vectors of one length: float64, or object labels."""
+    g = draw(st.integers(1, 12))
+    cells = st.sampled_from(["E", "K", "Q"]) if labels else FLOATS
+    return tuple(np.array(draw(st.lists(cells, min_size=g, max_size=g)),
+                          dtype=object if labels else float)
+                 for _ in range(2))
+
+
+class TestScalarForm:
+    """measure(a, b) is to_point on a one-row matrix, for every measure:
+    numbers are read as a float64 vector, anything else as labels."""
+
+    @pytest.mark.parametrize("name, labels",
+                             [(name, False) for name in sorted(MEASURES)]
+                             + [(name, True) for name in LABEL_MEASURES])
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_equals_to_point_on_one_row(self, name, labels, data):
+        measure = MEASURES[name]()
+        a, b = data.draw(vector_pairs(labels))
+        expected = measure.to_point(a[None, :], b)[0].tobytes()
+        assert np.float64(measure(a, b)).tobytes() == expected
+        assert np.float64(measure(list(a), list(b))).tobytes() == expected
+
+    def test_label_subclass(self):
+        """A DistanceMeasure subclass whose to_point reads labels gets
+        them from the scalar form too."""
+        class LabelMismatches(DistanceMeasure):
+            def to_point(self, matrix, point, out=None):
+                return np.mean(matrix != point, axis=1)
+
+        assert LabelMismatches()(["E", "K"], ["K", "K"]) == 0.5
+        assert LabelMismatches()("EK", "KK") == 0.5
+
+    @pytest.mark.parametrize("measure", [EuclideanSq(), DynamicSq()],
+                             ids=["euclidean", "dynamic"])
+    def test_numeric_kernels_reject_strings(self, measure):
+        """Strings are labels, as in a run, not numbers to parse."""
+        for a, b in (("12", "13"), (["1", "2"], ["1", "3"])):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"the {measure.name} measure needs numeric genes")):
+                measure(a, b)
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_empty_vectors(self, name):
+        for a, b in (([], []), ("", ""), (np.empty(0), np.empty(0))):
+            with pytest.raises(ConfigError, match="empty gene vectors"):
+                MEASURES[name]()(a, b)
+
+    def test_callable_sees_numpy_vectors(self):
+        """A callable measure gets numpy vectors, as inside a run:
+        float64 for numbers, object arrays for labels, and an object
+        array of integer labels stays one."""
+        seen = []
+        measure = get_measure(lambda a, b: seen.append((a, b)) or 0.0)
+        int_labels = GeneSpec.categorical((0, 1, 2), 2).decode(
+            np.array([[0, 2], [1, 1]]))
+        measure([1, 2], (3, 4))
+        measure("EK", ["K", "K"])
+        measure(int_labels[0], int_labels[1])
+        assert all(type(v) is np.ndarray for pair in seen for v in pair)
+        assert [(a.dtype, b.dtype) for a, b in seen] == [
+            (np.float64, np.float64), (object, object), (object, object)]
+        assert [(a.tolist(), b.tolist()) for a, b in seen] == [
+            ([1.0, 2.0], [3.0, 4.0]), (["E", "K"], ["K", "K"]),
+            ([0, 2], [1, 1])]
 
 
 class TestDefaultR0:

@@ -352,6 +352,26 @@ class TestEvaluatePopulation:
         with pytest.raises(ConfigError, match="picklable"):
             WorkerPool(2, lambda g: 0.0)
 
+    @pytest.mark.parametrize("workers", [0, -1, 2.0, True, "2", None])
+    def test_workers_checked_before_pickling_or_any_pool(self, workers,
+                                                         monkeypatch):
+        """workers is an integer of at least 1 (bool is not one),
+        checked before the fitness is pickled or a pool is built."""
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(divga.engine, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"workers must be at least 1, not {workers}"
+                if type(workers) is int else
+                f"workers must be an integer, not {workers!r}")):
+            WorkerPool(workers, lambda g: 0.0)
+
+    def test_numpy_integer_workers_accepted(self, started_pools):
+        with WorkerPool(np.uint8(1), sum_fitness) as pool:
+            assert pool.workers == 1
+        assert len(started_pools) == 1
+
     def test_pool_serves_repeated_evaluations(self, started_pools):
         """One pool evaluates batch after batch, each as the sequential
         path does, and leaving the with block shuts it down."""
@@ -861,10 +881,33 @@ class TestDiversityResolution:
             with pytest.warns(UserWarning, match="asymmetric"):
                 run(numeric_spec, sphere_fitness, config)
 
+    def test_spot_check_uses_the_scalar_form(self, numeric_spec, cat_spec,
+                                             monkeypatch):
+        """The symmetry spot check measures each pair of the first three
+        rows both ways with measure(a, b), on the genes the fitness
+        sees."""
+        calls = []
+        real = DistanceMeasure.__call__
+
+        def spy(self, a, b):
+            calls.append((a.tolist(), b.tolist()))
+            return real(self, a, b)
+
+        monkeypatch.setattr(DistanceMeasure, "__call__", spy)
+        selection = DiversityEnhanced(
+            measure=lambda a, b: float(np.sum(a != b)))
+        for spec in (numeric_spec, cat_spec):
+            genes = seed_population(spec, 5, np.random.default_rng(0))
+            calls.clear()
+            selection.resolve(spec, genes)
+            rows = spec.decode(genes[:3]).tolist()
+            assert calls == [(rows[i], rows[j]) for i, j in
+                             ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))]
+
     def test_label_subclass_with_default_dtype_runs(self, cat_spec):
-        """A DistanceMeasure subclass that reads labels keeps the float
-        dtype of the base class: the symmetry spot check measures it
-        through to_point, not through a float conversion of labels."""
+        """A DistanceMeasure subclass that reads labels runs: the
+        symmetry spot check's scalar calls hand it label vectors, as
+        selection does."""
         class LabelMismatches(DistanceMeasure):
             def to_point(self, matrix, point, out=None):
                 assert set(matrix.ravel().tolist()) <= {"E", "K"}

@@ -286,3 +286,26 @@ class TestProduceOffspring:
                            match="unknown crossover method 'blend'"):
             produce_offspring(pop, numeric_spec, "blend", "random", mutation,
                               rng)
+
+
+RNG_USERS = {
+    "seed_population": lambda spec, genes, rng: seed_population(spec, 4, rng),
+    "make_pairs": lambda spec, genes, rng: make_pairs(4, "all", rng),
+    "crossover": lambda spec, genes, rng: crossover(genes, genes, "none", rng),
+    "mutate": lambda spec, genes, rng: mutate(genes, spec, None, rng),
+    "produce_offspring": lambda spec, genes, rng: produce_offspring(
+        genes, spec, "midpoint", "all", None, rng),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RNG_USERS))
+@pytest.mark.parametrize("rng", [0, None, np.random.RandomState(0)],
+                         ids=["int", "None", "RandomState"])
+def test_rng_is_a_generator(name, rng, numeric_spec):
+    """Every public function that takes an rng rejects anything but a
+    numpy.random.Generator with a ConfigError, also where its arguments
+    would draw nothing from it."""
+    genes = np.zeros((4, numeric_spec.number_of_genes))
+    with pytest.raises(ConfigError,
+                       match="rng must be a numpy.random.Generator"):
+        RNG_USERS[name](numeric_spec, genes, rng)
