@@ -35,7 +35,7 @@ from .engine import (
 )
 from .errors import ConfigError, DivgaError, FitnessEvaluationError
 from .genome import GeneSpec, seed_population
-from .selection import select_diverse, select_top_n
+from .selection import select_diverse
 from .variation import MutationConfig, crossover, make_pairs, mutate, produce_offspring
 
 __version__ = "0.1.0"
@@ -76,7 +76,6 @@ __all__ = [
     "run_experiment",
     "seed_population",
     "select_diverse",
-    "select_top_n",
     "spread",
     "vectorized",
 ]

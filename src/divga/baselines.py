@@ -162,8 +162,8 @@ class RandomScanTrace:
     sum left, so its digits do not cancel. A draw strictly below the
     kept minimum of a full set is skipped, so the mean does not move
     (a tie enters, the later draw winning). kept_genes is the
-    (keep_best, g) gene matrix of the kept set and kept_fitness its
-    fitness, best first.
+    (keep_best, g) matrix of the kept set as the fitness saw it (labels
+    for a categorical genome) and kept_fitness its fitness, best first.
     """
 
     evaluations: np.ndarray
@@ -181,19 +181,18 @@ def random_scan(spec: GeneSpec, fitness, total_evaluations: int,
     """Sample uniformly, keep the best points seen so far.
 
     Draws total_evaluations points in one seed_population batch (the
-    same numbers as one at a time), evaluates them in order, checked as
-    in run, and records after every draw the mean fitness of the running
-    set of the keep_best highest-fitness points. rng must be a
-    numpy.random.Generator (seed_population checks it).
+    same numbers as one at a time), evaluates them in order as the
+    fitness sees them (spec.decode: label arrays for a categorical
+    genome), checked as in run, and records after every draw the mean
+    fitness of the running set of the keep_best highest-fitness points.
+    rng must be a numpy.random.Generator (seed_population checks it).
     """
-    if not spec.is_numeric:
-        raise ConfigError("random scan needs a numeric genome")
     _check_integer("total_evaluations", total_evaluations)
     _check_integer("keep_best", keep_best)
     if not 1 <= keep_best <= total_evaluations:
         raise ConfigError("need 1 <= keep_best <= total_evaluations")
 
-    points = seed_population(spec, total_evaluations, rng)
+    points = spec.decode(seed_population(spec, total_evaluations, rng))
     values = np.empty(total_evaluations)
     evaluate_population(points, fitness, values)
     heap, running_sum, trace = [], 0.0, []

@@ -2,9 +2,10 @@
 
 A genome is either numeric (every gene is a float drawn from a bounded
 range) or categorical (every gene is a label from one shared category
-set). A GeneSpec checks itself when it is built, whichever constructor
-builds it, and is frozen, so every spec in use is valid and nothing
-downstream checks it again. Mixed genomes are rejected.
+set), as its GeneSpec's numeric_ranges or categories field says. A
+GeneSpec checks itself when it is built, whichever constructor builds
+it, and is frozen, so every spec in use is valid and nothing
+downstream checks it again.
 
 A population is a gene matrix, one row per individual. Numeric genes
 are float64. Categorical genes are integer codes into spec.categories,
@@ -26,9 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-
-NUMERIC = "numeric"
-CATEGORICAL = "categorical"
 
 
 def _check_integer(name: str, value):
@@ -56,35 +54,33 @@ def _check_real(name: str, value):
 class GeneSpec:
     """Declares the shape and admissible values of a genome.
 
-    Build instances through :meth:`numeric` or :meth:`categorical`. Every
-    instance is checked when built, by the raw constructor as well.
+    Exactly one of numeric_ranges (a numeric genome) and categories (a
+    categorical one) is given. Every instance is checked when built, by
+    the raw constructor as well as :meth:`numeric` and :meth:`categorical`.
 
     Attributes:
-        kind: "numeric" or "categorical".
-        numeric_ranges: per-gene (lower, upper) bounds, numeric kind only.
-        categories: shared label set, categorical kind only.
+        numeric_ranges: per-gene (lower, upper) bounds of a numeric genome.
+        categories: shared label set of a categorical genome.
         number_of_genes: length of every gene vector.
     """
 
-    kind: str
     numeric_ranges: tuple[tuple[float, float], ...] | None = None
     categories: tuple = None
     number_of_genes: int = 0
 
     def __post_init__(self):
-        """Raises ConfigError: both ranges and categories given, or kind
-        inconsistent with the populated fields; number_of_genes not an
-        integer (bool is not one, numpy integers are) or below 1; a
-        numeric range not finite or with lower >= upper; fewer than two
-        distinct labels."""
-        if self.numeric_ranges is not None and self.categories is not None:
-            raise ConfigError("genome cannot be both numeric and categorical")
+        """Raises ConfigError: neither or both of numeric_ranges and
+        categories given; number_of_genes not an integer (bool is not
+        one, numpy integers are) or below 1; a number of ranges other
+        than number_of_genes; a numeric range not finite or with
+        lower >= upper; fewer than two distinct labels."""
+        if (self.numeric_ranges is None) == (self.categories is None):
+            raise ConfigError(
+                "a genome needs exactly one of numeric_ranges and categories")
         _check_integer("number_of_genes", self.number_of_genes)
-        if self.kind == NUMERIC:
-            if self.numeric_ranges is None:
-                raise ConfigError("numeric genome needs numeric_ranges")
-            if self.number_of_genes < 1 or len(self.numeric_ranges) < 1:
-                raise ConfigError("genome must have at least one gene")
+        if self.number_of_genes < 1:
+            raise ConfigError("genome must have at least one gene")
+        if self.is_numeric:
             if len(self.numeric_ranges) != self.number_of_genes:
                 raise ConfigError(
                     "number_of_genes does not match the number of ranges")
@@ -93,16 +89,9 @@ class GeneSpec:
                     raise ConfigError(f"gene range ({lo}, {hi}) is not finite")
                 if not lo < hi:
                     raise ConfigError(f"empty gene range ({lo}, {hi})")
-        elif self.kind == CATEGORICAL:
-            if self.categories is None:
-                raise ConfigError("categorical genome needs categories")
-            if self.number_of_genes < 1:
-                raise ConfigError("genome must have at least one gene")
-            if len(set(self.categories)) < 2:
-                raise ConfigError(
-                    "categorical genome needs at least two distinct labels")
-        else:
-            raise ConfigError(f"unknown genome kind {self.kind!r}")
+        elif len(set(self.categories)) < 2:
+            raise ConfigError(
+                "categorical genome needs at least two distinct labels")
 
     @classmethod
     def numeric(cls, ranges) -> "GeneSpec":
@@ -112,7 +101,7 @@ class GeneSpec:
         except (TypeError, ValueError):
             raise ConfigError(f"ranges must be (lower, upper) number pairs, "
                               f"not {ranges!r}") from None
-        return cls(NUMERIC, numeric_ranges=ranges, number_of_genes=len(ranges))
+        return cls(numeric_ranges=ranges, number_of_genes=len(ranges))
 
     @classmethod
     def categorical(cls, categories, number_of_genes: int) -> "GeneSpec":
@@ -126,12 +115,11 @@ class GeneSpec:
         except TypeError:
             raise ConfigError(f"categories must be hashable labels, not "
                               f"{categories!r}") from None
-        return cls(CATEGORICAL, categories=categories,
-                   number_of_genes=number_of_genes)
+        return cls(categories=categories, number_of_genes=number_of_genes)
 
     @property
     def is_numeric(self) -> bool:
-        return self.kind == NUMERIC
+        return self.numeric_ranges is not None
 
     def range_widths(self) -> np.ndarray:
         """Per-gene range widths (numeric genomes only)."""

@@ -12,12 +12,13 @@ genes the draw order is fixed:
    second-parent offsets; "all" pairs and crossover "none" draw nothing;
 2. crossover: "eitheror" draws a (k, g) matrix of coin flips, "between"
    a (k, g) matrix of uniforms, the others draw nothing;
-3. mutation: a (k, g) matrix deciding which genes fire; then, for
-   "categorical" mode, one code per fired gene; for "random" mode a
-   (k, g) matrix choosing additive or multiplicative per gene, then one
-   normal per fired additive gene, then one per fired multiplicative
-   gene; for "additive" and "multiplicative" modes one normal per fired
-   gene. Fired genes are visited in row-major order.
+3. mutation: a (k, g) matrix deciding which genes fire; then, for a
+   categorical genome, one code per fired gene; for a numeric genome in
+   "random" mode a (k, g) matrix choosing additive or multiplicative
+   per gene, then one normal per fired additive gene, then one per
+   fired multiplicative gene; in "additive" and "multiplicative" modes
+   one normal per fired gene. Fired genes are visited in row-major
+   order.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .genome import GeneSpec, _check_real, _check_rng
+from .genome import GeneSpec, _check_integer, _check_real, _check_rng
 
 MIDPOINT = "midpoint"
 EITHER_OR = "eitheror"
@@ -42,20 +43,20 @@ PAIRING_STRATEGIES = (ALL_PAIRS, RANDOM_PAIRS)
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
 RANDOM_MODE = "random"
-CATEGORICAL_MODE = "categorical"
-MUTATION_MODES = (ADDITIVE, MULTIPLICATIVE, RANDOM_MODE, CATEGORICAL_MODE)
+MUTATION_MODES = (ADDITIVE, MULTIPLICATIVE, RANDOM_MODE)
 
 
 @dataclass(frozen=True)
 class MutationConfig:
     """Per-gene mutation settings.
 
-    rate None resolves to 1 / number_of_genes, mode None to "additive"
-    for numeric genomes and "categorical" for categorical ones. Mutated
-    numeric genes may leave their initial ranges unless clip_to_ranges
-    is set. Frozen, and checked when built (ConfigError): rate None or
-    a number in [0, 1], mode None or one of MUTATION_MODES,
-    clip_to_ranges a bool (numpy's included).
+    rate None resolves to 1 / number_of_genes. mode applies to numeric
+    genomes only, None resolving to "additive"; a categorical genome
+    takes no mode, since its genes are always redrawn. Mutated numeric
+    genes may leave their initial ranges unless clip_to_ranges is set.
+    Frozen, and checked when built (ConfigError): rate None or a number
+    in [0, 1], mode None or one of MUTATION_MODES, clip_to_ranges a
+    bool (numpy's included).
     """
 
     rate: float | None = None
@@ -77,15 +78,14 @@ class MutationConfig:
 
 def resolve_mutation(config: MutationConfig | None,
                      spec: GeneSpec) -> MutationConfig:
-    """Fill in the genome's defaults and check the mode fits its kind."""
+    """Fill in the genome's defaults; a categorical genome takes no mode."""
     if config is None:
         config = MutationConfig()
+    if not spec.is_numeric and config.mode is not None:
+        raise ConfigError(f"categorical genomes take no mutation mode, "
+                          f"not {config.mode!r}")
     rate = 1.0 / spec.number_of_genes if config.rate is None else config.rate
-    mode = config.mode or (ADDITIVE if spec.is_numeric else CATEGORICAL_MODE)
-    if spec.is_numeric and mode == CATEGORICAL_MODE:
-        raise ConfigError("categorical mutation needs a categorical genome")
-    if not spec.is_numeric and mode != CATEGORICAL_MODE:
-        raise ConfigError("categorical genomes only support categorical mutation")
+    mode = config.mode or (ADDITIVE if spec.is_numeric else None)
     return replace(config, rate=rate, mode=mode)
 
 
@@ -114,12 +114,16 @@ def crossover(parents_a: np.ndarray, parents_b: np.ndarray, method: str,
         two parent values.
     none: copy of parent_a, parent_b ignored.
 
-    midpoint and between only make sense on numeric genes.
+    midpoint and between only make sense on numeric genes. The parents
+    must be two gene matrices of one shape.
     """
     _check_rng(rng)
     if method not in CROSSOVER_METHODS:
         raise ConfigError(f"unknown crossover method {method!r}")
     a, b = parents_a, parents_b
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ConfigError(f"parents of shapes {a.shape} and {b.shape} are "
+                          f"not two gene matrices of one shape")
     if method == NONE:
         return a.copy()
     if method == MIDPOINT:
@@ -138,14 +142,18 @@ def mutate(genes: np.ndarray, spec: GeneSpec, config: MutationConfig | None,
     probability config.rate. Additive mutation adds Gaussian noise with
     sigma one tenth of the gene's range width, multiplicative scales by
     N(1, 0.5), random picks one of the two per mutated gene with equal
-    probability, categorical redraws the code uniformly from the full
-    category set (so it can redraw the current label).
+    probability. A mutated categorical gene is redrawn uniformly from the
+    full category set (so it can redraw the current label). genes must
+    be a matrix of spec.number_of_genes columns.
     """
     _check_rng(rng)
     config = resolve_mutation(config, spec)
+    if genes.ndim != 2 or genes.shape[1] != spec.number_of_genes:
+        raise ConfigError(f"genes of shape {genes.shape} are not rows of "
+                          f"{spec.number_of_genes} genes")
     genes = genes.copy()
     fires = rng.random(genes.shape) < config.rate
-    if config.mode == CATEGORICAL_MODE:
+    if not spec.is_numeric:
         genes[fires] = rng.integers(0, len(spec.categories),
                                     size=int(fires.sum()))
         return genes
@@ -174,6 +182,7 @@ def make_pairs(n: int, strategy: str, rng: np.random.Generator) -> np.ndarray:
     independently and with replacement across draws.
     """
     _check_rng(rng)
+    _check_integer("n", n)
     if n < 2:
         raise ConfigError("pairing needs at least two parents")
     if strategy == ALL_PAIRS:

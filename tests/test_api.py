@@ -56,7 +56,7 @@ def test_public_surface():
         "evaluate_population", "get_measure", "hamming_spread",
         "make_pairs", "mutate", "net_charge", "produce_offspring",
         "random_scan", "run", "run_de", "run_experiment", "seed_population",
-        "select_diverse", "select_top_n", "spread", "vectorized",
+        "select_diverse", "spread", "vectorized",
     ]
 
 
@@ -148,14 +148,14 @@ def test_settings_types_check_themselves():
 
 
 @pytest.mark.parametrize("build, match", [
-    (lambda: GeneSpec("numeric", numeric_ranges=((1.0, 0.0),),
-                      number_of_genes=1), "empty gene range"),
-    (lambda: GeneSpec("numeric", numeric_ranges=((0.0, 1.0),),
-                      categories=("E", "K"), number_of_genes=1),
-     "both numeric and categorical"),
-    (lambda: GeneSpec("categorical", categories=("E",), number_of_genes=3),
+    (lambda: GeneSpec(numeric_ranges=((1.0, 0.0),), number_of_genes=1),
+     "empty gene range"),
+    (lambda: GeneSpec(numeric_ranges=((0.0, 1.0),), categories=("E", "K"),
+                      number_of_genes=1),
+     "exactly one of numeric_ranges and"),
+    (lambda: GeneSpec(categories=("E",), number_of_genes=3),
      "at least two distinct labels"),
-    (lambda: GeneSpec("binary", number_of_genes=2), "unknown genome kind"),
+    (lambda: GeneSpec(number_of_genes=2), "a genome needs exactly one"),
     (lambda: EngineConfig(population_size=1, n_generations=1),
      "population_size must be at least 2"),
     (lambda: EngineConfig(population_size=4.0, n_generations=1),
@@ -228,14 +228,11 @@ def test_settings_types_check_themselves():
     (lambda: EngineConfig(population_size=4, n_generations=2,
                           fitness_threshold=float("nan")),
      "fitness_threshold cannot be NaN"),
-    (lambda: GeneSpec("categorical", categories=("E", "K"),
-                      number_of_genes=2.5),
+    (lambda: GeneSpec(categories=("E", "K"), number_of_genes=2.5),
      "number_of_genes must be an integer, not 2.5"),
-    (lambda: GeneSpec("categorical", categories=("E", "K"),
-                      number_of_genes=True),
+    (lambda: GeneSpec(categories=("E", "K"), number_of_genes=True),
      "number_of_genes must be an integer, not True"),
-    (lambda: GeneSpec("categorical", categories=("E", "K"),
-                      number_of_genes="3"),
+    (lambda: GeneSpec(categories=("E", "K"), number_of_genes="3"),
      "number_of_genes must be an integer, not '3'"),
     (lambda: GeneSpec.categorical(("E", "K"), 2.9),
      "number_of_genes must be an integer, not 2.9"),
@@ -252,6 +249,8 @@ def test_settings_types_check_themselves():
     (lambda: MutationConfig(rate=float("nan")), "mutation rate nan outside"),
     (lambda: MutationConfig(mode="gaussian"),
      "unknown mutation mode 'gaussian'"),
+    (lambda: MutationConfig(mode="categorical"),
+     "unknown mutation mode 'categorical'"),
     (lambda: EngineConfig(population_size=4, n_generations=1,
                           mutation="additive"),
      "mutation must be a MutationConfig, not 'additive'"),

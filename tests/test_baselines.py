@@ -497,3 +497,56 @@ class TestRandomScan:
         with pytest.raises(ConfigError):
             random_scan(self.spec(), sphere_fitness, 10, 11,
                         np.random.default_rng(0))
+
+
+class TestCategoricalScan:
+    spec = GeneSpec.categorical("EK", 50)
+
+    @staticmethod
+    def k_count(labels):
+        return float(np.sum(labels == "K"))
+
+    @staticmethod
+    def binary(labels):
+        """The row read as a binary fraction, K a 1: distinct rows have
+        distinct values, so the kept set has no ties."""
+        return float(np.dot(labels == "K", 0.5 ** np.arange(len(labels))))
+
+    def test_kept_rows_are_decoded_draws(self):
+        """The scan keeps label rows: spec.decode of the kept rows of
+        the same seed_population draw, and the fitness sees labels."""
+        seen = []
+
+        def fitness(labels):
+            seen.append(labels)
+            return self.binary(labels)
+
+        trace = random_scan(self.spec, fitness, 40, 6,
+                            np.random.default_rng(5))
+        labels = self.spec.decode(
+            seed_population(self.spec, 40, np.random.default_rng(5)))
+        values = np.array([self.binary(row) for row in labels])
+        assert len(set(values.tolist())) == 40
+        kept = np.argsort(-values)[:6]
+        assert len(seen) == 40
+        assert all(row.dtype == object and set(row) <= {"E", "K"}
+                   for row in seen)
+        assert trace.kept_genes.dtype == object
+        np.testing.assert_array_equal(trace.kept_genes, labels[kept])
+        np.testing.assert_array_equal(trace.kept_fitness, values[kept])
+
+    def test_failure_reports_the_row(self):
+        labels = self.spec.decode(
+            seed_population(self.spec, 30, np.random.default_rng(8)))
+        counts = (labels == "K").sum(axis=1)
+        first = int(np.argmax(counts > np.median(counts)))
+        assert first > 0
+
+        def fitness(row):
+            if self.k_count(row) > np.median(counts):
+                raise ValueError("too many K")
+            return 0.0
+
+        with pytest.raises(FitnessEvaluationError) as excinfo:
+            random_scan(self.spec, fitness, 30, 5, np.random.default_rng(8))
+        assert excinfo.value.index == first

@@ -23,6 +23,7 @@ from divga import (
     FitnessEvaluationError,
     GeneSpec,
     HammingSq,
+    MutationConfig,
     RunRecord,
     WorkerPool,
     evaluate_population,
@@ -762,6 +763,20 @@ class TestRunValidation:
                 quiet(population_size=6, n_generations=1,
                       selection=DiversityEnhanced(d0=d0, r0=1.0,
                                                   measure=measure),
+                      output_directory=out))
+        assert fitness.calls == 0
+        assert not out.exists()
+
+    def test_mutation_mode_on_categorical_genome(self, cat_spec, tmp_path):
+        """A categorical genome takes no mutation mode: a ConfigError
+        before any fitness call or output file."""
+        fitness = CountingFitness()
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="categorical genomes take no "
+                           "mutation mode, not 'additive'"):
+            run(cat_spec, fitness,
+                quiet(population_size=6, n_generations=1,
+                      mutation=MutationConfig(mode="additive"),
                       output_directory=out))
         assert fitness.calls == 0
         assert not out.exists()

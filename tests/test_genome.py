@@ -1,5 +1,7 @@
 """Genome specification, codes and labels, and population seeding."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,9 +62,22 @@ class TestGeneSpec:
             GeneSpec.categorical(["E", "E"], 5)
 
     def test_mixed_kinds_rejected(self):
-        with pytest.raises(ConfigError, match="both numeric and categorical"):
-            GeneSpec("numeric", numeric_ranges=((0.0, 1.0),),
-                     categories=("E", "K"), number_of_genes=1)
+        with pytest.raises(ConfigError, match="a genome needs exactly one "
+                           "of numeric_ranges and categories"):
+            GeneSpec(numeric_ranges=((0.0, 1.0),), categories=("E", "K"),
+                     number_of_genes=1)
+
+    def test_raw_form_states_the_kind_by_its_field(self):
+        """The raw constructor builds the spec the named one does, its
+        kind given by the field it is given."""
+        numeric = GeneSpec(numeric_ranges=((0.0, 1.0), (2.0, 3.0)),
+                           number_of_genes=2)
+        categorical = GeneSpec(categories=("E", "K"), number_of_genes=4)
+        assert numeric == GeneSpec.numeric([(0, 1), (2, 3)])
+        assert categorical == GeneSpec.categorical("EK", 4)
+        assert numeric.is_numeric and not categorical.is_numeric
+        assert [f.name for f in dataclasses.fields(GeneSpec)] == [
+            "numeric_ranges", "categories", "number_of_genes"]
 
     def test_range_widths(self):
         spec = GeneSpec.numeric([(0, 10), (-2, 2)])

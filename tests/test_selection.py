@@ -18,9 +18,9 @@ from divga import (
     HammingSq,
     seed_population,
     select_diverse,
-    select_top_n,
 )
 from divga import selection
+from divga.selection import select_top_n
 
 
 def euclidean_scalar(a, b):

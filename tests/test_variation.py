@@ -13,7 +13,7 @@ from divga import (
     produce_offspring,
     seed_population,
 )
-from divga.variation import resolve_mutation
+from divga.variation import MUTATION_MODES, resolve_mutation
 
 
 def numeric_parents(k=1):
@@ -47,6 +47,20 @@ class TestMakePairs:
     def test_unknown_strategy(self, rng):
         with pytest.raises(ConfigError):
             make_pairs(3, "ring", rng)
+
+    @pytest.mark.parametrize("strategy", ["all", "random"])
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None])
+    def test_n_not_an_integer(self, n, strategy):
+        """Checked before any draw, whatever the strategy."""
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            make_pairs(n, strategy, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_numpy_integer_n_accepted(self, rng):
+        np.testing.assert_array_equal(make_pairs(np.int64(4), "all", rng),
+                                      make_pairs(4, "all", rng))
+        assert make_pairs(np.int32(5), "random", rng).shape == (5, 2)
 
 
 class TestCrossover:
@@ -107,6 +121,21 @@ class TestCrossover:
                            match="unknown crossover method 'uniform'"):
             crossover(a, b, "uniform", rng)
 
+    @pytest.mark.parametrize("method", ["midpoint", "eitheror", "between",
+                                        "none"])
+    @pytest.mark.parametrize("shape_b", [(1, 3), (3, 3), (2, 4)])
+    def test_parents_of_other_shapes(self, method, shape_b, rng):
+        """(1, 3) used to broadcast into two children, (3, 3) to raise a
+        bare numpy ValueError."""
+        with pytest.raises(ConfigError, match=r"parents of shapes \(2, 3\) "
+                           rf"and \({shape_b[0]}, {shape_b[1]}\)"):
+            crossover(np.zeros((2, 3)), np.ones(shape_b), method, rng)
+
+    @pytest.mark.parametrize("method", ["midpoint", "none"])
+    def test_parents_not_matrices(self, method, rng):
+        with pytest.raises(ConfigError, match="not two gene matrices"):
+            crossover(np.zeros(3), np.ones(3), method, rng)
+
 
 class TestResolveMutation:
     def test_defaults(self):
@@ -117,10 +146,14 @@ class TestResolveMutation:
         assert cfg.clip_to_ranges is False
 
     def test_categorical_default_mode(self):
+        """A categorical genome takes no mode; its rate still resolves."""
         spec = GeneSpec.categorical("EK", 4)
         cfg = resolve_mutation(MutationConfig(), spec)
-        assert cfg.mode == "categorical"
+        assert cfg.mode is None
         assert cfg.rate == pytest.approx(0.25)
+
+    def test_numeric_modes_only(self):
+        assert MUTATION_MODES == ("additive", "multiplicative", "random")
 
     def test_rate_out_of_range(self):
         spec = GeneSpec.numeric([(-1, 1)])
@@ -128,12 +161,16 @@ class TestResolveMutation:
             resolve_mutation(MutationConfig(rate=1.5), spec)
 
     def test_kind_mode_mismatch(self):
-        numeric = GeneSpec.numeric([(-1, 1)])
+        """Every mode is a numeric one: "categorical" is none of them,
+        and a categorical genome given a mode is rejected."""
         categorical = GeneSpec.categorical("EK", 2)
-        with pytest.raises(ConfigError):
-            resolve_mutation(MutationConfig(mode="categorical"), numeric)
-        with pytest.raises(ConfigError):
-            resolve_mutation(MutationConfig(mode="additive"), categorical)
+        with pytest.raises(ConfigError,
+                           match="unknown mutation mode 'categorical'"):
+            MutationConfig(mode="categorical")
+        for mode in MUTATION_MODES:
+            with pytest.raises(ConfigError, match="categorical genomes take "
+                               f"no mutation mode, not '{mode}'"):
+                resolve_mutation(MutationConfig(mode=mode), categorical)
 
 
 class TestMutate:
@@ -236,6 +273,17 @@ class TestMutate:
         assert 0 < fires.sum() < fires.size
         np.testing.assert_array_equal(got, expected)
         assert stream.random() == rng.random()
+
+    @pytest.mark.parametrize("spec", [
+        GeneSpec.numeric([(0.0, 1.0)] * 3), GeneSpec.categorical("EK", 3)],
+        ids=["numeric", "categorical"])
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 2), (3,), (1, 2, 3)])
+    def test_gene_width_checked(self, spec, shape):
+        """4 numeric columns used to raise a bare numpy ValueError, 4
+        code columns to pass and return a (2, 4) matrix."""
+        genes = np.zeros(shape, dtype=spec.gene_dtype)
+        with pytest.raises(ConfigError, match="are not rows of 3 genes"):
+            mutate(genes, spec, None, np.random.default_rng(0))
 
     def test_partial_rate_leaves_some_genes(self, rng):
         spec = GeneSpec.numeric([(0.0, 10.0)] * 50)
