@@ -13,12 +13,9 @@ for the whole generation). Fitness evaluation and selection consume no
 randomness, so results are identical whether fitness is computed
 sequentially or on worker processes.
 
-The fitness sees one decoded gene vector per call, or, when it is
-marked with vectorized, the decoded (k, g) matrix of a whole batch per
-call: the generation's children sequentially, one chunk per worker
-otherwise (see evaluate_population). The marker changes what a run
-costs, not its outcome, as long as the batch form gives each row the
-value the row form gives.
+The fitness sees one decoded gene vector per call, or a decoded batch
+when it is marked with vectorized; evaluate_population states how
+either is called and checked.
 
 With parallel_workers > 0, run starts one WorkerPool after resolving
 its genome-dependent settings and checking that the fitness pickles
@@ -276,14 +273,12 @@ class RunRecord:
 
 
 def vectorized(fitness):
-    """Mark fitness as a batch fitness, and return it.
+    """Mark fitness as a batch fitness, and return it; evaluate_population
+    states how a marked fitness is called and checked.
 
-    A marked fitness takes the decoded (k, g) gene matrix of a batch and
-    returns its (k,) values; evaluate_population then calls it once per
-    chunk instead of once per row (see there). The marker is the
-    attribute fitness.vectorized = True, so it pickles with the function
-    into worker processes. A wrapper that does not carry the attribute
-    over is evaluated row by row.
+    The marker is the attribute fitness.vectorized = True, so it pickles
+    with the function into worker processes. A wrapper that does not
+    carry the attribute over is evaluated row by row.
     """
     fitness.vectorized = True
     return fitness
@@ -308,55 +303,34 @@ def _mean_fitness(values: np.ndarray) -> float:
         return float(values.mean())
 
 
-def _shape_failure(shape, rows: int, index: int):
-    """The failure of a vectorized fitness whose result for a batch of
-    rows starting at index is not (rows,) values."""
-    return (f"vectorized fitness returned shape {shape} for {rows} rows, "
-            f"not ({rows},), at individual {index}", index, None)
-
-
-def _evaluate_batch(fitness, start: int, rows):
-    """One call of a vectorized fitness on rows: (values, failure) as
-    _evaluate_rows returns them, or None, for the rows to be evaluated
-    one by one, when the call raised or returned values that are not
-    real numbers (bool, integer or floating point).
-    """
-    try:
-        result = np.asarray(fitness(rows))
-    except Exception:  # also a ragged result; the rows one by one tell
-        return None
-    if result.shape != (len(rows),):
-        return np.empty(0), _shape_failure(result.shape, len(rows), start)
-    if result.dtype.kind not in "biuf":
-        return None
-    values = result.astype(float, copy=False)
-    nan = np.isnan(values)
-    if not nan.any():
-        return values, None
-    offset = int(nan.argmax())
-    return values[:offset], (
-        f"fitness returned NaN for individual {start + offset}",
-        start + offset, None)
-
-
 def _evaluate_rows(fitness, start: int, rows):
-    """Fitness of each row as a float array, stopping at the first bad row.
-
-    Returns (values, failure). failure is None, or (message, index,
-    exception or None) for the first row whose fitness raised, returned
-    a non-number (a value float() rejects, also an int too large for a
-    float) or returned NaN; index is its batch index start + offset,
-    and values holds the rows before it. A vectorized fitness is called
-    once on all rows (see _evaluate_batch); when that call raises or
-    returns a non-number, it is called again on each row as a one-row
-    matrix, so that the failure names its row. Module level, so that
-    worker processes can run it on a chunk.
+    """(values, failure) of the rows of a chunk, called and checked as
+    evaluate_population says. failure is None, or (message, index,
+    exception or None) of the first bad row, index start + offset, and
+    values holds the rows before it. Module level, so that worker
+    processes can run it on a chunk.
     """
     marked = getattr(fitness, "vectorized", False)
     if marked:
-        batch = _evaluate_batch(fitness, start, rows)
-        if batch is not None:
-            return batch
+        try:
+            result = np.asarray(fitness(rows))
+        except Exception:  # also a ragged result; the rows one by one tell
+            pass
+        else:
+            if result.shape != (len(rows),):
+                return np.empty(0), (
+                    f"vectorized fitness returned shape {result.shape} for "
+                    f"{len(rows)} rows, not ({len(rows)},), at individual "
+                    f"{start}", start, None)
+            if result.dtype.kind in "biuf":
+                values = result.astype(float, copy=False)
+                nan = np.isnan(values)
+                if not nan.any():
+                    return values, None
+                offset = int(nan.argmax())
+                return values[:offset], (
+                    f"fitness returned NaN for individual {start + offset}",
+                    start + offset, None)
     values = np.empty(len(rows))
     for offset, row in enumerate(rows):
         index = start + offset
@@ -368,7 +342,9 @@ def _evaluate_rows(fitness, start: int, rows):
         if marked:
             cells = np.asarray(result, dtype=object)
             if cells.shape != (1,):
-                return values[:offset], _shape_failure(cells.shape, 1, index)
+                return values[:offset], (
+                    f"vectorized fitness returned shape {cells.shape} for 1 "
+                    f"rows, not (1,), at individual {index}", index, None)
             result = cells[0]
         try:
             value = float(result)
@@ -436,17 +412,19 @@ def evaluate_population(genes, fitness, values: np.ndarray,
     not depend on the worker count.
 
     A fitness marked with vectorized is called once per chunk on the
-    chunk's (k, g) gene matrix and returns (k,) real values, checked as
-    one vector: a NaN at row f of the chunk commits the rows before it
-    and is reported at f. A result of another shape is a
-    FitnessEvaluationError at the chunk's first index. When the call
-    raises or returns values that are not real numbers (an object or
-    string array, say), the chunk is evaluated again row by row, each
-    row as a one-row matrix, so the error reports the failing row and
-    the message the per-row path gives; if every row then succeeds,
-    those values stand. Every other fitness is called once per row.
-    values that is not a float64 vector as long as genes is a
-    ConfigError before any fitness call.
+    chunk's (k, g) gene matrix and returns (k,) real values (bool,
+    integer or floating point), checked as one vector: a NaN at row f of
+    the chunk commits the rows before it and is reported at f. A result
+    of another shape is a FitnessEvaluationError at the chunk's first
+    index. When the call raises or returns values that are not real
+    numbers (an object or string array, say), the chunk is evaluated
+    again row by row, each row as a one-row matrix, so the error reports
+    the failing row and the message the per-row path gives; if every row
+    then succeeds, those values stand. The marker changes what an
+    evaluation costs, not its outcome, as long as the batch form gives
+    each row the value the row form gives. Every other fitness is
+    called once per row. values that is not a float64 vector as long as
+    genes is a ConfigError before any fitness call.
     """
     n = len(genes)
     if not (isinstance(values, np.ndarray) and values.dtype == np.float64
@@ -581,9 +559,9 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
     """Run the genetic algorithm and return its full history.
 
     fitness maps one gene vector (a label array for categorical genomes)
-    to a real number, or, when marked with vectorized, the (k, g) gene
-    matrix of a batch to (k,) values; extra fixed arguments can be
-    bound through fitness_args, and the bound fitness keeps the marker.
+    to a real number, or, when marked with vectorized, a batch (see
+    evaluate_population); extra fixed arguments can be bound through
+    fitness_args, and the bound fitness keeps the marker.
     init_genes seeds part of the initial population. spec and config
     checked themselves when built; run checks only the choices that
     depend on the genome (crossover, mutation and the selection,

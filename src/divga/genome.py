@@ -3,9 +3,9 @@
 A genome is either numeric (every gene is a float drawn from a bounded
 range) or categorical (every gene is a label from one shared category
 set), as its GeneSpec's numeric_ranges or categories field says. A
-GeneSpec checks itself when it is built, whichever constructor builds
-it, and is frozen, so every spec in use is valid and nothing
-downstream checks it again.
+GeneSpec checks and normalizes itself when it is built, whichever
+constructor builds it, and is frozen, so every spec in use is valid,
+holds tuples and hashes, and nothing downstream checks it again.
 
 A population is a gene matrix, one row per individual. Numeric genes
 are float64. Categorical genes are integer codes into spec.categories,
@@ -50,17 +50,31 @@ def _check_real(name: str, value):
         raise ConfigError(f"{name} must be a number, not {value!r}")
 
 
+def _number_pairs(ranges) -> tuple:
+    """ranges as a tuple of float (lower, upper) pairs; ConfigError when
+    they are not number pairs."""
+    try:
+        return tuple((float(lo), float(hi)) for lo, hi in ranges)
+    except (TypeError, ValueError):
+        raise ConfigError(f"ranges must be (lower, upper) number pairs, "
+                          f"not {ranges!r}") from None
+
+
 @dataclass(frozen=True)
 class GeneSpec:
     """Declares the shape and admissible values of a genome.
 
     Exactly one of numeric_ranges (a numeric genome) and categories (a
-    categorical one) is given. Every instance is checked when built, by
-    the raw constructor as well as :meth:`numeric` and :meth:`categorical`.
+    categorical one) is given. Every instance is checked and normalized
+    when built, by the raw constructor, which :meth:`numeric` and
+    :meth:`categorical` call.
 
     Attributes:
-        numeric_ranges: per-gene (lower, upper) bounds of a numeric genome.
-        categories: shared label set of a categorical genome.
+        numeric_ranges: per-gene (lower, upper) bounds of a numeric
+            genome, stored as a tuple of float pairs.
+        categories: shared label set of a categorical genome, stored as
+            a tuple with a repeated label kept once, where it first
+            appears, so that each label has exactly one code.
         number_of_genes: length of every gene vector.
     """
 
@@ -69,11 +83,12 @@ class GeneSpec:
     number_of_genes: int = 0
 
     def __post_init__(self):
-        """Raises ConfigError: neither or both of numeric_ranges and
-        categories given; number_of_genes not an integer (bool is not
-        one, numpy integers are) or below 1; a number of ranges other
-        than number_of_genes; a numeric range not finite or with
-        lower >= upper; fewer than two distinct labels."""
+        """Stores the fields as the class docstring says. Raises
+        ConfigError: neither or both of numeric_ranges and categories
+        given; number_of_genes not an integer (bool is not one, numpy
+        integers are) or below 1; ranges that are not number pairs, or
+        not number_of_genes of them; a range not finite or with
+        lower >= upper; unhashable labels, or fewer than two distinct."""
         if (self.numeric_ranges is None) == (self.categories is None):
             raise ConfigError(
                 "a genome needs exactly one of numeric_ranges and categories")
@@ -81,40 +96,37 @@ class GeneSpec:
         if self.number_of_genes < 1:
             raise ConfigError("genome must have at least one gene")
         if self.is_numeric:
-            if len(self.numeric_ranges) != self.number_of_genes:
+            ranges = _number_pairs(self.numeric_ranges)
+            object.__setattr__(self, "numeric_ranges", ranges)
+            if len(ranges) != self.number_of_genes:
                 raise ConfigError(
                     "number_of_genes does not match the number of ranges")
-            for lo, hi in self.numeric_ranges:
+            for lo, hi in ranges:
                 if not (math.isfinite(lo) and math.isfinite(hi)):
                     raise ConfigError(f"gene range ({lo}, {hi}) is not finite")
                 if not lo < hi:
                     raise ConfigError(f"empty gene range ({lo}, {hi})")
-        elif len(set(self.categories)) < 2:
+            return
+        try:
+            categories = tuple(dict.fromkeys(self.categories))
+        except TypeError:
+            raise ConfigError(f"categories must be hashable labels, not "
+                              f"{self.categories!r}") from None
+        object.__setattr__(self, "categories", categories)
+        if len(categories) < 2:
             raise ConfigError(
                 "categorical genome needs at least two distinct labels")
 
     @classmethod
     def numeric(cls, ranges) -> "GeneSpec":
-        """Numeric genome with one (lower, upper) range per gene."""
-        try:
-            ranges = tuple((float(lo), float(hi)) for lo, hi in ranges)
-        except (TypeError, ValueError):
-            raise ConfigError(f"ranges must be (lower, upper) number pairs, "
-                              f"not {ranges!r}") from None
+        """Numeric genome with one (lower, upper) range per gene; ranges
+        may be any iterable of pairs."""
+        ranges = _number_pairs(ranges)
         return cls(numeric_ranges=ranges, number_of_genes=len(ranges))
 
     @classmethod
     def categorical(cls, categories, number_of_genes: int) -> "GeneSpec":
-        """Categorical genome of given length over one shared label set.
-
-        Repeated labels are kept once, in order of first appearance, so
-        that each label has exactly one code.
-        """
-        try:
-            categories = tuple(dict.fromkeys(categories))
-        except TypeError:
-            raise ConfigError(f"categories must be hashable labels, not "
-                              f"{categories!r}") from None
+        """Categorical genome of given length over one shared label set."""
         return cls(categories=categories, number_of_genes=number_of_genes)
 
     @property

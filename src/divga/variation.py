@@ -115,12 +115,12 @@ def crossover(parents_a: np.ndarray, parents_b: np.ndarray, method: str,
     none: copy of parent_a, parent_b ignored.
 
     midpoint and between only make sense on numeric genes. The parents
-    must be two gene matrices of one shape.
+    must be two gene matrices of one shape (arrays or nested lists).
     """
     _check_rng(rng)
     if method not in CROSSOVER_METHODS:
         raise ConfigError(f"unknown crossover method {method!r}")
-    a, b = parents_a, parents_b
+    a, b = np.asarray(parents_a), np.asarray(parents_b)
     if a.ndim != 2 or a.shape != b.shape:
         raise ConfigError(f"parents of shapes {a.shape} and {b.shape} are "
                           f"not two gene matrices of one shape")
@@ -144,14 +144,21 @@ def mutate(genes: np.ndarray, spec: GeneSpec, config: MutationConfig | None,
     N(1, 0.5), random picks one of the two per mutated gene with equal
     probability. A mutated categorical gene is redrawn uniformly from the
     full category set (so it can redraw the current label). genes must
-    be a matrix of spec.number_of_genes columns.
+    be a matrix (an array or nested lists) of spec.number_of_genes
+    columns, of integer codes in [0, len(spec.categories)) for a
+    categorical genome; it is checked before any draw.
     """
     _check_rng(rng)
     config = resolve_mutation(config, spec)
+    genes = np.array(genes)
     if genes.ndim != 2 or genes.shape[1] != spec.number_of_genes:
         raise ConfigError(f"genes of shape {genes.shape} are not rows of "
                           f"{spec.number_of_genes} genes")
-    genes = genes.copy()
+    if not spec.is_numeric and (genes.dtype.kind not in "iu" or genes.size
+                                and not 0 <= genes.min() <= genes.max()
+                                < len(spec.categories)):
+        raise ConfigError(f"genes of a categorical genome must be integer "
+                          f"codes in [0, {len(spec.categories)})")
     fires = rng.random(genes.shape) < config.rate
     if not spec.is_numeric:
         genes[fires] = rng.integers(0, len(spec.categories),

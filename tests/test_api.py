@@ -156,6 +156,12 @@ def test_settings_types_check_themselves():
     (lambda: GeneSpec(categories=("E",), number_of_genes=3),
      "at least two distinct labels"),
     (lambda: GeneSpec(number_of_genes=2), "a genome needs exactly one"),
+    (lambda: GeneSpec(numeric_ranges=(("a", 1),), number_of_genes=1),
+     r"ranges must be \(lower, upper\) number pairs, not \(\('a', 1\),\)"),
+    (lambda: GeneSpec(numeric_ranges=(1, 2), number_of_genes=2),
+     r"ranges must be \(lower, upper\) number pairs, not \(1, 2\)"),
+    (lambda: GeneSpec(categories=[["a"], ["b"]], number_of_genes=2),
+     r"categories must be hashable labels, not \[\['a'\], \['b'\]\]"),
     (lambda: EngineConfig(population_size=1, n_generations=1),
      "population_size must be at least 2"),
     (lambda: EngineConfig(population_size=4.0, n_generations=1),

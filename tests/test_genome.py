@@ -79,6 +79,22 @@ class TestGeneSpec:
         assert [f.name for f in dataclasses.fields(GeneSpec)] == [
             "numeric_ranges", "categories", "number_of_genes"]
 
+    def test_raw_form_normalized_as_the_named_one(self):
+        """Lists, integer bounds and repeated labels given to the raw
+        constructor are stored as the named constructors store them, so
+        the spec hashes (a list field used to make hash raise TypeError)
+        and equals the named one."""
+        numeric = GeneSpec(numeric_ranges=[(0, 1), [2, 3]], number_of_genes=2)
+        categorical = GeneSpec(categories=["E", "K", "E"], number_of_genes=4)
+        assert numeric.numeric_ranges == ((0.0, 1.0), (2.0, 3.0))
+        assert all(type(x) is float for pair in numeric.numeric_ranges
+                   for x in pair)
+        assert categorical.categories == ("E", "K")
+        assert {numeric, categorical} == {GeneSpec.numeric([(0, 1), (2, 3)]),
+                                          GeneSpec.categorical("EK", 4)}
+        generated = GeneSpec.numeric((k, k + 1) for k in range(3))
+        assert generated.numeric_ranges == ((0.0, 1.0), (1.0, 2.0), (2.0, 3.0))
+
     def test_range_widths(self):
         spec = GeneSpec.numeric([(0, 10), (-2, 2)])
         np.testing.assert_array_equal(spec.range_widths(), [10.0, 4.0])

@@ -1,5 +1,7 @@
 """Pairing, crossover and mutation operators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,18 @@ class TestCrossover:
     def test_parents_not_matrices(self, method, rng):
         with pytest.raises(ConfigError, match="not two gene matrices"):
             crossover(np.zeros(3), np.ones(3), method, rng)
+
+    @pytest.mark.parametrize("method", ["midpoint", "eitheror", "between",
+                                        "none"])
+    def test_nested_lists_read_as_arrays(self, method):
+        """Lists used to raise a bare AttributeError ('list' object has
+        no attribute 'ndim')."""
+        a, b = [[0.0, 1.0], [2.0, 3.0]], [[1.0, 2.0], [0.0, 5.0]]
+        lists, arrays = np.random.default_rng(4), np.random.default_rng(4)
+        np.testing.assert_array_equal(
+            crossover(a, b, method, lists),
+            crossover(np.array(a), np.array(b), method, arrays))
+        assert lists.random() == arrays.random()
 
 
 class TestResolveMutation:
@@ -284,6 +298,34 @@ class TestMutate:
         genes = np.zeros(shape, dtype=spec.gene_dtype)
         with pytest.raises(ConfigError, match="are not rows of 3 genes"):
             mutate(genes, spec, None, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("spec, genes", [
+        (GeneSpec.numeric([(0, 1), (0, 2)]), [[0.0, 1.0], [0.5, 1.5]]),
+        (GeneSpec.categorical("EK", 2), [[0, 1], [1, 1]]),
+    ], ids=["numeric", "categorical"])
+    def test_nested_lists_read_as_arrays(self, spec, genes):
+        """Lists used to raise a bare AttributeError ('list' object has
+        no attribute 'ndim')."""
+        config = MutationConfig(rate=0.5)
+        lists, arrays = np.random.default_rng(4), np.random.default_rng(4)
+        np.testing.assert_array_equal(
+            mutate(genes, spec, config, lists),
+            mutate(np.array(genes), spec, config, arrays))
+        assert lists.random() == arrays.random()
+
+    @pytest.mark.parametrize("genes", [
+        np.zeros((2, 4)), np.full((2, 4), 9), np.full((2, 4), -1),
+        np.array([[0, 1, 1, 0], [1, 0, 2, 1]], dtype=np.int8)],
+        ids=["float", "code-9", "code-minus-1", "one-code-too-large"])
+    def test_categorical_codes_checked(self, genes):
+        """A float matrix used to be mutated and returned as floats, and
+        a code of 9 on two labels to fail later in decode with a bare
+        IndexError. Checked before any draw."""
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match=re.escape(
+                "must be integer codes in [0, 2)")):
+            mutate(genes, GeneSpec.categorical("EK", 4), None, rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_partial_rate_leaves_some_genes(self, rng):
         spec = GeneSpec.numeric([(0.0, 10.0)] * 50)
