@@ -154,9 +154,9 @@ def mutate(genes: np.ndarray, spec: GeneSpec, config: MutationConfig | None,
     if genes.ndim != 2 or genes.shape[1] != spec.number_of_genes:
         raise ConfigError(f"genes of shape {genes.shape} are not rows of "
                           f"{spec.number_of_genes} genes")
-    if not spec.is_numeric and (genes.dtype.kind not in "iu" or genes.size
-                                and not 0 <= genes.min() <= genes.max()
-                                < len(spec.categories)):
+    if not spec.is_numeric and (
+            genes.dtype.kind not in "iu" or genes.min(initial=0) < 0
+            or genes.max(initial=0) >= len(spec.categories)):
         raise ConfigError(f"genes of a categorical genome must be integer "
                           f"codes in [0, {len(spec.categories)})")
     fires = rng.random(genes.shape) < config.rate
