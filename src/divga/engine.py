@@ -22,7 +22,8 @@ its genome-dependent settings and checking that the fitness pickles
 (EngineConfig checked the rest when it was built), evaluates every
 generation on it, and shuts it down when it returns or raises.
 
-A run writes three files into its output directory when one is given:
+When an output directory is given, a RunWriter makes it once the
+WorkerPool is built, and owns the three files of the run there:
 
     <YYYYMMDD-HHMMSS>_survivors.csv   generation,index,fitness,g1..gN
     <YYYYMMDD-HHMMSS>_fitness.csv     generation,evaluations,mean_fitness,best_fitness
@@ -466,47 +467,28 @@ def _csv_text(label) -> str:
     return text
 
 
-class _RunLog:
-    """Writes every line to log.txt and prints those within verbosity."""
-
-    def __init__(self, directory: Path | None, verbosity: int):
-        self.verbosity = verbosity
-        self.file = None
-        if directory is not None:
-            self.file = open(directory / "log.txt", "a",
-                             encoding="utf-8", newline="\n")
-
-    def line(self, level: int, text: str):
-        if self.verbosity >= level:
-            print(text)
-        if self.file is not None:
-            self.file.write(text + "\n")
-            self.file.flush()
-
-    def close(self):
-        if self.file is not None:
-            self.file.close()
-            self.file = None
-
-
 class RunWriter:
-    """Incrementally writes the survivors and fitness CSVs of a run into
-    an existing directory, keeping the row texts of the last snapshot
-    for the survivors that the next one carries over."""
+    """The files of a run in a directory, which it makes: the survivors
+    and fitness CSVs, written incrementally, keeping the row texts of
+    the last snapshot for the survivors that the next one carries over,
+    and log.txt, appended to. files maps their keys to their paths."""
 
     def __init__(self, directory: str | Path, spec: GeneSpec):
-        self.directory = Path(directory)
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
         stamp = time.strftime("%Y%m%d-%H%M%S")
         candidate, k = stamp, 2
-        while (self.directory / f"{candidate}_survivors.csv").exists():
+        while (directory / f"{candidate}_survivors.csv").exists():
             candidate = f"{stamp}-{k}"
             k += 1
-        self.survivors_path = self.directory / f"{candidate}_survivors.csv"
-        self.fitness_path = self.directory / f"{candidate}_fitness.csv"
-        self._survivors = open(self.survivors_path, "w",
-                               encoding="utf-8", newline="\n")
-        self._fitness = open(self.fitness_path, "w",
-                             encoding="utf-8", newline="\n")
+        self.files = {"survivors": directory / f"{candidate}_survivors.csv",
+                      "fitness": directory / f"{candidate}_fitness.csv",
+                      "log": directory / "log.txt"}
+        # log.txt first, so that a run which cannot open it leaves no CSV.
+        self._log, self._survivors, self._fitness = (
+            open(self.files[key], mode, encoding="utf-8", newline="\n")
+            for key, mode in (("log", "a"), ("survivors", "w"),
+                              ("fitness", "w")))
         gene_names = ",".join(f"g{k + 1}" for k in range(spec.number_of_genes))
         self._survivors.write(f"generation,index,fitness,{gene_names}\n")
         self._fitness.write("generation,evaluations,mean_fitness,best_fitness\n")
@@ -549,9 +531,15 @@ class RunWriter:
         self._survivors.flush()
         self._fitness.flush()
 
+    def log(self, text: str):
+        """Append one line to log.txt and flush it."""
+        self._log.write(text + "\n")
+        self._log.flush()
+
     def close(self):
         self._survivors.close()
         self._fitness.close()
+        self._log.close()
 
 
 def run(spec: GeneSpec, fitness, config: EngineConfig, *,
@@ -573,11 +561,12 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
     ranks first; survivors holding both record a NaN mean fitness. With
     parallel_workers > 0 one WorkerPool serves the whole run and is shut
     down when it returns or raises. An unpicklable fitness with
-    parallel_workers > 0 raises ConfigError before any process starts,
-    an unwritable output directory OSError, and a generation whose best
-    survivor is worse than the previous best (a broken elitism
-    guarantee) RuntimeError. Any exception that ends the run is logged
-    as "run aborted" before it propagates.
+    parallel_workers > 0 raises ConfigError before any process starts
+    or output file is made, an output directory that cannot be made or
+    written OSError, and a generation whose best survivor is worse than
+    the previous best (a broken elitism guarantee) RuntimeError. Any
+    exception that ends the run is logged as "run aborted" before it
+    propagates.
     """
     crossover = resolve_crossover(config.crossover, spec)
     mutation = resolve_mutation(config.mutation, spec)
@@ -589,12 +578,14 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
     diversity = config.selection.resolve(spec, genes)
     values = np.empty(n)
 
-    out_dir = Path(config.output_directory) if config.output_directory else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    log = _RunLog(out_dir, config.verbosity)
     writer = workers = None
     record = RunRecord()
+
+    def log(text):
+        if config.verbosity >= 1:
+            print(text)
+        if writer is not None:
+            writer.log(text)
 
     def snapshot(generation, genes, values, cumulative, picks=None):
         decoded = spec.decode(genes)
@@ -607,23 +598,21 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
             parents = None if picks is None else np.where(picks < n, picks, -1)
             writer.append(generation, survivors, cumulative, parents)
         best = float(values.max())
-        log.line(1, f"generation {generation}: best={best:.6g} "
-                    f"mean={_mean_fitness(values):.6g} evaluations={cumulative}")
+        log(f"generation {generation}: best={best:.6g} "
+            f"mean={_mean_fitness(values):.6g} evaluations={cumulative}")
         return best
 
     try:
         if config.parallel_workers > 0:
             workers = WorkerPool(config.parallel_workers, bound)
-        if out_dir is not None:
-            writer = RunWriter(out_dir, spec)
-            record.output_files = {"survivors": writer.survivors_path,
-                                   "fitness": writer.fitness_path,
-                                   "log": out_dir / "log.txt"}
-        log.line(1, f"run started: population={n} "
-                    f"generations={config.n_generations} crossover={crossover} "
-                    f"pairing={config.pairing} seed={config.seed}")
-        log.line(1, f"selection: diversity-enhanced, d0={diversity.d0:g}, "
-                    f"r0={diversity.r0:g}, measure={diversity.measure.name}")
+        if config.output_directory:
+            writer = RunWriter(config.output_directory, spec)
+            record.output_files = writer.files
+        log(f"run started: population={n} "
+            f"generations={config.n_generations} crossover={crossover} "
+            f"pairing={config.pairing} seed={config.seed}")
+        log(f"selection: diversity-enhanced, d0={diversity.d0:g}, "
+            f"r0={diversity.r0:g}, measure={diversity.measure.name}")
         cumulative = evaluate_population(spec.decode(genes), bound, values,
                                          workers)
         best = snapshot(0, genes, values, cumulative)
@@ -645,9 +634,9 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
             best = snapshot(generation, genes, values, cumulative, picks)
             if config.verbosity >= 2:
                 for rank, ind in enumerate(record.populations[-1]):
-                    log.line(2, f"  survivor {rank}: fitness={ind.fitness:.6g}"
-                                f" working={working[rank]:.6g}"
-                                f" genes={list(ind.genes)}")
+                    log(f"  survivor {rank}: fitness={ind.fitness:.6g}"
+                        f" working={working[rank]:.6g}"
+                        f" genes={list(ind.genes)}")
             if best < previous_best:
                 raise RuntimeError(
                     f"elitist selection lost the best individual: best "
@@ -657,19 +646,18 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
                     and best >= config.fitness_threshold):
                 record.termination = THRESHOLD_REACHED
                 break
-        log.line(1, f"run finished: {record.termination} after "
-                    f"{len(record.populations) - 1} generations, "
-                    f"{cumulative} evaluations")
+        log(f"run finished: {record.termination} after "
+            f"{len(record.populations) - 1} generations, "
+            f"{cumulative} evaluations")
     except BaseException as exc:
         record.termination = ABORTED
         if isinstance(exc, FitnessEvaluationError):
             exc.partial_record = record
-        log.line(1, f"run aborted: {type(exc).__name__}: {exc}")
+        log(f"run aborted: {type(exc).__name__}: {exc}")
         raise
     finally:
         if workers is not None:
             workers.close()
         if writer is not None:
             writer.close()
-        log.close()
     return record

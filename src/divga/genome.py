@@ -5,13 +5,15 @@ range) or categorical (every gene is a label from one shared category
 set), as its GeneSpec's numeric_ranges or categories field says. A
 GeneSpec checks and normalizes itself when it is built, whichever
 constructor builds it, and is frozen, so every spec in use is valid,
-holds tuples and hashes, and nothing downstream checks it again.
+holds tuples and hashes, and nothing downstream checks it again. A
+range bound is a real number: a string or a bool is not one.
 
 A population is a gene matrix, one row per individual. Numeric genes
 are float64. Categorical genes are integer codes into spec.categories,
 stored in the smallest signed integer type that holds every code
 (GeneSpec.gene_dtype): int8 up to 128 categories, then int16, and so
-on. Variation keeps the dtype of the matrix it is given. GeneSpec.decode
+on. Variation keeps the dtype of the matrix it is given, and mutate
+takes only floating point numeric genes and integer codes. GeneSpec.decode
 turns codes into the label arrays that fitness functions, custom
 distance measures, CSV rows and the run history (divga.engine.RunRecord)
 see, and GeneSpec.encode turns user-given label vectors into codes.
@@ -52,10 +54,13 @@ def _check_real(name: str, value):
 
 def _number_pairs(ranges) -> tuple:
     """ranges as a tuple of float (lower, upper) pairs; ConfigError when
-    they are not number pairs."""
+    they are not pairs of real numbers (see _check_real)."""
     try:
-        return tuple((float(lo), float(hi)) for lo, hi in ranges)
-    except (TypeError, ValueError):
+        pairs = tuple((lo, hi) for lo, hi in ranges)
+        for bound in (b for pair in pairs for b in pair):
+            _check_real("bound", bound)  # its ConfigError is a ValueError
+        return tuple((float(lo), float(hi)) for lo, hi in pairs)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"ranges must be (lower, upper) number pairs, "
                           f"not {ranges!r}") from None
 
@@ -86,8 +91,8 @@ class GeneSpec:
         """Stores the fields as the class docstring says. Raises
         ConfigError: neither or both of numeric_ranges and categories
         given; number_of_genes not an integer (bool is not one, numpy
-        integers are) or below 1; ranges that are not number pairs, or
-        not number_of_genes of them; a range not finite or with
+        integers are) or below 1; ranges that are not real number pairs,
+        or not number_of_genes of them; a range not finite or with
         lower >= upper; unhashable labels, or fewer than two distinct."""
         if (self.numeric_ranges is None) == (self.categories is None):
             raise ConfigError(

@@ -145,8 +145,9 @@ def mutate(genes: np.ndarray, spec: GeneSpec, config: MutationConfig | None,
     probability. A mutated categorical gene is redrawn uniformly from the
     full category set (so it can redraw the current label). genes must
     be a matrix (an array or nested lists) of spec.number_of_genes
-    columns, of integer codes in [0, len(spec.categories)) for a
-    categorical genome; it is checked before any draw.
+    columns, of floats for a numeric genome (float32 stays float32) and
+    of integer codes in [0, len(spec.categories)) for a categorical
+    one; it is checked before any draw.
     """
     _check_rng(rng)
     config = resolve_mutation(config, spec)
@@ -154,8 +155,11 @@ def mutate(genes: np.ndarray, spec: GeneSpec, config: MutationConfig | None,
     if genes.ndim != 2 or genes.shape[1] != spec.number_of_genes:
         raise ConfigError(f"genes of shape {genes.shape} are not rows of "
                           f"{spec.number_of_genes} genes")
-    if not spec.is_numeric and (
-            genes.dtype.kind not in "iu" or genes.min(initial=0) < 0
+    if spec.is_numeric:
+        if genes.dtype.kind != "f":
+            raise ConfigError(f"genes of a numeric genome must be floating "
+                              f"point, not {genes.dtype}")
+    elif (genes.dtype.kind not in "iu" or genes.min(initial=0) < 0
             or genes.max(initial=0) >= len(spec.categories)):
         raise ConfigError(f"genes of a categorical genome must be integer "
                           f"codes in [0, {len(spec.categories)})")

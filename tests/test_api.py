@@ -246,6 +246,14 @@ def test_settings_types_check_themselves():
     (lambda: GeneSpec.numeric([(0, 1, 2)]), r"ranges must be \(lower, upper\)"),
     (lambda: GeneSpec.numeric([1, 2]), r"ranges must be \(lower, upper\)"),
     (lambda: GeneSpec.numeric(None), r"ranges must be \(lower, upper\)"),
+    (lambda: GeneSpec.numeric([("0", "1e1")]),
+     r"ranges must be \(lower, upper\)"),
+    (lambda: GeneSpec.numeric([(False, True)]),
+     r"ranges must be \(lower, upper\)"),
+    (lambda: GeneSpec(numeric_ranges=(("0", "1e1"),), number_of_genes=1),
+     r"ranges must be \(lower, upper\)"),
+    (lambda: GeneSpec(numeric_ranges=((False, True),), number_of_genes=1),
+     r"ranges must be \(lower, upper\)"),
     (lambda: GeneSpec.categorical([["a"], ["b"]], 3),
      "categories must be hashable labels"),
     (lambda: GeneSpec.categorical(5, 3), "categories must be hashable labels"),
@@ -292,6 +300,8 @@ def test_good_edge_settings_build():
     DiversityEnhanced(r0=1e154)
     MutationConfig(clip_to_ranges=np.bool_(True))
     DiversityEnhanced(measure="HAMMING")
+    assert GeneSpec.numeric([(np.float32(0), np.int64(2))]).numeric_ranges \
+        == ((0.0, 2.0),)
 
 
 # Each settings class, with the arguments it requires.

@@ -732,6 +732,17 @@ class TestRunValidation:
         assert fitness.calls == 0
         assert not out.exists()
 
+    def test_unpicklable_fitness_with_workers_makes_no_directory(
+            self, numeric_spec, tmp_path):
+        """The worker pool is checked before the output directory is
+        made; it used to leave out/log.txt holding "run aborted"."""
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="picklable"):
+            run(numeric_spec, lambda genes: 0.0,
+                quiet(population_size=4, n_generations=1,
+                      parallel_workers=2, output_directory=out))
+        assert not out.exists()
+
     def test_unknown_measure(self, numeric_spec, tmp_path):
         """An unknown measure name is a ConfigError, raised before any
         fitness call or output file."""
@@ -1090,6 +1101,44 @@ class TestLogFile:
             run(spec, exploding_fitness, config)
         lines = (tmp_path / "log.txt").read_text().splitlines()
         assert lines[-1].startswith("run aborted")
+
+
+    @both_kinds
+    def test_log_file_holds_the_console_lines(self, spec_name, fitness,
+                                              request, tmp_path, capsys):
+        """log.txt is the console output of verbosity 1 at verbosity 0
+        and 1; verbosity 2 adds only the survivor listing to both."""
+        spec = request.getfixturevalue(spec_name)
+        logs, printed = {}, {}
+        for verbosity in (0, 1, 2):
+            directory = tmp_path / str(verbosity)
+            run(spec, fitness, EngineConfig(
+                population_size=4, n_generations=3, seed=5,
+                verbosity=verbosity, output_directory=directory))
+            logs[verbosity] = (directory / "log.txt").read_text()
+            printed[verbosity] = capsys.readouterr().out
+        assert printed[0] == ""
+        assert logs[0] == logs[1] == printed[1]
+        assert logs[2] == printed[2]
+        lines = logs[2].splitlines()
+        listing = [line for line in lines if line.startswith("  survivor ")]
+        assert len(listing) == 3 * 4
+        assert [line for line in lines if line not in listing] == \
+            logs[1].splitlines()
+
+    def test_directory_that_cannot_be_made_is_an_abort(self, numeric_spec,
+                                                       tmp_path, capsys):
+        """It used to raise before the run's try, with no "run aborted"
+        line."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        fitness = CountingFitness()
+        with pytest.raises(OSError):
+            run(numeric_spec, fitness,
+                EngineConfig(population_size=4, n_generations=1,
+                             output_directory=blocker / "out"))
+        assert capsys.readouterr().out.startswith("run aborted: ")
+        assert fitness.calls == 0
 
 
 class TestPersistence:

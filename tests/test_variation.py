@@ -327,6 +327,30 @@ class TestMutate:
             mutate(genes, GeneSpec.categorical("EK", 4), None, rng)
         assert rng.random() == np.random.default_rng(0).random()
 
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative",
+                                      "random"])
+    @pytest.mark.parametrize("genes", [np.array([[0, 1]]), [[0, 1]]],
+                             ids=["array", "list"])
+    def test_numeric_genes_must_be_floating_point(self, genes, mode):
+        """Integer genes used to raise a bare numpy UFuncTypeError, even
+        at rate 0. Checked before any draw."""
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match="genes of a numeric genome "
+                           "must be floating point, not int"):
+            mutate(genes, GeneSpec.numeric([(0, 1), (0, 2)]),
+                   MutationConfig(rate=0.0, mode=mode), rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative",
+                                      "random"])
+    def test_float32_genes_keep_their_dtype(self, mode):
+        spec = GeneSpec.numeric([(0, 1), (0, 2)])
+        config = MutationConfig(rate=1.0, mode=mode, clip_to_ranges=True)
+        genes = np.full((3, 2), 0.5, dtype=np.float32)
+        out = mutate(genes, spec, config, np.random.default_rng(0))
+        assert out.dtype == np.float32
+        assert (out != 0.5).any()
+
     def test_partial_rate_leaves_some_genes(self, rng):
         spec = GeneSpec.numeric([(0.0, 10.0)] * 50)
         cfg = resolve_mutation(MutationConfig(rate=0.1, mode="additive"), spec)
