@@ -17,10 +17,11 @@ import numpy as np
 
 from .baselines import DEConfig, random_scan, run_de
 from .distance import hamming_spread, spread
-from .engine import DiversityEnhanced, EngineConfig, run, vectorized
+from .engine import (DiversityEnhanced, EngineConfig,
+                     _check_output_directory, run, vectorized)
 from .errors import ConfigError
 from .genome import GeneSpec, _check_integer
-from .variation import CROSSOVER_METHODS
+from .variation import CROSSOVER_METHODS, PAIRING_STRATEGIES
 
 CHARGES = {"K": 1.0, "E": -1.0}
 CIRCLE_AMPLITUDE = 5.0
@@ -143,8 +144,18 @@ def angular_bin_occupancy(points, n_bins: int = 12) -> np.ndarray:
     return np.bincount(bins, minlength=n_bins)
 
 
-_OVERRIDE_KEYS = ("population", "generations", "repetitions", "crossover",
-                  "pairing", "d0", "r0", "workers")
+# run_experiment's overrides, divga-bench's flags: (type or choices, help).
+_OPTIONS = {
+    "population": (int, "population size (per-experiment default)"),
+    "generations": (int, "number of generations"),
+    "repetitions": (int, "independent repetitions"),
+    "crossover": (CROSSOVER_METHODS, "crossover method"),
+    "pairing": (PAIRING_STRATEGIES, "parent pairing strategy"),
+    "d0": (float, "diversity penalty amplitude; 0 selects the top n by raw "
+                  "fitness"),
+    "r0": (float, "diversity penalty radius"),
+    "workers": (int, "fitness worker processes, 0 for sequential"),
+}
 
 @dataclass
 class BenchmarkReport:
@@ -247,21 +258,22 @@ def _compare(rows, groups, key="algorithm"):
     return aggregates, lines
 
 
-def _wins(rows, column, settings, phrase):
-    """Repetitions whose first method beat the second on column, of rows
-    alternating between two methods, and the summary line saying so."""
-    wins = sum(a[column] > b[column] for a, b in zip(rows[::2], rows[1::2]))
-    return wins, f"{phrase} in {wins}/{settings['repetitions']} repetitions"
-
-
-def _landscape_compare(settings, seed):
-    rows = _runs(settings, seed, GeneSpec.numeric(settings["ranges"]),
-                 landscape_from_genes, ("ga", "de"))
-    aggregates, lines = _compare(rows, ("ga", "de"))
-    aggregates["ga_spread_wins"], wins = _wins(
-        rows, "spread", settings, "ga spread exceeded de spread")
-    return rows, aggregates, [
-        f"repetitions: {settings['repetitions']}", *lines, wins]
+def _versus(rival, column, key, phrase, note=""):
+    """A head-to-head experiment on the landscape: repetition r runs the
+    GA, then rival at the GA's evaluations. aggregates[key] counts the
+    repetitions in which the GA's column beat the rival's, and the last
+    summary line says so after phrase."""
+    def experiment(settings, seed):
+        rows = _runs(settings, seed, GeneSpec.numeric(settings["ranges"]),
+                     landscape_from_genes, ("ga", rival))
+        aggregates, lines = _compare(rows, ("ga", rival))
+        wins = aggregates[key] = sum(
+            a[column] > b[column] for a, b in zip(rows[::2], rows[1::2]))
+        repetitions = settings["repetitions"]
+        return rows, aggregates, [
+            f"repetitions: {repetitions}{note}", *lines,
+            f"{phrase} in {wins}/{repetitions} repetitions"]
+    return experiment
 
 
 def _circle_columns(genes, settings):
@@ -338,20 +350,11 @@ def _crossover_sweep(settings, seed):
         f"repetitions per method: {settings['repetitions']}", *lines]
 
 
-def _random_compare(settings, seed):
-    rows = _runs(settings, seed, GeneSpec.numeric(settings["ranges"]),
-                 landscape_from_genes, ("ga", "random"))
-    aggregates, lines = _compare(rows, ("ga", "random"))
-    aggregates["ga_wins"], wins = _wins(
-        rows, "final_mean_fitness", settings, "ga beat the random scan")
-    return rows, aggregates, [
-        f"repetitions: {settings['repetitions']}, equal evaluation budgets",
-        *lines, wins]
-
-
 # name: (function, default settings), in the order EXPERIMENTS lists them.
 _EXPERIMENTS = {
-    "landscape-compare": (_landscape_compare, dict(
+    "landscape-compare": (_versus(
+        "de", "spread", "ga_spread_wins",
+        "ga spread exceeded de spread"), dict(
         population=200, generations=100, repetitions=10, crossover="none",
         pairing="random", ranges=((-1.5, 1.5), (-1.5, 1.5)))),
     "circle": (_circle, dict(
@@ -363,7 +366,9 @@ _EXPERIMENTS = {
     "crossover-sweep": (_crossover_sweep, dict(
         population=200, generations=100, repetitions=3, pairing="random",
         ranges=((-1.5, 1.5), (-1.5, 1.5)))),
-    "random-compare": (_random_compare, dict(
+    "random-compare": (_versus(
+        "random", "final_mean_fitness", "ga_wins", "ga beat the random scan",
+        ", equal evaluation budgets"), dict(
         population=200, generations=100, repetitions=10, crossover="none",
         pairing="random", ranges=((-10.0, 10.0), (-10.0, 10.0)))),
 }
@@ -380,7 +385,7 @@ def _apply_overrides(settings: dict, overrides: dict | None) -> dict:
     if not overrides:
         return settings
     for key, value in overrides.items():
-        if key not in _OVERRIDE_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"unknown experiment option {key!r}")
         if value is None:
             continue
@@ -417,13 +422,15 @@ def run_experiment(name: str, overrides: dict | None = None, seed: int = 0,
     """Run one named experiment and optionally write its files.
 
     Emits <experiment>_runs.csv (one row per run) and
-    <experiment>_summary.txt into output_directory when it is given.
+    <experiment>_summary.txt into output_directory unless it is None
+    ("" is the current directory), which is checked before any run.
     Repetition r of an experiment uses seed + r, so a master seed pins
     the whole experiment.
     """
     if name not in _EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}")
+    _check_output_directory(output_directory)
     experiment, defaults = _EXPERIMENTS[name]
     settings = _apply_overrides(dict(defaults), overrides)
     rows, aggregates, lines = experiment(settings, seed)

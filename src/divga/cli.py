@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import _OVERRIDE_KEYS, EXPERIMENTS, run_experiment
-from .variation import CROSSOVER_METHODS, PAIRING_STRATEGIES
+from .bench import _OPTIONS, EXPERIMENTS, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,27 +21,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "genetic algorithm and write per-run and summary files.")
     parser.add_argument("experiment", choices=EXPERIMENTS,
                         help="which experiment to run")
-    parser.add_argument("--population", type=int, default=None,
-                        help="population size (per-experiment default)")
-    parser.add_argument("--generations", type=int, default=None,
-                        help="number of generations")
-    parser.add_argument("--repetitions", type=int, default=None,
-                        help="independent repetitions")
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed; repetition r uses seed + r")
-    parser.add_argument("--crossover", default=None,
-                        choices=CROSSOVER_METHODS,
-                        help="crossover method")
-    parser.add_argument("--pairing", default=None,
-                        choices=PAIRING_STRATEGIES,
-                        help="parent pairing strategy")
-    parser.add_argument("--d0", type=float, default=None,
-                        help="diversity penalty amplitude; 0 selects the "
-                             "top n by raw fitness")
-    parser.add_argument("--r0", type=float, default=None,
-                        help="diversity penalty radius")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="fitness worker processes, 0 for sequential")
+    for key, (kind, text) in _OPTIONS.items():
+        typed = {"choices" if isinstance(kind, tuple) else "type": kind}
+        parser.add_argument(f"--{key}", default=None, help=text, **typed)
     parser.add_argument("--out", default=".",
                         help="output directory (default: current directory)")
     return parser
@@ -50,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in _OVERRIDE_KEYS}
+    overrides = {key: getattr(args, key) for key in _OPTIONS}
     try:
         report = run_experiment(args.experiment, overrides=overrides,
                                 seed=args.seed, output_directory=args.out)

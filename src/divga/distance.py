@@ -268,7 +268,8 @@ def get_measure(measure, labels: bool = False) -> DistanceMeasure:
     for label genes (labels true) or numeric genes.
 
     None picks the default: Hamming for labels, Euclidean otherwise. A
-    class raises ConfigError (pass an instance). The Euclidean and
+    class (pass an instance) raises ConfigError, as does a measure with
+    neither a kernel nor a to_point of its own. The Euclidean and
     dynamic kernels subtract genes, so a measure they measure (see
     _through_to_point) raises ConfigError on labels.
     """
@@ -286,6 +287,10 @@ def get_measure(measure, labels: bool = False) -> DistanceMeasure:
                 f"unknown distance measure {measure!r}; "
                 f"choose from {sorted(_NAMED)} or pass a callable")
         measure = _NAMED[name]()
+    if (measure.kernel is None
+            and type(measure).to_point is DistanceMeasure.to_point):
+        raise ConfigError(f"measure {type(measure).__name__} has no formula; "
+                          f"define to_point in a subclass or pass a callable")
     if (labels and not _through_to_point(measure)
             and issubclass(measure.kernel, _EuclideanRows)):
         raise ConfigError(f"the {measure.name} measure needs numeric genes; "

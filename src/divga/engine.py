@@ -207,16 +207,20 @@ class EngineConfig:
         _check_integer("verbosity", self.verbosity)
         if self.verbosity not in (0, 1, 2):
             raise ConfigError("verbosity must be 0, 1 or 2")
-        if not isinstance(self.output_directory, (str, os.PathLike,
-                                                  type(None))):
-            raise ConfigError(f"output_directory must be a path or None, "
-                              f"not {self.output_directory!r}")
+        _check_output_directory(self.output_directory)
         if not isinstance(self.selection, DiversityEnhanced):
             raise ConfigError(f"selection must be a DiversityEnhanced, not "
                               f"{self.selection!r}")
         if not isinstance(self.mutation, (MutationConfig, type(None))):
             raise ConfigError(f"mutation must be a MutationConfig, not "
                               f"{self.mutation!r}")
+
+
+def _check_output_directory(directory) -> None:
+    """ConfigError unless directory is a str, an os.PathLike or None."""
+    if not isinstance(directory, (str, os.PathLike, type(None))):
+        raise ConfigError(f"output_directory must be a path or None, "
+                          f"not {directory!r}")
 
 
 def _check_run_settings(config, smallest: int, too_small: str):
@@ -605,7 +609,7 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
     try:
         if config.parallel_workers > 0:
             workers = WorkerPool(config.parallel_workers, bound)
-        if config.output_directory:
+        if config.output_directory is not None:
             writer = RunWriter(config.output_directory, spec)
             record.output_files = writer.files
         log(f"run started: population={n} "

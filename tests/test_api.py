@@ -15,6 +15,7 @@ import divga
 from divga import (
     ConfigError,
     DEConfig,
+    DistanceMeasure,
     DiversityEnhanced,
     DivgaError,
     EngineConfig,
@@ -281,6 +282,9 @@ def test_settings_types_check_themselves():
     (lambda: DiversityEnhanced(measure=5), "unknown distance measure 5"),
     (lambda: DiversityEnhanced(measure="manhattan"),
      "unknown distance measure 'manhattan'"),
+    (lambda: DiversityEnhanced(measure=DistanceMeasure()),
+     "measure DistanceMeasure has no formula; define to_point in a "
+     "subclass or pass a callable"),
 ])
 def test_bad_settings_rejected_when_built(build, match):
     """A bad raw value is a ConfigError at construction, with no run."""

@@ -3,6 +3,7 @@
 import csv
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -590,6 +591,22 @@ class TestRunExperiment:
                 "crossover": "none"}, output_directory=tmp_path)
         assert calls == [] and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("directory", [123, b"out"])
+    def test_bad_output_directory_costs_no_run(self, directory, tmp_path,
+                                               monkeypatch):
+        """output_directory is checked as EngineConfig checks it, before
+        the first repetition."""
+        calls = []
+        monkeypatch.setattr(bench, "run", lambda *a, **k: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"output_directory must be a path or None, "
+                f"not {directory!r}")):
+            run_experiment("circle", overrides={
+                "repetitions": 1, "generations": 2, "population": 8},
+                output_directory=directory)
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
     def test_random_compare_small(self):
         report = run_experiment(
             "random-compare",
@@ -644,6 +661,28 @@ class TestRunExperiment:
             pytest.approx(np.mean([r["final_mean_fitness"]
                                    for r in report.rows[::2]]))
         assert rival in report.aggregates
+        note, column, key, phrase = {
+            "de": ("", "spread", "ga_spread_wins",
+                   "ga spread exceeded de spread"),
+            "random": (", equal evaluation budgets", "final_mean_fitness",
+                       "ga_wins", "ga beat the random scan"),
+        }[rival]
+        wins = sum(ga_row[column] > rival_row[column] for ga_row, rival_row
+                   in zip(report.rows[::2], report.rows[1::2]))
+        assert report.aggregates[key] == wins
+        groups = []
+        for algorithm in ("ga", rival):
+            fit, spr = (np.array([r[c] for r in report.rows
+                                  if r["algorithm"] == algorithm])
+                        for c in ("final_mean_fitness", "spread"))
+            groups.append(
+                f"{algorithm}: final mean fitness {fit.mean():.4f} +/- "
+                f"{fit.std(ddof=1):.4f}, population spread {spr.mean():.4f}"
+                f" +/- {spr.std(ddof=1):.4f}")
+        assert report.summary.splitlines() == [
+            f"experiment: {name}", "master seed: 4",
+            f"repetitions: 2{note}", *groups,
+            f"{phrase} in {wins}/2 repetitions"]
 
     def test_de_runs_at_the_ga_budget_under_all_pairs(self):
         """All-pairs GA generations evaluate more children than DE's, so

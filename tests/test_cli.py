@@ -2,6 +2,8 @@
 
 import pytest
 
+import divga.cli
+from divga.bench import _OPTIONS, BenchmarkReport
 from divga.cli import main
 
 
@@ -57,3 +59,41 @@ class TestMain:
         assert code == 1
         assert "takes no crossover option" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOptions:
+    """Each override flag comes from bench._OPTIONS and reaches
+    run_experiment as its flag types it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def record(name, overrides=None, seed=0, output_directory=None):
+            calls.append((name, overrides, seed, output_directory))
+            return BenchmarkReport(experiment=name, summary="stub")
+
+        monkeypatch.setattr(divga.cli, "run_experiment", record)
+        return calls
+
+    def test_every_override_flag_passes_its_typed_value(self, calls):
+        code = main(["scd", "--population", "12", "--generations", "3",
+                     "--repetitions", "2", "--crossover", "midpoint",
+                     "--pairing", "all", "--d0", "0.5", "--r0", "2",
+                     "--workers", "1", "--seed", "7", "--out", "results"])
+        assert code == 0
+        [(name, overrides, seed, out)] = calls
+        assert (name, seed, out) == ("scd", 7, "results")
+        assert list(overrides) == list(_OPTIONS)
+        assert overrides == {"population": 12, "generations": 3,
+                             "repetitions": 2, "crossover": "midpoint",
+                             "pairing": "all", "d0": 0.5, "r0": 2.0,
+                             "workers": 1}
+        assert [type(value) for value in overrides.values()] == [
+            int, int, int, str, str, float, float, int]
+
+    def test_no_override_flag_overrides_nothing(self, calls):
+        assert main(["circle"]) == 0
+        [(name, overrides, seed, out)] = calls
+        assert (name, seed, out) == ("circle", 0, ".")
+        assert overrides == dict.fromkeys(_OPTIONS)

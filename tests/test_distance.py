@@ -473,6 +473,16 @@ class TestScalarForm:
         assert LabelMismatches()(["E", "K"], ["K", "K"]) == 0.5
         assert LabelMismatches()("EK", "KK") == 0.5
 
+    def test_bare_base_class_has_no_formula(self):
+        """The bare DistanceMeasure has neither kernel nor to_point: its
+        scalar form is a ConfigError saying what to define, on numbers
+        and labels alike, not an empty NotImplementedError."""
+        for a, b in (([1.0], [2.0]), ("EK", "KK")):
+            with pytest.raises(ConfigError, match=re.escape(
+                    "measure DistanceMeasure has no formula; define "
+                    "to_point in a subclass or pass a callable")):
+                DistanceMeasure()(a, b)
+
     @pytest.mark.parametrize("measure", [EuclideanSq(), DynamicSq()],
                              ids=["euclidean", "dynamic"])
     def test_numeric_kernels_reject_strings(self, measure):

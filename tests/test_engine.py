@@ -1154,6 +1154,18 @@ class TestPersistence:
         assert record.output_files["fitness"].exists()
         assert (tmp_path / "log.txt").exists()
 
+    def test_empty_directory_is_the_current_one(self, numeric_spec,
+                                                 tmp_path, monkeypatch):
+        """"" is a path, the current directory, as in run_experiment;
+        only None writes no file."""
+        monkeypatch.chdir(tmp_path)
+        record = self.run_with_output(numeric_spec, "")
+        assert sorted(record.output_files) == ["fitness", "log", "survivors"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            path.name for path in record.output_files.values())
+        for path in record.output_files.values():
+            assert (tmp_path / path).is_file()
+
     def test_survivors_header_and_rows(self, numeric_spec, tmp_path):
         record = self.run_with_output(numeric_spec, tmp_path)
         lines = record.output_files["survivors"].read_text().splitlines()
