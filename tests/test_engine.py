@@ -1156,8 +1156,8 @@ class TestPersistence:
 
     def test_empty_directory_is_the_current_one(self, numeric_spec,
                                                  tmp_path, monkeypatch):
-        """"" is a path, the current directory, as in run_experiment;
-        only None writes no file."""
+        """An empty output_directory is the current directory, as in
+        run_experiment; only None writes no file."""
         monkeypatch.chdir(tmp_path)
         record = self.run_with_output(numeric_spec, "")
         assert sorted(record.output_files) == ["fitness", "log", "survivors"]
