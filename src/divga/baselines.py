@@ -26,8 +26,10 @@ class DEConfig:
     differential_weight is the mutation scale factor applied to the
     difference vector, crossover_probability the per-gene chance of
     taking the mutant's value. Frozen, and checked when built
-    (ConfigError): integer settings as in EngineConfig, at least four
-    individuals, F a number in [0, 2) and CR a number in [0, 1].
+    (ConfigError): population_size an integer of at least 4 (rand/1
+    mutation draws three donors besides the target), n_generations
+    one of at least 1, seed and parallel_workers ones of at least 0, F a
+    number in [0, 2) and CR a number in [0, 1].
     """
 
     population_size: int
@@ -38,8 +40,7 @@ class DEConfig:
     parallel_workers: int = 0
 
     def __post_init__(self):
-        _check_run_settings(self, 4,
-                            "rand/1 mutation needs at least four individuals")
+        _check_run_settings(self, 4)
         _check_real("differential_weight", self.differential_weight)
         _check_real("crossover_probability", self.crossover_probability)
         if not 0.0 <= self.differential_weight < 2.0:
@@ -185,11 +186,14 @@ def random_scan(spec: GeneSpec, fitness, total_evaluations: int,
     fitness sees them (spec.decode: label arrays for a categorical
     genome), checked as in run, and records after every draw the mean
     fitness of the running set of the keep_best highest-fitness points.
-    rng must be a numpy.random.Generator (seed_population checks it).
+    total_evaluations and keep_best are integers of at least 1, with
+    keep_best <= total_evaluations, and rng is a
+    numpy.random.Generator (seed_population checks it); anything else
+    is a ConfigError before any fitness call.
     """
-    _check_integer("total_evaluations", total_evaluations)
-    _check_integer("keep_best", keep_best)
-    if not 1 <= keep_best <= total_evaluations:
+    _check_integer("total_evaluations", total_evaluations, 1)
+    _check_integer("keep_best", keep_best, 1)
+    if keep_best > total_evaluations:
         raise ConfigError("need 1 <= keep_best <= total_evaluations")
 
     points = spec.decode(seed_population(spec, total_evaluations, rng))

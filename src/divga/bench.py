@@ -129,9 +129,7 @@ def angular_bin_occupancy(points, n_bins: int = 12) -> np.ndarray:
     points must be a (k, 2) array of finite numbers and n_bins a
     positive integer; anything else is a ConfigError.
     """
-    _check_integer("n_bins", n_bins)
-    if n_bins < 1:
-        raise ConfigError(f"n_bins must be positive, not {n_bins}")
+    _check_integer("n_bins", n_bins, 1)
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ConfigError(
@@ -390,9 +388,7 @@ def _apply_overrides(settings: dict, overrides: dict | None) -> dict:
         if value is None:
             continue
         if key == "repetitions":
-            _check_integer("repetitions", value)
-            if value < 1:
-                raise ConfigError("repetitions must be positive")
+            _check_integer("repetitions", value, 1)
         settings[key] = value
     return settings
 
@@ -424,12 +420,14 @@ def run_experiment(name: str, overrides: dict | None = None, seed: int = 0,
     Emits <experiment>_runs.csv (one row per run) and
     <experiment>_summary.txt into output_directory unless it is None
     ("" is the current directory), which is checked before any run.
-    Repetition r of an experiment uses seed + r, so a master seed pins
-    the whole experiment.
+    Repetition r of an experiment uses seed + r, so a master seed, an
+    integer of at least 0 also checked before any run, pins the whole
+    experiment.
     """
     if name not in _EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}")
+    _check_integer("seed", seed, 0)
     _check_output_directory(output_directory)
     experiment, defaults = _EXPERIMENTS[name]
     settings = _apply_overrides(dict(defaults), overrides)

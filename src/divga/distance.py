@@ -303,9 +303,16 @@ def default_r0(genes: np.ndarray, measure: DistanceMeasure) -> float:
 
     genes is a gene matrix, one row per individual. The mean runs over
     all unordered pairs of distinct rows. Returns 0.0 when every pair
-    coincides; callers must substitute a usable radius in that case.
+    coincides; callers must substitute a usable radius in that case. A
+    mean that is negative or NaN, which no squared distance gives, is a
+    ConfigError naming the measure.
     """
-    return float(np.sqrt(mean_pairwise(genes, measure))) / 10.0
+    mean = mean_pairwise(genes, measure)
+    if not mean >= 0:
+        raise ConfigError(f"measure {measure.name} gave a mean squared "
+                          f"distance of {mean}; squared distances cannot "
+                          f"be negative or NaN")
+    return float(np.sqrt(mean)) / 10.0
 
 
 def _to_later_rows(rows: np.ndarray, measure: DistanceMeasure):

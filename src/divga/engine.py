@@ -38,6 +38,7 @@ finished so far on disk.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -197,15 +198,15 @@ class EngineConfig:
     verbosity: int = 1
 
     def __post_init__(self):
-        _check_run_settings(self, 2, "population_size must be at least 2")
+        _check_run_settings(self, 2)
         if self.fitness_threshold is not None:
             _check_real("fitness_threshold", self.fitness_threshold)
             if self.fitness_threshold != self.fitness_threshold:  # NaN
                 raise ConfigError("fitness_threshold cannot be NaN")
         if self.pairing not in PAIRING_STRATEGIES:
             raise ConfigError(f"unknown pairing strategy {self.pairing!r}")
-        _check_integer("verbosity", self.verbosity)
-        if self.verbosity not in (0, 1, 2):
+        _check_integer("verbosity", self.verbosity, 0)
+        if self.verbosity > 2:
             raise ConfigError("verbosity must be 0, 1 or 2")
         _check_output_directory(self.output_directory)
         if not isinstance(self.selection, DiversityEnhanced):
@@ -223,21 +224,13 @@ def _check_output_directory(directory) -> None:
                           f"not {directory!r}")
 
 
-def _check_run_settings(config, smallest: int, too_small: str):
-    """ConfigError unless population_size, n_generations, seed and
-    parallel_workers are integers (see genome._check_integer),
-    population_size >= smallest (too_small is the message otherwise),
-    n_generations >= 1 and seed and parallel_workers >= 0."""
-    for name in ("population_size", "n_generations", "seed",
-                 "parallel_workers"):
-        _check_integer(name, getattr(config, name))
-    if config.population_size < smallest:
-        raise ConfigError(too_small)
-    if config.n_generations < 1:
-        raise ConfigError("n_generations must be positive")
-    for name in ("seed", "parallel_workers"):
-        if getattr(config, name) < 0:
-            raise ConfigError(f"{name} cannot be negative")
+def _check_run_settings(config, smallest: int):
+    """ConfigError unless population_size is an integer of at least
+    smallest, n_generations one of at least 1, and seed and
+    parallel_workers ones of at least 0 (see genome._check_integer)."""
+    for name, least in (("population_size", smallest), ("n_generations", 1),
+                        ("seed", 0), ("parallel_workers", 0)):
+        _check_integer(name, getattr(config, name), least)
 
 
 @dataclass
@@ -375,9 +368,7 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int, fitness):
-        _check_integer("workers", workers)
-        if workers < 1:
-            raise ConfigError(f"workers must be at least 1, not {workers}")
+        _check_integer("workers", workers, 1)
         try:
             pickle.dumps(fitness)
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
@@ -488,11 +479,15 @@ class RunWriter:
         self.files = {"survivors": directory / f"{candidate}_survivors.csv",
                       "fitness": directory / f"{candidate}_fitness.csv",
                       "log": directory / "log.txt"}
-        # log.txt first, so that a run which cannot open it leaves no CSV.
-        self._log, self._survivors, self._fitness = (
-            open(self.files[key], mode, encoding="utf-8", newline="\n")
-            for key, mode in (("log", "a"), ("survivors", "w"),
-                              ("fitness", "w")))
+        # log.txt first, so that a run which cannot open it leaves no CSV;
+        # a failed open closes the files opened before it.
+        with contextlib.ExitStack() as opened:
+            self._log, self._survivors, self._fitness = (
+                opened.enter_context(open(self.files[key], mode,
+                                          encoding="utf-8", newline="\n"))
+                for key, mode in (("log", "a"), ("survivors", "w"),
+                                  ("fitness", "w")))
+            opened.pop_all()
         gene_names = ",".join(f"g{k + 1}" for k in range(spec.number_of_genes))
         self._survivors.write(f"generation,index,fitness,{gene_names}\n")
         self._fitness.write("generation,evaluations,mean_fitness,best_fitness\n")

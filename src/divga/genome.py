@@ -31,11 +31,13 @@ import numpy as np
 from .errors import ConfigError
 
 
-def _check_integer(name: str, value):
-    """ConfigError unless value is a Python or numpy integer; bool is
-    not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, not {value!r}")
+def _check_integer(name: str, value, least: int):
+    """ConfigError unless value is a Python or numpy integer (bool is
+    not one) of at least least."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ConfigError(
+            f"{name} must be an integer of at least {least}, not {value!r}")
 
 
 def _check_rng(rng):
@@ -80,7 +82,8 @@ class GeneSpec:
         categories: shared label set of a categorical genome, stored as
             a tuple with a repeated label kept once, where it first
             appears, so that each label has exactly one code.
-        number_of_genes: length of every gene vector.
+        number_of_genes: length of every gene vector, an integer of at
+            least 1.
     """
 
     numeric_ranges: tuple[tuple[float, float], ...] | None = None
@@ -97,9 +100,7 @@ class GeneSpec:
         if (self.numeric_ranges is None) == (self.categories is None):
             raise ConfigError(
                 "a genome needs exactly one of numeric_ranges and categories")
-        _check_integer("number_of_genes", self.number_of_genes)
-        if self.number_of_genes < 1:
-            raise ConfigError("genome must have at least one gene")
+        _check_integer("number_of_genes", self.number_of_genes, 1)
         if self.is_numeric:
             ranges = _number_pairs(self.numeric_ranges)
             object.__setattr__(self, "numeric_ranges", ranges)
@@ -191,9 +192,7 @@ def seed_population(spec: GeneSpec, size: int,
     numpy.random.Generator.
     """
     _check_rng(rng)
-    _check_integer("size", size)
-    if size < 1:
-        raise ConfigError("population size must be positive")
+    _check_integer("size", size, 1)
     given = list(init_genes) if init_genes is not None else []
     if len(given) > size:
         warnings.warn(

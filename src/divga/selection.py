@@ -74,9 +74,7 @@ from .genome import _check_integer
 
 
 def _checked_fitness(fitness, count: int) -> np.ndarray:
-    _check_integer("count", count)
-    if count < 0:
-        raise ConfigError(f"count must be non-negative, not {count}")
+    _check_integer("count", count, 0)
     fitness = np.asarray(fitness, dtype=float)
     if fitness.ndim != 1:
         raise ConfigError(

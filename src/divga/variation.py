@@ -114,8 +114,10 @@ def crossover(parents_a: np.ndarray, parents_b: np.ndarray, method: str,
         two parent values.
     none: copy of parent_a, parent_b ignored.
 
-    midpoint and between only make sense on numeric genes. The parents
-    must be two gene matrices of one shape (arrays or nested lists).
+    midpoint and between only make sense on numeric genes. Children of
+    float parents keep the parents' dtype (float32 stays float32). The
+    parents must be two gene matrices of one shape (arrays or nested
+    lists).
     """
     _check_rng(rng)
     if method not in CROSSOVER_METHODS:
@@ -130,7 +132,9 @@ def crossover(parents_a: np.ndarray, parents_b: np.ndarray, method: str,
         return (a + b) / 2.0
     if method == EITHER_OR:
         return np.where(rng.random(a.shape) < 0.5, b, a)
-    return rng.uniform(np.minimum(a, b), np.maximum(a, b))
+    # uniform draws float64; cast back to the dtype midpoint gives.
+    children = rng.uniform(np.minimum(a, b), np.maximum(a, b))
+    return children.astype(np.result_type(a, b, 1.0), copy=False)
 
 
 def mutate(genes: np.ndarray, spec: GeneSpec, config: MutationConfig | None,
@@ -193,9 +197,7 @@ def make_pairs(n: int, strategy: str, rng: np.random.Generator) -> np.ndarray:
     independently and with replacement across draws.
     """
     _check_rng(rng)
-    _check_integer("n", n)
-    if n < 2:
-        raise ConfigError("pairing needs at least two parents")
+    _check_integer("n", n, 2)
     if strategy == ALL_PAIRS:
         return np.column_stack(np.triu_indices(n, k=1))
     if strategy != RANDOM_PAIRS:

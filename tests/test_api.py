@@ -24,6 +24,13 @@ from divga import (
     GeneSpec,
     HammingSq,
     MutationConfig,
+    WorkerPool,
+    angular_bin_occupancy,
+    make_pairs,
+    random_scan,
+    run_experiment,
+    seed_population,
+    select_diverse,
 )
 
 SOURCE = Path(divga.__file__).parent
@@ -148,6 +155,8 @@ def test_settings_types_check_themselves():
         assert "__post_init__" in vars(cls), cls.__name__
 
 
+# A row with an explicit id keeps the test id it had before its message
+# changed.
 @pytest.mark.parametrize("build, match", [
     (lambda: GeneSpec(numeric_ranges=((1.0, 0.0),), number_of_genes=1),
      "empty gene range"),
@@ -163,25 +172,31 @@ def test_settings_types_check_themselves():
      r"ranges must be \(lower, upper\) number pairs, not \(1, 2\)"),
     (lambda: GeneSpec(categories=[["a"], ["b"]], number_of_genes=2),
      r"categories must be hashable labels, not \[\['a'\], \['b'\]\]"),
-    (lambda: EngineConfig(population_size=1, n_generations=1),
-     "population_size must be at least 2"),
-    (lambda: EngineConfig(population_size=4.0, n_generations=1),
-     "population_size must be an integer"),
-    (lambda: EngineConfig(population_size=4, n_generations=0),
-     "n_generations must be positive"),
-    (lambda: EngineConfig(population_size=4, n_generations=1,
-                          parallel_workers=-1),
-     "parallel_workers cannot be negative"),
+    pytest.param(lambda: EngineConfig(population_size=1, n_generations=1),
+                 "population_size must be an integer of at least 2, not 1",
+                 id="<lambda>-population_size must be at least 2"),
+    pytest.param(lambda: EngineConfig(population_size=4.0, n_generations=1),
+                 "population_size must be an integer of at least 2, not 4.0",
+                 id="<lambda>-population_size must be an integer"),
+    pytest.param(lambda: EngineConfig(population_size=4, n_generations=0),
+                 "n_generations must be an integer of at least 1, not 0",
+                 id="<lambda>-n_generations must be positive"),
+    pytest.param(lambda: EngineConfig(population_size=4, n_generations=1,
+                                      parallel_workers=-1),
+                 "parallel_workers must be an integer of at least 0, not -1",
+                 id="<lambda>-parallel_workers cannot be negative"),
     (lambda: EngineConfig(population_size=4, n_generations=1,
                           pairing="ring"), "unknown pairing strategy"),
     (lambda: EngineConfig(population_size=4, n_generations=1, verbosity=7),
      "verbosity must be 0, 1 or 2"),
-    (lambda: EngineConfig(population_size=4, n_generations=1,
-                          verbosity=True),
-     "verbosity must be an integer, not True"),
-    (lambda: EngineConfig(population_size=4, n_generations=1,
-                          verbosity=1.0),
-     "verbosity must be an integer, not 1.0"),
+    pytest.param(lambda: EngineConfig(population_size=4, n_generations=1,
+                                      verbosity=True),
+                 "verbosity must be an integer of at least 0, not True",
+                 id="<lambda>-verbosity must be an integer, not True"),
+    pytest.param(lambda: EngineConfig(population_size=4, n_generations=1,
+                                      verbosity=1.0),
+                 "verbosity must be an integer of at least 0, not 1.0",
+                 id="<lambda>-verbosity must be an integer, not 1.0"),
     (lambda: EngineConfig(population_size=4, n_generations=1,
                           output_directory=5),
      "output_directory must be a path or None, not 5"),
@@ -191,15 +206,19 @@ def test_settings_types_check_themselves():
     (lambda: EngineConfig(population_size=4, n_generations=1,
                           selection="roulette"),
      "selection must be a DiversityEnhanced"),
-    (lambda: DEConfig(population_size=3, n_generations=1),
-     "needs at least four individuals"),
-    (lambda: DEConfig(population_size=8, n_generations=True),
-     "n_generations must be an integer"),
-    (lambda: DEConfig(population_size=8, n_generations=0),
-     "n_generations must be positive"),
-    (lambda: DEConfig(population_size=8, n_generations=1,
-                      parallel_workers=-2),
-     "parallel_workers cannot be negative"),
+    pytest.param(lambda: DEConfig(population_size=3, n_generations=1),
+                 "population_size must be an integer of at least 4, not 3",
+                 id="<lambda>-needs at least four individuals"),
+    pytest.param(lambda: DEConfig(population_size=8, n_generations=True),
+                 "n_generations must be an integer of at least 1, not True",
+                 id="<lambda>-n_generations must be an integer"),
+    pytest.param(lambda: DEConfig(population_size=8, n_generations=0),
+                 "n_generations must be an integer of at least 1, not 0",
+                 id="<lambda>-n_generations must be positive"),
+    pytest.param(lambda: DEConfig(population_size=8, n_generations=1,
+                                  parallel_workers=-2),
+                 "parallel_workers must be an integer of at least 0, not -2",
+                 id="<lambda>-parallel_workers cannot be negative"),
     (lambda: DEConfig(population_size=8, n_generations=1,
                       differential_weight=2.0),
      r"differential_weight must lie in \[0, 2\)"),
@@ -219,30 +238,49 @@ def test_settings_types_check_themselves():
     (lambda: DiversityEnhanced(r0=1e-200), "r0 must be positive"),
     (lambda: DiversityEnhanced(r0=float("inf")), "r0 must be positive"),
     (lambda: DiversityEnhanced(r0=1e200), "r0 must be positive"),
-    (lambda: EngineConfig(population_size=4, n_generations=2, seed="a"),
-     "seed must be an integer, not 'a'"),
-    (lambda: EngineConfig(population_size=4, n_generations=2, seed=1.5),
-     "seed must be an integer, not 1.5"),
-    (lambda: EngineConfig(population_size=4, n_generations=2, seed=True),
-     "seed must be an integer, not True"),
-    (lambda: EngineConfig(population_size=4, n_generations=2, seed=-1),
-     "seed cannot be negative"),
-    (lambda: DEConfig(8, 2, seed="a"), "seed must be an integer, not 'a'"),
-    (lambda: DEConfig(8, 2, seed=-1), "seed cannot be negative"),
+    pytest.param(lambda: EngineConfig(population_size=4, n_generations=2,
+                                      seed="a"),
+                 "seed must be an integer of at least 0, not 'a'",
+                 id="<lambda>-seed must be an integer, not 'a'"),
+    pytest.param(lambda: EngineConfig(population_size=4, n_generations=2,
+                                      seed=1.5),
+                 "seed must be an integer of at least 0, not 1.5",
+                 id="<lambda>-seed must be an integer, not 1.5"),
+    pytest.param(lambda: EngineConfig(population_size=4, n_generations=2,
+                                      seed=True),
+                 "seed must be an integer of at least 0, not True",
+                 id="<lambda>-seed must be an integer, not True"),
+    pytest.param(lambda: EngineConfig(population_size=4, n_generations=2,
+                                      seed=-1),
+                 "seed must be an integer of at least 0, not -1",
+                 id="<lambda>-seed cannot be negative"),
+    pytest.param(lambda: DEConfig(8, 2, seed="a"),
+                 "seed must be an integer of at least 0, not 'a'",
+                 id="<lambda>-seed must be an integer, not 'a'"),
+    pytest.param(lambda: DEConfig(8, 2, seed=-1),
+                 "seed must be an integer of at least 0, not -1",
+                 id="<lambda>-seed cannot be negative"),
     (lambda: EngineConfig(population_size=4, n_generations=2,
                           fitness_threshold="x"),
      "fitness_threshold must be a number, not 'x'"),
     (lambda: EngineConfig(population_size=4, n_generations=2,
                           fitness_threshold=float("nan")),
      "fitness_threshold cannot be NaN"),
-    (lambda: GeneSpec(categories=("E", "K"), number_of_genes=2.5),
-     "number_of_genes must be an integer, not 2.5"),
-    (lambda: GeneSpec(categories=("E", "K"), number_of_genes=True),
-     "number_of_genes must be an integer, not True"),
-    (lambda: GeneSpec(categories=("E", "K"), number_of_genes="3"),
-     "number_of_genes must be an integer, not '3'"),
-    (lambda: GeneSpec.categorical(("E", "K"), 2.9),
-     "number_of_genes must be an integer, not 2.9"),
+    pytest.param(lambda: GeneSpec(categories=("E", "K"),
+                                  number_of_genes=2.5),
+                 "number_of_genes must be an integer of at least 1, not 2.5",
+                 id="<lambda>-number_of_genes must be an integer, not 2.5"),
+    pytest.param(lambda: GeneSpec(categories=("E", "K"),
+                                  number_of_genes=True),
+                 "number_of_genes must be an integer of at least 1, not True",
+                 id="<lambda>-number_of_genes must be an integer, not True"),
+    pytest.param(lambda: GeneSpec(categories=("E", "K"),
+                                  number_of_genes="3"),
+                 "number_of_genes must be an integer of at least 1, not '3'",
+                 id="<lambda>-number_of_genes must be an integer, not '3'"),
+    pytest.param(lambda: GeneSpec.categorical(("E", "K"), 2.9),
+                 "number_of_genes must be an integer of at least 1, not 2.9",
+                 id="<lambda>-number_of_genes must be an integer, not 2.9"),
     (lambda: GeneSpec.numeric([("a", 1)]), r"ranges must be \(lower, upper\)"),
     (lambda: GeneSpec.numeric([(0, 1, 2)]), r"ranges must be \(lower, upper\)"),
     (lambda: GeneSpec.numeric([1, 2]), r"ranges must be \(lower, upper\)"),
@@ -315,6 +353,75 @@ SETTINGS_CLASSES = {
     DiversityEnhanced: {},
     MutationConfig: {},
 }
+
+
+def _scan(total_evaluations=5, keep_best=1):
+    return random_scan(GeneSpec.numeric([(0, 1)]), sum, total_evaluations,
+                       keep_best, np.random.default_rng(0))
+
+
+def _settings(cls, name):
+    """A call that builds cls with name set to the value it is given."""
+    return lambda value: cls(**dict(SETTINGS_CLASSES[cls], **{name: value}))
+
+
+def _experiment(repetitions=1, seed=0):
+    return run_experiment("circle", {"population": 4, "generations": 1,
+                                     "repetitions": repetitions}, seed)
+
+
+# Every integer setting: its name, its least value and a call that sets
+# it to a given value.
+INTEGER_SETTINGS = {
+    "GeneSpec.number_of_genes": ("number_of_genes", 1, lambda v: GeneSpec(
+        categories=("E", "K"), number_of_genes=v)),
+    "seed_population.size": ("size", 1, lambda v: seed_population(
+        GeneSpec.numeric([(0, 1)]), v, np.random.default_rng(0))),
+    "make_pairs.n": ("n", 2, lambda v: make_pairs(
+        v, "all", np.random.default_rng(0))),
+    "select_diverse.count": ("count", 0, lambda v: select_diverse(
+        np.zeros((2, 1)), [1.0, 0.0], v, DiversityEnhanced(r0=1.0))),
+    "EngineConfig.population_size": ("population_size", 2, _settings(
+        EngineConfig, "population_size")),
+    "EngineConfig.n_generations": ("n_generations", 1, _settings(
+        EngineConfig, "n_generations")),
+    "EngineConfig.seed": ("seed", 0, _settings(EngineConfig, "seed")),
+    "EngineConfig.parallel_workers": ("parallel_workers", 0, _settings(
+        EngineConfig, "parallel_workers")),
+    "EngineConfig.verbosity": ("verbosity", 0, _settings(
+        EngineConfig, "verbosity")),
+    "DEConfig.population_size": ("population_size", 4, _settings(
+        DEConfig, "population_size")),
+    "DEConfig.n_generations": ("n_generations", 1, _settings(
+        DEConfig, "n_generations")),
+    "DEConfig.seed": ("seed", 0, _settings(DEConfig, "seed")),
+    "DEConfig.parallel_workers": ("parallel_workers", 0, _settings(
+        DEConfig, "parallel_workers")),
+    "WorkerPool.workers": ("workers", 1, lambda v: WorkerPool(v, abs).close()),
+    "random_scan.total_evaluations": ("total_evaluations", 1, lambda v: _scan(
+        total_evaluations=v)),
+    "random_scan.keep_best": ("keep_best", 1, lambda v: _scan(keep_best=v)),
+    "angular_bin_occupancy.n_bins": ("n_bins", 1, lambda v:
+                                     angular_bin_occupancy([[1.0, 0.0]], v)),
+    "run_experiment.repetitions": ("repetitions", 1, lambda v: _experiment(
+        repetitions=v)),
+    "run_experiment.seed": ("seed", 0, lambda v: _experiment(seed=v)),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_SETTINGS)
+def test_integer_settings_follow_one_rule(site):
+    """An integer setting takes a Python or numpy integer of at least its
+    least value; True, a float and one below the least value each raise
+    the one ConfigError message."""
+    name, least, call = INTEGER_SETTINGS[site]
+    for value in (True, float(least), least - 1):
+        with pytest.raises(ConfigError) as error:
+            call(value)
+        assert str(error.value) == (
+            f"{name} must be an integer of at least {least}, not {value!r}")
+    call(least)
+    call(np.int64(least))
 
 
 @pytest.mark.parametrize("cls, name", [

@@ -1,6 +1,7 @@
 """Differential evolution and random scan baselines."""
 
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -158,8 +159,8 @@ class TestRunDE:
         np.testing.assert_array_equal(a.fitness, b.fitness)
 
     def test_population_too_small(self):
-        with pytest.raises(ConfigError,
-                           match="needs at least four individuals"):
+        with pytest.raises(ConfigError, match="population_size must be an "
+                           "integer of at least 4, not 3"):
             run_de(self.spec(), sphere_fitness,
                    DEConfig(population_size=3, n_generations=1))
 
@@ -188,13 +189,13 @@ class TestRunDE:
             return 0.0
 
         for generations in (0, -3):
-            with pytest.raises(ConfigError,
-                               match="n_generations must be positive"):
+            with pytest.raises(ConfigError, match=f"n_generations must be an "
+                               f"integer of at least 1, not {generations}"):
                 run_de(self.spec(), counting,
                        DEConfig(population_size=8, n_generations=generations,
                                 parallel_workers=-2))
-        with pytest.raises(ConfigError,
-                           match="parallel_workers cannot be negative"):
+        with pytest.raises(ConfigError, match="parallel_workers must be an "
+                           "integer of at least 0, not -2"):
             run_de(self.spec(), counting,
                    DEConfig(population_size=8, n_generations=1,
                             parallel_workers=-2))
@@ -307,7 +308,10 @@ class TestRunDE:
     def test_integer_settings(self, field, value, started_pools):
         settings = dict(population_size=6, n_generations=1)
         settings[field] = value
-        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        least = {"population_size": 4, "n_generations": 1,
+                 "parallel_workers": 0}[field]
+        with pytest.raises(ConfigError, match=f"{field} must be an integer "
+                           f"of at least {least}, not {value!r}"):
             run_de(self.spec(), sphere_fitness, DEConfig(**settings))
         assert started_pools == []
 
@@ -346,9 +350,20 @@ class TestRandomScan:
                                              (True, 1), (10, True)])
     def test_counts_not_integers(self, total, keep):
         calls = []
-        with pytest.raises(ConfigError, match="must be an integer"):
+        name, value = (("keep_best", keep) if type(total) is int
+                       else ("total_evaluations", total))
+        with pytest.raises(ConfigError, match=f"{name} must be an integer "
+                           f"of at least 1, not {value!r}"):
             random_scan(self.spec(), lambda genes: calls.append(1) or 0.0,
                         total, keep, np.random.default_rng(0))
+        assert calls == []
+
+    def test_keep_best_above_total_rejected(self):
+        calls = []
+        with pytest.raises(ConfigError, match=re.escape(
+                "need 1 <= keep_best <= total_evaluations")):
+            random_scan(self.spec(), lambda genes: calls.append(1) or 0.0,
+                        10, 11, np.random.default_rng(0))
         assert calls == []
 
     def test_rng_is_a_generator(self):

@@ -437,10 +437,10 @@ class TestAngularBins:
             angular_bin_occupancy(points)
 
     @pytest.mark.parametrize("n_bins, message", [
-        (0, "n_bins must be positive, not 0"),
-        (-1, "n_bins must be positive, not -1"),
-        (1.5, "n_bins must be an integer, not 1.5"),
-        (True, "n_bins must be an integer, not True"),
+        (0, "n_bins must be an integer of at least 1, not 0"),
+        (-1, "n_bins must be an integer of at least 1, not -1"),
+        (1.5, "n_bins must be an integer of at least 1, not 1.5"),
+        (True, "n_bins must be an integer of at least 1, not True"),
     ], ids=["zero", "negative", "float", "bool"])
     def test_bad_bin_count_rejected(self, n_bins, message):
         with pytest.raises(ConfigError, match=message):
@@ -465,7 +465,12 @@ class TestRunExperiment:
     def test_counts_are_not_truncated(self, key, value):
         overrides = dict({"population": 8, "generations": 2,
                           "repetitions": 1}, **{key: value})
-        with pytest.raises(ConfigError, match="integer|positive"):
+        name, least = {"population": ("population_size", 2),
+                       "generations": ("n_generations", 1),
+                       "repetitions": ("repetitions", 1),
+                       "workers": ("parallel_workers", 0)}[key]
+        with pytest.raises(ConfigError, match=f"{name} must be an integer "
+                           f"of at least {least}, not {value!r}"):
             run_experiment("circle", overrides=overrides)
 
     @pytest.mark.parametrize("key", ["d0", "r0"])
@@ -605,6 +610,19 @@ class TestRunExperiment:
             run_experiment("circle", overrides={
                 "repetitions": 1, "generations": 2, "population": 8},
                 output_directory=directory)
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", [True, 1.5, -1])
+    def test_bad_seed_costs_no_run(self, seed, tmp_path, monkeypatch):
+        """The master seed is checked before the first repetition; True
+        used to run and report "master seed: True"."""
+        calls = []
+        monkeypatch.setattr(bench, "run", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"seed must be an integer of at least 0, not {seed!r}")):
+            run_experiment("circle", overrides={
+                "repetitions": 1, "generations": 2, "population": 8},
+                seed=seed, output_directory=tmp_path)
         assert calls == [] and list(tmp_path.iterdir()) == []
 
     def test_random_compare_small(self):

@@ -7,6 +7,7 @@ import faulthandler
 import itertools
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,9 +364,7 @@ class TestEvaluatePopulation:
 
         monkeypatch.setattr(divga.engine, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ConfigError, match=re.escape(
-                f"workers must be at least 1, not {workers}"
-                if type(workers) is int else
-                f"workers must be an integer, not {workers!r}")):
+                f"workers must be an integer of at least 1, not {workers!r}")):
             WorkerPool(workers, lambda g: 0.0)
 
     def test_numpy_integer_workers_accepted(self, started_pools):
@@ -398,7 +397,10 @@ class TestIntegerSettings:
                                    started_pools):
         settings = dict(population_size=4, n_generations=1)
         settings[field] = value
-        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        least = {"population_size": 2, "n_generations": 1,
+                 "parallel_workers": 0}[field]
+        with pytest.raises(ConfigError, match=f"{field} must be an integer "
+                           f"of at least {least}, not {value!r}"):
             run(numeric_spec, sphere_fitness, quiet(**settings))
         assert started_pools == []
 
@@ -868,6 +870,26 @@ class TestDiversityResolution:
             "initial population has no spread; falling back to r0=1"]
         assert "r0=1, " in (tmp_path / "log.txt").read_text()
 
+    @pytest.mark.parametrize("value", [-1.0, float("nan")],
+                             ids=["negative", "nan"])
+    @pytest.mark.filterwarnings("ignore:distance measure is asymmetric")
+    def test_measure_with_no_usable_mean_is_rejected(self, numeric_spec,
+                                                     value):
+        """A mean squared distance below zero or NaN is a ConfigError
+        naming the measure, before any fitness call, not a sqrt warning
+        or an r0 fallback."""
+        def broken(a, b):
+            return value
+
+        fitness = CountingFitness()
+        config = quiet(population_size=4, n_generations=1, seed=0,
+                       selection=DiversityEnhanced(measure=broken))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"measure broken gave a mean squared distance of {value}; "
+                f"squared distances cannot be negative or NaN")):
+            run(numeric_spec, fitness, config)
+        assert fitness.calls == 0
+
     def test_top_n_skips_default_r0(self, numeric_spec):
         """At d0 = 0 r0 has no effect: no pairwise pass, no warning."""
         same = np.full((4, 3), 0.5)
@@ -1139,6 +1161,26 @@ class TestLogFile:
                              output_directory=blocker / "out"))
         assert capsys.readouterr().out.startswith("run aborted: ")
         assert fitness.calls == 0
+
+    def test_failed_open_closes_the_files_opened_before(self, numeric_spec,
+                                                        tmp_path,
+                                                        monkeypatch):
+        """When the fitness CSV cannot be opened, log.txt and the
+        survivors CSV, already open, are closed before the OSError."""
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(divga.engine.time, "strftime", lambda _: "stamp")
+        monkeypatch.setattr(divga.engine, "open", recording_open,
+                            raising=False)
+        (tmp_path / "stamp_fitness.csv").mkdir()
+        with pytest.raises(OSError):
+            divga.engine.RunWriter(tmp_path, numeric_spec)
+        assert [(Path(f.name).name, f.closed) for f in opened] == [
+            ("log.txt", True), ("stamp_survivors.csv", True)]
 
 
 class TestPersistence:

@@ -47,11 +47,10 @@ class TestGeneSpec:
             GeneSpec.numeric([bounds, (0, 1)])
 
     def test_zero_genes_rejected(self):
-        with pytest.raises(ConfigError,
-                           match="genome must have at least one gene"):
+        message = "number_of_genes must be an integer of at least 1, not 0"
+        with pytest.raises(ConfigError, match=message):
             GeneSpec.numeric([])
-        with pytest.raises(ConfigError,
-                           match="genome must have at least one gene"):
+        with pytest.raises(ConfigError, match=message):
             GeneSpec.categorical("EK", 0)
 
     def test_too_few_categories(self):
@@ -179,13 +178,14 @@ class TestSeedPopulation:
 
     @pytest.mark.parametrize("size", [0, -3])
     def test_size_below_one(self, numeric_spec, rng, size):
-        with pytest.raises(ConfigError,
-                           match="population size must be positive"):
+        with pytest.raises(ConfigError, match=f"size must be an integer of "
+                           f"at least 1, not {size}"):
             seed_population(numeric_spec, size, rng)
 
     @pytest.mark.parametrize("size", [2.5, True])
     def test_size_not_an_integer(self, numeric_spec, rng, size):
-        with pytest.raises(ConfigError, match="size must be an integer"):
+        with pytest.raises(ConfigError, match=f"size must be an integer of "
+                           f"at least 1, not {size}"):
             seed_population(numeric_spec, size, rng)
 
     def test_extra_init_genes_truncated_with_warning(self, numeric_spec, rng):

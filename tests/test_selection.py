@@ -471,10 +471,14 @@ SELECTORS = {
 
 
 @pytest.mark.parametrize("selector", sorted(SELECTORS))
+# Each id is the one the row had before its message changed.
 @pytest.mark.parametrize("count, message", [
-    (-1, "count must be non-negative, not -1"),
-    (2.5, "count must be an integer, not 2.5"),
-    (True, "count must be an integer, not True")])
+    pytest.param(-1, "count must be an integer of at least 0, not -1",
+                 id="-1-count must be non-negative, not -1"),
+    pytest.param(2.5, "count must be an integer of at least 0, not 2.5",
+                 id="2.5-count must be an integer, not 2.5"),
+    pytest.param(True, "count must be an integer of at least 0, not True",
+                 id="True-count must be an integer, not True")])
 def test_count_is_a_non_negative_integer(selector, count, message):
     with pytest.raises(ConfigError, match=message):
         SELECTORS[selector]([3.0, 1.0, 2.0, 0.0], count)

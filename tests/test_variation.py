@@ -43,7 +43,7 @@ class TestMakePairs:
 
     def test_too_small(self, rng):
         with pytest.raises(ConfigError,
-                           match="pairing needs at least two parents"):
+                           match="n must be an integer of at least 2, not 1"):
             make_pairs(1, "all", rng)
 
     def test_unknown_strategy(self, rng):
@@ -55,7 +55,8 @@ class TestMakePairs:
     def test_n_not_an_integer(self, n, strategy):
         """Checked before any draw, whatever the strategy."""
         rng = np.random.default_rng(0)
-        with pytest.raises(ConfigError, match="n must be an integer"):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"n must be an integer of at least 2, not {n!r}")):
             make_pairs(n, strategy, rng)
         assert rng.random() == np.random.default_rng(0).random()
 
@@ -78,6 +79,20 @@ class TestCrossover:
         children = crossover(a, b, "between", rng)
         assert ((0.0 <= children[:, 0]) & (children[:, 0] <= 1.0)).all()
         assert ((-3.0 <= children[:, 1]) & (children[:, 1] <= 5.0)).all()
+
+    @pytest.mark.parametrize("method", ["midpoint", "eitheror", "between",
+                                        "none"])
+    def test_float32_parents_keep_their_dtype(self, method, rng):
+        a = np.zeros((4, 2), dtype=np.float32)
+        b = np.ones((4, 2), dtype=np.float32)
+        assert crossover(a, b, method, rng).dtype == np.float32
+
+    def test_between_float64_draw_unchanged(self):
+        """Cast back to float64, a draw keeps its bytes."""
+        a, b = np.zeros((4, 2)), np.ones((4, 2))
+        draw = np.random.default_rng(5).uniform(a, b)
+        children = crossover(a, b, "between", np.random.default_rng(5))
+        assert children.tobytes() == draw.tobytes()
 
     def test_between_mean_is_center(self, rng):
         """10^4 children of 0 and 1: mean within 5 sigma of 0.5."""
@@ -373,6 +388,15 @@ class TestProduceOffspring:
         assert none.shape == (10, 3)
         assert random_pairs.shape == (10, 3)
         assert all_pairs.shape == (45, 3)
+
+    @pytest.mark.parametrize("method", ["midpoint", "eitheror", "between",
+                                        "none"])
+    def test_float32_parents_give_float32_children(self, method, rng,
+                                                   numeric_spec):
+        genes = seed_population(numeric_spec, 6, rng).astype(np.float32)
+        children = produce_offspring(genes, numeric_spec, method, "random",
+                                     None, rng)
+        assert children.dtype == np.float32
 
     def test_offspring_unevaluated(self, rng, numeric_spec, cat_spec):
         """Children are bare gene rows of the parents' kind."""
