@@ -33,7 +33,7 @@ from .errors import ConfigError
 
 def _check_integer(name: str, value, least: int):
     """ConfigError unless value is a Python or numpy integer (bool is
-    not one) of at least least."""
+    not one) and value >= least."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < least):
         raise ConfigError(

@@ -155,8 +155,7 @@ def test_settings_types_check_themselves():
         assert "__post_init__" in vars(cls), cls.__name__
 
 
-# A row with an explicit id keeps the test id it had before its message
-# changed.
+# An explicit id keeps a row's test id stable when its message changes.
 @pytest.mark.parametrize("build, match", [
     (lambda: GeneSpec(numeric_ranges=((1.0, 0.0),), number_of_genes=1),
      "empty gene range"),

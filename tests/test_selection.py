@@ -471,7 +471,7 @@ SELECTORS = {
 
 
 @pytest.mark.parametrize("selector", sorted(SELECTORS))
-# Each id is the one the row had before its message changed.
+# Explicit ids keep the test ids stable when a message changes.
 @pytest.mark.parametrize("count, message", [
     pytest.param(-1, "count must be an integer of at least 0, not -1",
                  id="-1-count must be non-negative, not -1"),
