@@ -40,6 +40,8 @@ numpy vectors, as inside a run.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
@@ -305,13 +307,18 @@ def default_r0(genes: np.ndarray, measure: DistanceMeasure) -> float:
     all unordered pairs of distinct rows. Returns 0.0 when every pair
     coincides; callers must substitute a usable radius in that case. A
     mean that is negative or NaN, which no squared distance gives, is a
-    ConfigError naming the measure.
+    ConfigError naming the measure, and so is an infinite mean, which
+    gives no radius.
     """
     mean = mean_pairwise(genes, measure)
     if not mean >= 0:
         raise ConfigError(f"measure {measure.name} gave a mean squared "
                           f"distance of {mean}; squared distances cannot "
                           f"be negative or NaN")
+    if mean == math.inf:
+        raise ConfigError(f"measure {measure.name} gave an infinite mean "
+                          f"squared distance, which gives no default r0; "
+                          f"give r0")
     return float(np.sqrt(mean)) / 10.0
 
 

@@ -15,7 +15,9 @@ sequentially or on worker processes.
 
 The fitness sees one decoded gene vector per call, or a decoded batch
 when it is marked with vectorized; evaluate_population states how
-either is called and checked.
+either is called and checked. run hands it the gene matrix and the
+spec, so category codes, not label arrays, go to worker processes, and
+each chunk is decoded where it is evaluated.
 
 With parallel_workers > 0, run starts one WorkerPool after resolving
 its genome-dependent settings and checking that the fitness pickles
@@ -113,7 +115,10 @@ class DiversityEnhanced:
         asymmetric on a pair of the first three rows, and when r0 must
         come from an initial population with too little spread for a
         usable r0 (r0 falls back to 1). Raises ConfigError for a
-        Euclidean or dynamic kernel on labels (see divga.distance).
+        Euclidean or dynamic kernel on labels (see divga.distance), and,
+        when r0 comes from the initial genes, for a measure whose mean
+        squared distance over them is negative, NaN or infinite (see
+        divga.distance.default_r0).
         """
         measure = get_measure(self.measure, labels=not spec.is_numeric)
         if _through_to_point(measure):
@@ -178,7 +183,8 @@ class EngineConfig:
             non-negative integer.
         parallel_workers: 0 evaluates fitness sequentially, otherwise
             the number of worker processes, started once per run
-            (fitness must be picklable).
+            (fitness must be picklable); the rows go to them as codes
+            and are decoded there.
         output_directory: where to write the run files, None disables.
         verbosity: console output: 0 silent, 1 per-generation line,
             2 adds the survivor listing in selection order. log.txt
@@ -301,13 +307,15 @@ def _mean_fitness(values: np.ndarray) -> float:
         return float(values.mean())
 
 
-def _evaluate_rows(fitness, start: int, rows):
-    """(values, failure) of the rows of a chunk, called and checked as
-    evaluate_population says. failure is None, or (message, index,
-    exception or None) of the first bad row, index start + offset, and
-    values holds the rows before it. Module level, so that worker
-    processes can run it on a chunk.
+def _evaluate_rows(fitness, start: int, rows, spec=None):
+    """(values, failure) of the rows of a chunk, decoded by spec first
+    when it is given, called and checked as evaluate_population says.
+    failure is None, or (message, index, exception or None) of the first
+    bad row, index start + offset, and values holds the rows before it.
+    Module level, so that worker processes can run it on a chunk.
     """
+    if spec is not None:
+        rows = spec.decode(rows)
     marked = getattr(fitness, "vectorized", False)
     if marked:
         try:
@@ -387,8 +395,15 @@ class WorkerPool:
 
 
 def evaluate_population(genes, fitness, values: np.ndarray,
-                        pool: WorkerPool | None = None) -> int:
+                        pool: WorkerPool | None = None,
+                        spec: GeneSpec | None = None) -> int:
     """Evaluate fitness on every row of genes into values, in index order.
+
+    genes are the rows the fitness sees, or, when spec is given, the
+    gene matrix of a run of that spec (category codes for a categorical
+    genome): each chunk is then decoded by spec.decode just before its
+    fitness call, in the worker when there is a pool, so the rows travel
+    to the workers as codes, not as label arrays.
 
     Returns the number of evaluations, len(genes). Each value is checked
     as it is computed: the first row whose fitness raises, returns a
@@ -408,7 +423,7 @@ def evaluate_population(genes, fitness, values: np.ndarray,
     not depend on the worker count.
 
     A fitness marked with vectorized is called once per chunk on the
-    chunk's (k, g) gene matrix and returns (k,) real values (bool,
+    chunk's (k, g) gene matrix, decoded when spec is given, and returns (k,) real values (bool,
     integer or floating point), checked as one vector: a NaN at row f of
     the chunk commits the rows before it and is reported at f. A result
     of another shape is a FitnessEvaluationError at the chunk's first
@@ -429,11 +444,11 @@ def evaluate_population(genes, fitness, values: np.ndarray,
     if len(values) != n:
         raise ConfigError(f"{len(values)} values for {n} gene rows")
     if pool is None:
-        chunks = [_evaluate_rows(fitness, 0, genes)]
+        chunks = [_evaluate_rows(fitness, 0, genes, spec)]
     else:
         size = max(1, -(-n // pool.workers))
         chunks = [pool.executor.submit(_evaluate_rows, fitness, start,
-                                       genes[start:start + size])
+                                       genes[start:start + size], spec)
                   for start in range(0, n, size)]
     committed = 0
     for chunk in chunks:
@@ -612,8 +627,7 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
             f"pairing={config.pairing} seed={config.seed}")
         log(f"selection: diversity-enhanced, d0={diversity.d0:g}, "
             f"r0={diversity.r0:g}, measure={diversity.measure.name}")
-        cumulative = evaluate_population(spec.decode(genes), bound, values,
-                                         workers)
+        cumulative = evaluate_population(genes, bound, values, workers, spec)
         best = snapshot(0, genes, values, cumulative)
         working = np.empty(n)
         record.termination = GENERATIONS_EXHAUSTED
@@ -622,8 +636,8 @@ def run(spec: GeneSpec, fitness, config: EngineConfig, *,
                                          config.pairing, mutation, rng)
             pool_genes = np.concatenate([genes, children])
             pool_values = np.concatenate([values, np.empty(len(children))])
-            cumulative += evaluate_population(spec.decode(children), bound,
-                                              pool_values[n:], workers)
+            cumulative += evaluate_population(children, bound, pool_values[n:],
+                                              workers, spec)
             # A kernel reads codes; see divga.distance.
             seen = (spec.decode(pool_genes)
                     if _through_to_point(diversity.measure) else pool_genes)

@@ -167,7 +167,8 @@ def two_workers():
 def started_pools(monkeypatch):
     """Every executor divga.engine builds, in order; each records the
     keyword arguments of its shutdown calls and, per submitted chunk of
-    rows, its (start, row count)."""
+    rows, its (start, row count) in chunks and its rows' dtype in
+    dtypes."""
     pools = []
 
     class CountingPool(ProcessPoolExecutor):
@@ -175,12 +176,14 @@ def started_pools(monkeypatch):
             super().__init__(*args, **kwargs)
             self.shutdowns = []
             self.chunks = []
+            self.dtypes = []
             pools.append(self)
 
         def submit(self, fn, /, *args, **kwargs):
-            # evaluate_population submits (fitness, start, rows).
-            _, start, rows = args
+            # evaluate_population submits (fitness, start, rows, spec).
+            _, start, rows, _ = args
             self.chunks.append((start, len(rows)))
+            self.dtypes.append(rows.dtype)
             return super().submit(fn, *args, **kwargs)
 
         def shutdown(self, *args, **kwargs):

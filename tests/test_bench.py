@@ -27,7 +27,6 @@ from divga import bench
 from divga.bench import (
     CHARGES,
     _charge_vector,
-    _scd_pairs,
     circle_from_genes,
     hamming_spread,
     landscape_from_genes,
@@ -117,7 +116,7 @@ class TestVectorizedBenchFitness:
     def test_marked(self):
         assert landscape_from_genes.vectorized is True
         assert circle_from_genes.vectorized is True
-        assert not hasattr(scd_from_genes, "vectorized")
+        assert scd_from_genes.vectorized is True
 
     @pytest.mark.parametrize("fitness", [landscape_from_genes,
                                          circle_from_genes])
@@ -244,23 +243,31 @@ class TestCalculateSCD:
             assert calculate_scd(seq) == pytest.approx(
                 brute_force_scd(seq), rel=1e-12)
 
-    def test_cached_pairs_match_brute_force_at_every_length(self, rng):
-        """Twice per length, so the second call reads the cached pairs;
-        both equal the uncached sum bit for bit."""
+    def test_scalar_lag_sums_pin_every_length(self, rng):
+        """At every length 1-40 the value is (sum_k sqrt(k) C_k) / n of
+        lag sums C_k taken here in Python integers, bit for bit, and
+        within 1e-12 of the pair sum."""
         for n in range(1, 41):
             seq = "".join(rng.choice(["E", "K"], size=n))
-            q = np.array([1.0 if c == "K" else -1.0 for c in seq])
-            a, b = np.triu_indices(n, k=1)
-            uncached = float(np.sum(q[a] * q[b] * np.sqrt(b - a)) / n)
-            for _ in range(2):
-                assert calculate_scd(seq) == uncached
-                assert calculate_scd(seq) == pytest.approx(
-                    brute_force_scd(seq), rel=1e-12, abs=1e-12)
+            q = [1 if c == "K" else -1 for c in seq]
+            lags = [sum(q[a] * q[a + k] for a in range(n - k))
+                    for k in range(1, n)]
+            expected = float(np.sum(np.sqrt(np.arange(1, n))
+                                    * np.array(lags, dtype=float)) / n)
+            assert calculate_scd(seq) == expected
+            assert calculate_scd(seq) == pytest.approx(
+                brute_force_scd(seq), rel=1e-12, abs=1e-12)
 
-    def test_cached_pairs_read_only(self):
-        for array in _scd_pairs(6):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+    def test_close_to_the_pair_sum(self, rng):
+        """The lag-sum form differs from the float pair sum it replaced
+        by rounding only: at most 1e-13 on 2,000 rows of length 50."""
+        labels = np.array(["E", "K"], dtype=object)[
+            rng.integers(0, 2, size=(2000, 50))]
+        a, b = np.triu_indices(50, k=1)
+        charges = np.where(labels == "K", 1.0, -1.0)
+        pairs = np.sum(charges[:, a] * charges[:, b] * np.sqrt(b - a),
+                       axis=1) / 50
+        assert np.abs(calculate_scd(labels) - pairs).max() <= 1e-13
 
     def test_unknown_label(self):
         with pytest.raises(ConfigError,
@@ -335,6 +342,69 @@ class TestNetCharge:
         assert net_charge("EK") == 0
         assert net_charge("KKKK") == 4
         assert net_charge("EEK") == -1
+
+
+def label_matrix(rng, rows, n):
+    """A (rows, n) object array of random E and K labels."""
+    return np.array(["E", "K"], dtype=object)[rng.integers(0, 2, (rows, n))]
+
+
+class TestLabelMatrices:
+    """calculate_scd, scd_from_genes and net_charge on a (k, n) label
+    array give (k,) values, each with the bits of its one-row call."""
+
+    def test_batch_equals_rows_bit_for_bit(self, rng):
+        for n in range(1, 61):
+            labels = label_matrix(rng, 25, n)
+            for function, args in ((calculate_scd, ()),
+                                   (scd_from_genes, (-10.0,)),
+                                   (net_charge, ())):
+                batch = function(labels, *args)
+                assert batch.shape == (25,)
+                rows = [function(row, *args) for row in labels]
+                assert np.array(rows).tobytes() == batch.tobytes()
+
+    def test_through_evaluate_population(self, rng):
+        """The marked fitness on whole batches and an unmarked per-row
+        wrapper give the same bytes, on codes decoded by the spec too."""
+        spec = GeneSpec.categorical(("E", "K"), 50)
+        codes = rng.integers(0, 2, (300, 50)).astype(spec.gene_dtype)
+        fitness = functools.partial(scd_from_genes, target_scd=-10.0)
+        batch, rows, decoded = (np.empty(300) for _ in range(3))
+        evaluate_population(spec.decode(codes), bench.vectorized(fitness),
+                            batch)
+        evaluate_population(spec.decode(codes), PerRow(fitness), rows)
+        evaluate_population(codes, bench.vectorized(fitness), decoded,
+                            spec=spec)
+        assert batch.tobytes() == rows.tobytes() == decoded.tobytes()
+
+    @pytest.mark.parametrize("function", [calculate_scd, net_charge])
+    def test_edge_shapes(self, function):
+        """A one-row matrix gives one value, a zero-row one none; string
+        arrays count as label arrays."""
+        one = np.array([list("EKKE")], dtype=object)
+        assert function(one).tolist() == [function("EKKE")]
+        assert function(np.array([list("EKKE")])).tolist() == \
+            [function("EKKE")]
+        assert function(np.empty((0, 4), dtype=object)).shape == (0,)
+
+    @pytest.mark.parametrize("function", [calculate_scd, net_charge])
+    def test_unknown_label_named(self, function):
+        labels = np.array([list("EKEK"), list("EKXZ")], dtype=object)
+        with pytest.raises(ConfigError,
+                           match="no charge defined for label 'X'"):
+            function(labels)
+
+    @pytest.mark.parametrize("function", [calculate_scd, net_charge])
+    def test_more_dimensions_rejected(self, function):
+        labels = np.full((2, 3, 4), "K", dtype=object)
+        with pytest.raises(ConfigError, match=re.escape(
+                "not an array of shape (2, 3, 4)")):
+            function(labels)
+
+    def test_empty_rows_rejected(self):
+        with pytest.raises(ConfigError, match="empty sequence"):
+            calculate_scd(np.empty((3, 0), dtype=object))
 
 
 class TestSpread:
@@ -547,6 +617,23 @@ class TestRunExperiment:
         ga_rows = [r for r in report.rows if r["algorithm"] == "ga"]
         de_rows = [r for r in report.rows if r["algorithm"] == "de"]
         assert ga_rows[0]["evaluations"] == de_rows[0]["evaluations"]
+
+    def test_scd_fitness_is_marked(self, monkeypatch):
+        """The scd experiment runs a marked keyword-bound partial, so the
+        GA evaluates whole batches."""
+        seen = []
+
+        def recording_run(spec, fitness, config):
+            seen.append(fitness)
+            return run(spec, fitness, config)
+
+        monkeypatch.setattr(bench, "run", recording_run)
+        run_experiment("scd", overrides={"repetitions": 1, "generations": 1,
+                                         "population": 4})
+        [fitness] = seen
+        assert fitness.vectorized is True
+        assert fitness.func is scd_from_genes
+        assert fitness.keywords == {"target_scd": -10.0}
 
     def test_scd_small(self):
         report = run_experiment(

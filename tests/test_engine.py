@@ -4,6 +4,7 @@ import contextlib
 import csv
 import dataclasses
 import faulthandler
+import functools
 import itertools
 import re
 import warnings
@@ -32,6 +33,7 @@ from divga import (
     seed_population,
 )
 import divga.engine
+from divga.bench import scd_from_genes
 
 from conftest import (
     FAILURES,
@@ -385,6 +387,84 @@ class TestEvaluatePopulation:
                 assert got.tolist() == expected.tolist()
         assert len(started_pools) == 1
         assert started_pools[0].shutdowns == [{"cancel_futures": True}]
+
+
+# A categorical genome whose one gene decodes to the text of its code, so
+# that codes 0..n-1 make rows a RowFailure reads as 0..n-1.
+NUMBERED = GeneSpec.categorical(tuple(str(k) for k in range(40)), 1)
+
+
+class TestCodesToWorkers:
+    """With a spec, evaluate_population sends a run's gene matrix as is
+    and decodes each chunk just before its fitness call."""
+
+    @both_kinds
+    def test_chunks_carry_the_gene_dtype(self, request, spec_name, fitness,
+                                         started_pools):
+        """A categorical run's chunks carry spec.gene_dtype codes and a
+        numeric run's float64 rows."""
+        spec = request.getfixturevalue(spec_name)
+        run(spec, fitness, quiet(population_size=8, n_generations=3, seed=5,
+                                 parallel_workers=2))
+        [pool] = started_pools
+        assert len(pool.dtypes) == 2 * 4
+        assert set(pool.dtypes) == {spec.gene_dtype}
+        assert spec.gene_dtype == (np.float64 if spec.is_numeric
+                                   else np.int8)
+
+    @pytest.mark.parametrize("workers", [0, 2], ids=["sequential", "2"])
+    def test_fitness_sees_labels(self, cat_spec, two_workers, workers, rng):
+        genes = rng.integers(0, 2, (9, 8)).astype(cat_spec.gene_dtype)
+        expected, got = np.empty(9), np.empty(9)
+        evaluate_population(cat_spec.decode(genes), label_count_fitness,
+                            expected)
+        evaluate_population(genes, label_count_fitness, got,
+                            two_workers if workers else None, cat_spec)
+        assert got.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("workers", [0, 2], ids=["sequential", "2"])
+    @settings(max_examples=50)
+    @given(st.integers(1, 40).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+           st.sampled_from(sorted(FAILURES)))
+    def test_categorical_failing_index_property(
+            self, two_workers, workers, rows_and_failing, kind):
+        """On codes of a categorical genome, for any batch of n <= 40
+        rows, failing row f and failure kind, sequentially and on 2
+        workers, with a per-row and a vectorized fitness: both report
+        index f with the same message, commit values[:f] and write
+        nothing after f."""
+        n, failing = rows_and_failing
+        codes = np.arange(n, dtype=NUMBERED.gene_dtype).reshape(n, 1)
+        pool = two_workers if workers else None
+        errors = []
+        for fitness in (BatchFailure(kind, failing), RowFailure(kind, failing)):
+            values = np.full(n, -1.0)
+            with pytest.raises(FitnessEvaluationError) as excinfo:
+                evaluate_population(codes, fitness, values, pool, NUMBERED)
+            assert excinfo.value.index == failing
+            assert values.tolist() == ([row / 4 for row in range(failing)]
+                                       + [-1.0] * (n - failing))
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("fitness", [
+        label_count_fitness,
+        divga.vectorized(functools.partial(scd_from_genes, target_scd=-1.0)),
+    ], ids=["per-row", "vectorized"])
+    def test_worker_count_gives_the_same_bytes(self, tmp_path, fitness):
+        """A categorical seed gives the same survivors and fitness CSV
+        bytes at 0 and 2 workers."""
+        spec = GeneSpec.categorical(("E", "K"), 20)
+        files = []
+        for workers in (0, 2):
+            record = run(spec, fitness, quiet(
+                population_size=12, n_generations=5, seed=11,
+                parallel_workers=workers,
+                output_directory=tmp_path / str(workers)))
+            files.append([record.output_files[key].read_bytes()
+                          for key in ("survivors", "fitness")])
+        assert files[0] == files[1]
 
 
 class TestIntegerSettings:
@@ -889,6 +969,32 @@ class TestDiversityResolution:
                 f"squared distances cannot be negative or NaN")):
             run(numeric_spec, fitness, config)
         assert fitness.calls == 0
+
+    @pytest.mark.filterwarnings("ignore:distance measure is asymmetric")
+    def test_measure_with_infinite_mean_is_rejected(self, numeric_spec,
+                                                    tmp_path):
+        """An infinite mean squared distance is a ConfigError naming the
+        measure, from resolve, and from run before any fitness call or
+        output directory, not the "no spread" fallback to r0 = 1."""
+        def unbounded(a, b):
+            return float("inf")
+
+        message = re.escape("measure unbounded gave an infinite mean "
+                            "squared distance")
+        selection = DiversityEnhanced(measure=unbounded)
+        genes = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message=".*no spread")
+            with pytest.raises(ConfigError, match=message):
+                selection.resolve(numeric_spec, genes)
+            fitness = CountingFitness()
+            out = tmp_path / "out"
+            with pytest.raises(ConfigError, match=message):
+                run(numeric_spec, fitness, quiet(
+                    population_size=6, n_generations=2, seed=0,
+                    selection=selection, output_directory=out))
+        assert fitness.calls == 0
+        assert not out.exists()
 
     def test_top_n_skips_default_r0(self, numeric_spec):
         """At d0 = 0 r0 has no effect: no pairwise pass, no warning."""
