@@ -99,12 +99,15 @@ def _charges(labels) -> np.ndarray:
                           f"them, not an array of shape {labels.shape}")
     charges = np.zeros(labels.shape)
     known = np.zeros(labels.shape, dtype=bool)
-    for label, charge in CHARGES.items():
-        hit = labels == label
-        charges[hit] = charge
-        known |= hit
-    if known.all():
-        return charges
+    try:
+        for label, charge in CHARGES.items():
+            hit = labels == label
+            charges[hit] = charge
+            known |= hit
+        if known.all():
+            return charges
+    except (TypeError, ValueError):  # a label, such as an array, with no ==
+        pass
     # The rows one by one name the first label with no charge.
     return np.array([_charge_vector(row) for row in labels])
 

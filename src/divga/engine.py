@@ -307,7 +307,7 @@ def _mean_fitness(values: np.ndarray) -> float:
         return float(values.mean())
 
 
-def _evaluate_rows(fitness, start: int, rows, spec=None):
+def _evaluate_rows(fitness, start: int, rows, spec):
     """(values, failure) of the rows of a chunk, decoded by spec first
     when it is given, called and checked as evaluate_population says.
     failure is None, or (message, index, exception or None) of the first
@@ -423,9 +423,10 @@ def evaluate_population(genes, fitness, values: np.ndarray,
     not depend on the worker count.
 
     A fitness marked with vectorized is called once per chunk on the
-    chunk's (k, g) gene matrix, decoded when spec is given, and returns (k,) real values (bool,
-    integer or floating point), checked as one vector: a NaN at row f of
-    the chunk commits the rows before it and is reported at f. A result
+    chunk's (k, g) gene matrix, decoded when spec is given, and returns
+    (k,) real values (bool, integer or floating point), checked as one
+    vector: a NaN at row f of the chunk commits the rows before it and
+    is reported at f. A result
     of another shape is a FitnessEvaluationError at the chunk's first
     index. When the call raises or returns values that are not real
     numbers (an object or string array, say), the chunk is evaluated

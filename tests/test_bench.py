@@ -22,6 +22,7 @@ from divga import (
     run_de,
     run_experiment,
     spread,
+    vectorized,
 )
 from divga import bench
 from divga.bench import (
@@ -371,10 +372,10 @@ class TestLabelMatrices:
         codes = rng.integers(0, 2, (300, 50)).astype(spec.gene_dtype)
         fitness = functools.partial(scd_from_genes, target_scd=-10.0)
         batch, rows, decoded = (np.empty(300) for _ in range(3))
-        evaluate_population(spec.decode(codes), bench.vectorized(fitness),
+        evaluate_population(spec.decode(codes), vectorized(fitness),
                             batch)
         evaluate_population(spec.decode(codes), PerRow(fitness), rows)
-        evaluate_population(codes, bench.vectorized(fitness), decoded,
+        evaluate_population(codes, vectorized(fitness), decoded,
                             spec=spec)
         assert batch.tobytes() == rows.tobytes() == decoded.tobytes()
 
@@ -389,10 +390,16 @@ class TestLabelMatrices:
         assert function(np.empty((0, 4), dtype=object)).shape == (0,)
 
     @pytest.mark.parametrize("function", [calculate_scd, net_charge])
-    def test_unknown_label_named(self, function):
-        labels = np.array([list("EKEK"), list("EKXZ")], dtype=object)
-        with pytest.raises(ConfigError,
-                           match="no charge defined for label 'X'"):
+    @pytest.mark.parametrize("label, name", [
+        ("X", "'X'"), (np.array([1, 2]), "array([1, 2])"), (["K"], "['K']"),
+    ], ids=["unknown", "array", "list"])
+    def test_bad_label_named(self, function, label, name):
+        """The first label with no charge is named as its row names it,
+        labels that numpy cannot compare included."""
+        labels = np.array([list("EKEK"), list("EKEZ")], dtype=object)
+        labels[1, 2] = label
+        with pytest.raises(ConfigError, match=re.escape(
+                f"no charge defined for label {name}")):
             function(labels)
 
     @pytest.mark.parametrize("function", [calculate_scd, net_charge])
